@@ -238,7 +238,7 @@ def _rng_flows_through_args(fn: FunctionInfo, call: ast.Call) -> bool:
     """True when an rng-holding local appears inside any argument expression.
 
     Covers streams threaded through carrier objects rather than a direct
-    keyword — the ``idde-request/1`` pattern, where the generator enters
+    keyword — the ``idde-request/2`` pattern, where the generator enters
     the callee as ``SolveRequest.rng`` built inline at the call site.
     """
     rng_names = _rng_locals(fn)

@@ -3,21 +3,20 @@
 Every front-end — the ``idde`` CLI, the experiment harness, the streaming
 replay loop, the IDDE-Serve daemon, notebook users — reaches the solvers
 through one call, and one *object* describes the run everywhere: the
-schema-versioned :class:`~repro.request.SolveRequest` (``idde-request/1``,
+schema-versioned :class:`~repro.request.SolveRequest` (``idde-request/2``,
 also the daemon's wire format)::
 
     from repro.api import solve
     from repro.request import SolveRequest
 
     sol = solve(instance, SolveRequest(solver="idde-g",
-                game_config=GameConfig(kernel="batched"), rng=0))
-    sol.to_dict()   # the schema-versioned ``idde-solution/2`` document
+                game_config=GameConfig(schedule="best-gain-winner"), rng=0))
+    sol.to_dict()   # the schema-versioned ``idde-solution/3`` document
 
 The classic keyword form still works and is bit-identical — it is a thin
 shim that builds the same :class:`SolveRequest`::
 
-    sol = solve(instance, "idde-g", game_config=GameConfig(kernel="batched"),
-                tracer=RecordingTracer(), rng=0)
+    sol = solve(instance, "idde-g", tracer=RecordingTracer(), rng=0)
 
 :class:`Solution` unifies what used to live in three places — the
 :class:`~repro.core.game.GameResult` (rounds, moves, the ε-Nash
@@ -25,11 +24,12 @@ certificate), the :class:`~repro.core.delivery.DeliveryResult` (placements,
 latency gain), and the joint :class:`~repro.core.objectives.Evaluation` —
 without re-running any phase: the solver stashes the full result objects in
 ``extras`` and this module lifts them out.  Version 2 of the solution
-document additionally embeds the request that produced it and the typed
-``extras`` accessors (:attr:`Solution.sharding_stats`,
-:attr:`Solution.delivery_kernel`, :attr:`Solution.warm_detached`) replace
-dict-key spelunking; :func:`load_solution_document` reads both versions
-(see docs/SERVING.md for the migration note).
+document added the request that produced it, and the typed ``extras``
+accessors (:attr:`Solution.sharding_stats`, :attr:`Solution.warm_detached`)
+replace dict-key spelunking.  Version 3 dropped the ``kernel`` and
+``delivery_kernel`` keys from ``config`` and ``extras``, since each phase
+has a single kernel.  :func:`load_solution_document` reads all three
+versions (see docs/SERVING.md for the migration notes).
 
 Solver names resolve through the :mod:`repro.baselines` registry, so
 unknown names fail with a did-you-mean
@@ -62,17 +62,22 @@ from .sharding import ShardConfig, ShardedIddeG
 __all__ = [
     "SOLUTION_SCHEMA",
     "SOLUTION_SCHEMA_V1",
+    "SOLUTION_SCHEMA_V2",
     "Solution",
     "execute",
     "load_solution_document",
     "solve",
 ]
 
-SOLUTION_SCHEMA = "idde-solution/2"
+SOLUTION_SCHEMA = "idde-solution/3"
 SOLUTION_SCHEMA_V1 = "idde-solution/1"
+SOLUTION_SCHEMA_V2 = "idde-solution/2"
 
 #: Schema tags :func:`load_solution_document` accepts, oldest first.
-SOLUTION_SCHEMAS = (SOLUTION_SCHEMA_V1, SOLUTION_SCHEMA)
+SOLUTION_SCHEMAS = (SOLUTION_SCHEMA_V1, SOLUTION_SCHEMA_V2, SOLUTION_SCHEMA)
+
+#: Keys v1/v2 documents recorded in ``config``/``extras`` that v3 dropped.
+_V3_DROPPED_KEYS = ("kernel", "delivery_kernel")
 
 
 @dataclass(frozen=True)
@@ -108,7 +113,7 @@ class Solution:
         return self.evaluation.l_avg_ms
 
     # ------------------------------------------------------------------
-    # typed extras accessors (the idde-solution/2 surface)
+    # typed extras accessors
     # ------------------------------------------------------------------
     @property
     def sharding_stats(self) -> dict[str, Any] | None:
@@ -121,24 +126,18 @@ class Solution:
         return dict(stats) if isinstance(stats, dict) else None
 
     @property
-    def delivery_kernel(self) -> str | None:
-        """Which Phase 2 placement kernel produced the delivery profile."""
-        kernel = self.extras.get("delivery_kernel", self.config.get("delivery_kernel"))
-        return str(kernel) if kernel is not None else None
-
-    @property
     def warm_detached(self) -> int | None:
         """Users the warm-start repair detached, or ``None`` on cold solves."""
         detached = self.extras.get("warm_detached")
         return int(detached) if detached is not None else None
 
     def to_dict(self) -> dict[str, Any]:
-        """The JSON-ready ``idde-solution/2`` document.
+        """The JSON-ready ``idde-solution/3`` document.
 
         Surfaces every field reachable from the underlying results —
         including the ε-Nash certificate (``effective_epsilon``), the
-        move-capped player list, and the kernel/schedule that produced the
-        run — plus the ``idde-request/1`` document of the request that
+        move-capped player list, and the schedule that produced the
+        run — plus the ``idde-request/2`` document of the request that
         produced it (serialised leniently: a live warm-start object
         degrades to its boolean presence, a live generator to a null
         seed).
@@ -209,14 +208,15 @@ class Solution:
 
 
 def load_solution_document(doc: Mapping[str, Any]) -> dict[str, Any]:
-    """Validate a solution document and normalise it to ``idde-solution/2``.
+    """Validate a solution document and normalise it to ``idde-solution/3``.
 
-    Accepts both schema versions: a v1 document (pre-IDDE-Serve) is
-    upgraded in place — the tag is rewritten and the v2-only ``request``
-    field is filled with ``None`` (v1 never recorded the producing
-    request).  Anything else fails with
+    Accepts every schema version.  Older documents are upgraded in place:
+    the tag is rewritten, a v1 document (pre-IDDE-Serve) gets
+    ``request: None`` (v1 never recorded the producing request), and the
+    ``kernel``/``delivery_kernel`` keys v1 and v2 recorded in ``config``
+    and ``extras`` are dropped.  Anything else fails with
     :class:`~repro.errors.ConfigurationError`.  See docs/SERVING.md for
-    the v1 → v2 migration note.
+    the migration notes.
     """
     if not isinstance(doc, Mapping):
         raise ConfigurationError(
@@ -239,8 +239,14 @@ def load_solution_document(doc: Mapping[str, Any]) -> dict[str, Any]:
         )
     out = dict(doc)
     if schema == SOLUTION_SCHEMA_V1:
-        out["schema"] = SOLUTION_SCHEMA
         out.setdefault("request", None)
+    if schema != SOLUTION_SCHEMA:
+        out["schema"] = SOLUTION_SCHEMA
+        for key in ("config", "extras"):
+            if isinstance(out.get(key), Mapping):
+                out[key] = {
+                    k: v for k, v in out[key].items() if k not in _V3_DROPPED_KEYS
+                }
     return out
 
 
@@ -326,11 +332,9 @@ def execute(
         gc, dc = s.game_cfg, s.delivery_cfg
         config.update(
             schedule=gc.schedule,
-            kernel=gc.kernel,
             epsilon=gc.epsilon,
             max_rounds=gc.max_rounds,
             ratio_rule=dc.ratio_rule,
-            delivery_kernel=dc.kernel,
         )
         if request.sharding is not None:
             config["shards"] = (
@@ -388,7 +392,7 @@ def solve(
 
     * ``solve(instance, SolveRequest(...), tracer=...)`` — the request
       object carries the whole run description (the recommended form; the
-      same object is the daemon's ``idde-request/1`` wire format).
+      same object is the daemon's ``idde-request/2`` wire format).
     * ``solve(instance, "idde-g", game_config=..., ...)`` — the classic
       keyword form, kept as a thin back-compat shim that constructs the
       identical :class:`~repro.request.SolveRequest` and executes it.
@@ -408,7 +412,7 @@ def solve(
         composes with both spellings).
     game_config, delivery_config:
         Phase configs for the two-phase IDDE-G solver (e.g.
-        ``GameConfig(kernel="batched")``).  Passing either for any other
+        ``GameConfig(schedule="best-gain-winner")``).  Passing either for any other
         solver raises :class:`~repro.errors.ConfigurationError` — baselines
         have no such phases, and silently ignoring the configs would
         mislabel the run.
@@ -431,7 +435,7 @@ def solve(
         and re-certifies ε-Nash on the full instance (the certificate is
         as strong as a cold solve's).  Composes with ``sharding``
         (shard-local warm starts, boundary carry-over) and any
-        kernel/schedule.  Only meaningful for ``"idde-g"``.
+        schedule.  Only meaningful for ``"idde-g"``.
     active:
         Optional boolean ``(M,)`` participant mask (churn): inactive users
         never allocate and never move in the game.  Only meaningful for

@@ -18,13 +18,6 @@ Pieces:
   point (``BENCH_<rev>.json``);
 * :mod:`~repro.bench.compare` — the noise-aware regression gate
   (``idde bench --compare OLD NEW``);
-* :mod:`~repro.bench.parity` — the kernel-pair parity harness proving the
-  batched best-response kernel replays the reference move-for-move
-  (``idde bench --verify-parity``);
-* :mod:`~repro.bench.delivery_parity` — the same discipline for Phase 2:
-  the batched incremental delivery kernel replays the reference greedy
-  placement-for-placement, reject-count included
-  (``idde bench --verify-delivery-parity``);
 * :mod:`~repro.bench.shard_parity` — the sharded-vs-global harness
   proving the decomposition solver certifies on the whole instance and
   stitches bit-identically where the theory demands it
@@ -49,24 +42,11 @@ from .document import (
     save_document,
     validate_document,
 )
-from .delivery_parity import (
-    DELIVERY_PARITY_CONFIGS,
-    DeliveryPairCase,
-    DeliveryParityReport,
-    render_delivery_parity_text,
-    verify_delivery_pair,
-)
 from .fixtures import SCALES, ScaleSpec, instance_for, scale_spec
-from .parity import (
-    PARITY_SCHEDULES,
-    PARITY_SEEDS,
-    KernelPairCase,
-    ParityReport,
-    render_parity_text,
-    verify_kernel_pair,
-)
 from .registry import Benchmark, all_benchmarks, benchmark, get_benchmark, select_benchmarks
 from .shard_parity import (
+    PARITY_SCHEDULES,
+    PARITY_SEEDS,
     ShardPairCase,
     ShardParityReport,
     render_shard_parity_text,
@@ -83,13 +63,8 @@ __all__ = [
     "BenchRunConfig",
     "BenchStats",
     "CompareResult",
-    "DELIVERY_PARITY_CONFIGS",
-    "DeliveryPairCase",
-    "DeliveryParityReport",
-    "KernelPairCase",
     "PARITY_SCHEDULES",
     "PARITY_SEEDS",
-    "ParityReport",
     "ScaleSpec",
     "ShardPairCase",
     "ShardParityReport",
@@ -103,8 +78,6 @@ __all__ = [
     "instance_for",
     "load_document",
     "render_compare_text",
-    "render_delivery_parity_text",
-    "render_parity_text",
     "render_shard_parity_text",
     "render_text",
     "run_benchmarks",
@@ -115,7 +88,5 @@ __all__ = [
     "summarize",
     "time_callable",
     "validate_document",
-    "verify_delivery_pair",
-    "verify_kernel_pair",
     "verify_sharded_pair",
 ]

@@ -16,8 +16,8 @@ Scales
 ``M_k64``
     The M topology with a K=64 catalogue and tighter per-server storage:
     the game phase is unchanged while Phase 2 runs tens of placement
-    iterations over a 64-row gain table, so the delivery kernels dominate
-    the solve — the fixture the ``delivery.greedy*`` pair is judged on.
+    iterations over a 64-row gain table, so the delivery loop dominates
+    the solve — the fixture ``delivery.greedy`` is judged on.
 ``L``
     A stress point beyond the paper's largest setting, for optimisation
     PRs whose wins only show at scale.

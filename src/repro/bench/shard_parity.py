@@ -1,9 +1,9 @@
-"""Sharded-vs-global parity harness, the decomposition counterpart of
-:mod:`repro.bench.parity`.
+"""Sharded-vs-global parity harness.
 
-The kernel-pair harness proves the batched kernel is the same algorithm;
-this one proves the sharded solver reaches the same *kind* of answer as
-the global solver and — where the theory says so — the same answer:
+The oracle parity tests (``tests/oracles/test_parity.py``) prove the game
+kernel is the literal Algorithm 1; this harness proves the sharded solver
+reaches the same *kind* of answer as the global solver and — where the
+theory says so — the same answer:
 
 * **certificate parity** (every case): both runs must converge and
   certify an ε-Nash on the whole instance at their ``effective_epsilon``.
@@ -31,14 +31,19 @@ from ..config import GameConfig
 from ..core.game import GameResult, IddeUGame
 from ..sharding import ShardConfig, build_plan, solve_sharded_game
 from .fixtures import instance_for
-from .parity import PARITY_SCHEDULES, PARITY_SEEDS
 
 __all__ = [
+    "PARITY_SCHEDULES",
+    "PARITY_SEEDS",
     "ShardPairCase",
     "ShardParityReport",
     "verify_sharded_pair",
     "render_shard_parity_text",
 ]
+
+#: Default verification grid: 5 seeds x all three schedules.
+PARITY_SEEDS: tuple[int, ...] = (0, 1, 2, 3, 4)
+PARITY_SCHEDULES: tuple[str, ...] = tuple(GameConfig._SCHEDULES)
 
 
 @dataclass(frozen=True)
@@ -104,12 +109,10 @@ def verify_sharded_pair(
 ) -> ShardParityReport:
     """Replay every ``(seed, schedule)`` case sharded and globally.
 
-    Uses the batched kernel on both sides (the kernel pair is covered by
-    :func:`~repro.bench.parity.verify_kernel_pair`).  Bit-identical
-    profiles are demanded only where guaranteed: deterministic schedules
-    on a plan with no boundary users.
+    Bit-identical profiles are demanded only where guaranteed:
+    deterministic schedules on a plan with no boundary users.
     """
-    base = replace(base_cfg or GameConfig(), kernel="batched")
+    base = base_cfg or GameConfig()
     shard_cfg = shard_cfg or ShardConfig(n_workers=0)
     cases = []
     for seed in seeds:
@@ -142,7 +145,7 @@ def verify_sharded_pair(
 
 def render_shard_parity_text(report: ShardParityReport) -> str:
     """Human-readable verdict table for the CLI."""
-    lines = ["shard parity: sharded vs global (batched kernel)"]
+    lines = ["shard parity: sharded vs global"]
     lines.extend("  " + case.describe() for case in report.cases)
     verdict = (
         "SHARD PARITY OK"

@@ -11,28 +11,22 @@ The hot paths, mapped to the paper:
 * ``sinr.*`` — the :class:`~repro.radio.sinr.SinrEngine` kernels behind
   every best-response evaluation (Eq. 2/12) and the global Eq. 4/5 rates;
 * ``game.round.*`` — one best-response round under each of the three
-  update schedules of Algorithm 1; each schedule is registered twice, as
-  a *kernel pair* — the per-user ``reference`` kernel and its
-  bit-for-bit-equivalent ``.batched`` einsum counterpart (parity proven
-  by :mod:`repro.bench.parity`), so a run shows the speed-up directly;
-* ``game.converge`` / ``game.converge.batched`` — a full IDDE-U run to
-  Nash equilibrium under each kernel;
+  update schedules of Algorithm 1, plus a ``.traced`` twin of the
+  round-robin round timing the recording-tracer overhead;
+* ``game.converge`` — a full IDDE-U run to Nash equilibrium;
 * ``shard.*`` — the interference-domain decomposition layer: plan
   construction (``shard.build``), a full sharded solve including
   reconciliation (``shard.solve``), and its unsharded twin
   (``shard.solve.global``) on the identical instance and config — their
   ratio IS the decomposition speed-up (serial by construction: the timed
   region runs under ``force_serial``).  Both solve benches use the
-  literal Algorithm 1 ``best-gain-winner`` schedule on the batched
-  kernel, where decomposition shortens the per-move candidate sweep;
+  literal Algorithm 1 ``best-gain-winner`` schedule, where
+  decomposition shortens the per-move candidate sweep;
   run them at ``XL`` for the trajectory point;
-* ``delivery.greedy`` / ``delivery.greedy.batched`` — Phase 2
-  marginal-latency-per-byte placement (Eq. 17, Theorems 6–7) as a kernel
-  pair: the reference per-item sweep and the incremental gain-table
-  kernel replay the identical placement sequence (parity proven by
-  :mod:`repro.bench.delivery_parity`), so their ratio IS the kernel
-  speed-up; run them at ``M_k64``, where delivery dominates the solve,
-  for the trajectory point;
+* ``delivery.greedy`` — Phase 2 marginal-latency-per-byte placement
+  (Eq. 17, Theorems 6–7) on the incremental gain-table loop; run it at
+  ``M_k64``, where delivery dominates the solve, for the trajectory
+  point;
 * ``workload.replay.warm`` / ``workload.replay.cold`` — the day-in-the-
   life streaming pair: a Poisson/Zipf event stream batched into epochs,
   re-solved through the :func:`repro.api.solve` façade either warm
@@ -146,12 +140,10 @@ def _bench_sinr_rates(scale: str, seed: int) -> Callable[[], object]:
     return run
 
 
-def _one_round_factory(
-    schedule: str, kernel: str = "reference"
-) -> Callable[[str, int], Callable[[], object]]:
+def _one_round_factory(schedule: str) -> Callable[[str, int], Callable[[], object]]:
     def make(scale: str, seed: int) -> Callable[[], object]:
         instance = instance_for(scale, seed)
-        cfg = GameConfig(schedule=schedule, kernel=kernel, max_rounds=1)
+        cfg = GameConfig(schedule=schedule, max_rounds=1)
 
         def run() -> object:
             return IddeUGame(instance, cfg).run(rng=seed).moves
@@ -161,22 +153,14 @@ def _one_round_factory(
     return make
 
 
-# Each schedule's round benchmark is registered as a kernel pair: the
-# per-user reference loop and the ``.batched`` einsum kernel replay the
-# identical round, so their ratio IS the kernel speed-up (parity verified
-# by ``idde bench --verify-parity``).
 benchmark(
     "game.round.round-robin",
     "one best-response round, round-robin schedule (package default)",
 )(_one_round_factory("round-robin"))
 
-benchmark(
-    "game.round.round-robin.batched",
-    "the same round-robin round on the batched einsum kernel (pair)",
-)(_one_round_factory("round-robin", kernel="batched"))
 
 def _one_round_traced_factory(
-    schedule: str, kernel: str = "reference"
+    schedule: str,
 ) -> Callable[[str, int], Callable[[], object]]:
     """The ``.traced`` twin: the identical round with a live recording tracer.
 
@@ -190,7 +174,7 @@ def _one_round_traced_factory(
         from ..obs.tracer import RecordingTracer
 
         instance = instance_for(scale, seed)
-        cfg = GameConfig(schedule=schedule, kernel=kernel, max_rounds=1)
+        cfg = GameConfig(schedule=schedule, max_rounds=1)
 
         def run() -> object:
             tracer = RecordingTracer()
@@ -202,8 +186,8 @@ def _one_round_traced_factory(
     return make
 
 
-# The two ``.traced`` twins time the recording-tracer cost of the same
-# round (tracer constructed inside the timed region); the plain pair above
+# The ``.traced`` twin times the recording-tracer cost of the same round
+# (tracer constructed inside the timed region); the plain round above
 # runs with the shared no-op tracer, so CI gates the no-op overhead simply
 # by gating the plain benchmarks against the seed baseline.
 benchmark(
@@ -212,59 +196,34 @@ benchmark(
 )(_one_round_traced_factory("round-robin"))
 
 benchmark(
-    "game.round.round-robin.batched.traced",
-    "the batched round-robin round with a live recording tracer (overhead twin)",
-)(_one_round_traced_factory("round-robin", kernel="batched"))
-
-benchmark(
     "game.round.best-gain-winner",
     "one best-response round, literal Algorithm 1 best-gain-winner schedule",
 )(_one_round_factory("best-gain-winner"))
-
-benchmark(
-    "game.round.best-gain-winner.batched",
-    "the same best-gain-winner round on the batched einsum kernel (pair)",
-)(_one_round_factory("best-gain-winner", kernel="batched"))
 
 benchmark(
     "game.round.random-winner",
     "one best-response round, asynchronous random-winner schedule",
 )(_one_round_factory("random-winner"))
 
-benchmark(
-    "game.round.random-winner.batched",
-    "the same random-winner round on the batched einsum kernel (pair)",
-)(_one_round_factory("random-winner", kernel="batched"))
 
-
-def _converge_factory(kernel: str) -> Callable[[str, int], Callable[[], object]]:
-    def make(scale: str, seed: int) -> Callable[[], object]:
-        instance = instance_for(scale, seed)
-        cfg = GameConfig(kernel=kernel)
-
-        def run() -> object:
-            return IddeUGame(instance, cfg).run(rng=seed).moves
-
-        return run
-
-    return make
-
-
-benchmark(
+@benchmark(
     "game.converge",
     "full IDDE-U best-response dynamics to Nash equilibrium (Theorem 4)",
-)(_converge_factory("reference"))
+)
+def _bench_game_converge(scale: str, seed: int) -> Callable[[], object]:
+    instance = instance_for(scale, seed)
+    cfg = GameConfig()
 
-benchmark(
-    "game.converge.batched",
-    "the same full run to Nash equilibrium on the batched kernel (pair)",
-)(_converge_factory("batched"))
+    def run() -> object:
+        return IddeUGame(instance, cfg).run(rng=seed).moves
+
+    return run
 
 
 #: The shard solve pair plays the literal Algorithm 1 schedule: one winner
 #: per round means the global run pays a full candidate sweep per move,
 #: which is exactly the cost decomposition amortises per shard.
-_SHARD_GAME_CFG = GameConfig(schedule="best-gain-winner", kernel="batched")
+_SHARD_GAME_CFG = GameConfig(schedule="best-gain-winner")
 
 
 @benchmark(
@@ -285,7 +244,7 @@ def _bench_shard_build(scale: str, seed: int) -> Callable[[], object]:
 
 @benchmark(
     "shard.solve",
-    "sharded IDDE-U solve + reconciliation, best-gain-winner/batched (pair)",
+    "sharded IDDE-U solve + reconciliation, best-gain-winner (pair)",
 )
 def _bench_shard_solve(scale: str, seed: int) -> Callable[[], object]:
     from ..sharding import ShardConfig, solve_sharded_game
@@ -337,27 +296,6 @@ def _bench_delivery_greedy(scale: str, seed: int) -> Callable[[], object]:
     return run
 
 
-@benchmark(
-    "delivery.greedy.batched",
-    f"the same placement on the incremental gain-table kernel (pair), "
-    f"{_GREEDY_CALLS} calls",
-)
-def _bench_delivery_greedy_batched(scale: str, seed: int) -> Callable[[], object]:
-    instance = instance_for(scale, seed)
-    profile = equilibrium_profile(scale, seed)
-    # Materialise the cached path-cost model outside the timed region.
-    assert instance.latency_model is not None
-    cfg = DeliveryConfig(kernel="batched")
-
-    def run() -> object:
-        replicas = 0
-        for _ in range(_GREEDY_CALLS):
-            replicas = greedy_delivery(instance, profile, cfg).profile.n_replicas
-        return replicas
-
-    return run
-
-
 # --- the streaming day-in-the-life pair -------------------------------
 #
 # Both twins replay the identical epoch sequence: the event stream,
@@ -382,20 +320,11 @@ _REPLAY_SPEC: dict[str, tuple[int, int]] = {
     "L": (2_000, 50),
     "XL": (2_000, 50),
 }
-_REPLAY_GAME_CFG = GameConfig(
-    schedule="best-gain-winner", kernel="batched", epsilon=0.01
-)
+_REPLAY_GAME_CFG = GameConfig(schedule="best-gain-winner", epsilon=0.01)
+_REPLAY_DELIVERY_CFG = DeliveryConfig(min_gain_s_per_mb=0.05)
 
 #: (epoch instance, active mask) steps plus the epoch-0 solution, memoised.
 _REPLAY_CACHE: dict[tuple[str, int], tuple[list, object]] = {}
-
-
-def _replay_delivery_cfg():
-    # The batched delivery kernel rides along in the replay path: every
-    # epoch re-places the catalogue, so the incremental kernel's win
-    # lands directly on the day-in-the-life numbers (parity-verified, so
-    # the certificates are unchanged).
-    return DeliveryConfig(min_gain_s_per_mb=0.05, kernel="batched")
 
 
 def _replay_day(scale: str, seed: int) -> tuple[list, object]:
@@ -438,7 +367,7 @@ def _replay_day(scale: str, seed: int) -> tuple[list, object]:
         base,
         "idde-g",
         game_config=_REPLAY_GAME_CFG,
-        delivery_config=_replay_delivery_cfg(),
+        delivery_config=_REPLAY_DELIVERY_CFG,
         rng=spawn_rng(seed, "bench", "replay-epoch0"),
         validate=False,
     )
@@ -451,7 +380,6 @@ def _replay_factory(warm: bool) -> Callable[[str, int], Callable[[], object]]:
         from ..api import solve
 
         steps, sol0 = _replay_day(scale, seed)
-        delivery_cfg = _replay_delivery_cfg()
 
         def run(replay_seed: int = seed) -> object:
             # Default-bound seed so every repeat replays the identical
@@ -463,7 +391,7 @@ def _replay_factory(warm: bool) -> Callable[[str, int], Callable[[], object]]:
                     inst,
                     "idde-g",
                     game_config=_REPLAY_GAME_CFG,
-                    delivery_config=delivery_cfg,
+                    delivery_config=_REPLAY_DELIVERY_CFG,
                     warm_start=prev if warm else None,
                     active=active,
                     rng=spawn_rng(replay_seed, "replay", i),
@@ -520,7 +448,7 @@ def _serve_day(scale: str, seed: int) -> tuple[list, object]:
         SolveRequest(
             solver="idde-g",
             game_config=_REPLAY_GAME_CFG,
-            delivery_config=_replay_delivery_cfg(),
+            delivery_config=_REPLAY_DELIVERY_CFG,
             rng=spawn_rng(seed, "bench", "serve-epoch0"),
             validate=False,
         ),
@@ -544,7 +472,7 @@ def _bench_serve_request_warm(scale: str, seed: int) -> Callable[[], object]:
     request = SolveRequest(
         solver="idde-g",
         game_config=_REPLAY_GAME_CFG,
-        delivery_config=_replay_delivery_cfg(),
+        delivery_config=_REPLAY_DELIVERY_CFG,
         warm_start=True,
         rng=seed,
         validate=False,

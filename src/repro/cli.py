@@ -24,23 +24,21 @@ Subcommands
 ``bench``      Run IDDE-Bench, the statistical microbenchmark suite over
                the IDDE-G hot paths, compare two benchmark documents
                with the noise-aware regression gate, or verify the
-               reference/batched kernel-pair parity
+               sharded-vs-global solver parity
                (see docs/BENCHMARKING.md).
 ``trace``      Inspect IDDE-Trace documents: ``idde trace summarize``
                renders the span tree, top counters and event mix of an
                ``idde-trace/1`` JSONL file (see docs/OBSERVABILITY.md).
 ``serve``      Boot IDDE-Serve, the long-lived async solver daemon: a
                stateful session behind a schema-versioned HTTP/JSON API
-               (``idde-request/1`` in, ``idde-solution/2`` out,
+               (``idde-request/2`` in, ``idde-solution/3`` out,
                ``idde-events/1`` deltas re-solved warm; see
                docs/SERVING.md).
 
 ``solve``, ``sweep`` and ``reproduce`` accept ``--trace out.jsonl`` to
-record a full execution trace; ``solve``/``sweep`` accept ``--kernel
-batched`` to run the IDDE-G game on the batched evaluation kernel,
-``--delivery-kernel batched`` to run Phase 2 on the incremental
-greedy-delivery kernel, and ``--shards auto|N`` to route IDDE-G through
-the interference-domain decomposition solver (see docs/SHARDING.md).
+record a full execution trace; ``solve``/``sweep`` accept ``--shards
+auto|N`` to route IDDE-G through the interference-domain decomposition
+solver (see docs/SHARDING.md).
 All solving routes through :func:`repro.api.solve`.
 """
 
@@ -87,18 +85,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--map", action="store_true", help="draw the scenario and IDDE-G allocation"
     )
-    _add_kernel_arg(p_solve)
     _add_shards_arg(p_solve)
     _add_trace_arg(p_solve)
     p_solve.add_argument(
         "--format", choices=["text", "json"], default="text",
-        help="text table or the idde-solution/2 JSON document",
+        help="text table or the idde-solution/3 JSON document",
     )
 
     p_sweep = sub.add_parser("sweep", help="run one Table 2 experiment set")
     p_sweep.add_argument("set", choices=["1", "2", "3", "4"], help="Table 2 set number")
     _add_sweep_args(p_sweep)
-    _add_kernel_arg(p_sweep)
     _add_shards_arg(p_sweep)
     _add_trace_arg(p_sweep)
 
@@ -162,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run warm AND cold over the same batches; re-certify both "
         "end-states as ε-Nash on the final instance (exit 1 on failure)",
     )
-    _add_kernel_arg(p_replay)
     _add_shards_arg(p_replay)
     _add_trace_arg(p_replay)
 
@@ -264,16 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="regression gate ratio for --compare (default 2.0)",
     )
     p_bench.add_argument(
-        "--verify-parity", action="store_true",
-        help="verify reference/batched kernel-pair parity; exit 1 on mismatch",
-    )
-    p_bench.add_argument(
         "--verify-shard-parity", action="store_true",
         help="verify sharded-vs-global solver parity; exit 1 on mismatch",
-    )
-    p_bench.add_argument(
-        "--verify-delivery-parity", action="store_true",
-        help="verify reference/batched delivery kernel-pair parity; exit 1 on mismatch",
     )
 
     p_serve = sub.add_parser(
@@ -297,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-limit", type=int, default=8,
         help="max mutating requests admitted at once (429 past it)",
     )
-    _add_kernel_arg(p_serve)
     _add_shards_arg(p_serve)
 
     p_trace = sub.add_parser(
@@ -312,21 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=["text", "json"], default="text", help="report format"
     )
     return parser
-
-
-def _add_kernel_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--kernel",
-        choices=["reference", "batched"],
-        default="reference",
-        help="IDDE-G game evaluation kernel (the verified pair; identical results)",
-    )
-    p.add_argument(
-        "--delivery-kernel",
-        choices=["reference", "batched"],
-        default="reference",
-        help="Phase 2 greedy-delivery kernel (the verified pair; identical placements)",
-    )
 
 
 def _shards_value(text: str) -> int | str:
@@ -412,17 +383,11 @@ def _request_for(args: argparse.Namespace, name: str):
     The single flag→request mapping ``idde solve`` and ``idde serve``
     share, so both front-ends describe identical runs identically.
     """
-    from .config import DeliveryConfig, GameConfig
     from .request import SolveRequest
 
-    is_g = name == "idde-g"
     return SolveRequest(
         solver=name,
-        game_config=GameConfig(kernel=args.kernel) if is_g else None,
-        delivery_config=(
-            DeliveryConfig(kernel=args.delivery_kernel) if is_g else None
-        ),
-        sharding=_shard_config(args.shards) if is_g else None,
+        sharding=_shard_config(args.shards) if name == "idde-g" else None,
         ip_time_budget_s=getattr(args, "ip_budget", None),
         rng=args.seed,
     )
@@ -450,8 +415,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         solve(instance, _request_for(args, name), tracer=tracer) for name in names
     ]
     _save_trace(
-        tracer, args, command="solve", solver=args.solver, kernel=args.kernel,
-        delivery_kernel=args.delivery_kernel, seed=args.seed, shards=args.shards,
+        tracer, args, command="solve", solver=args.solver, seed=args.seed,
+        shards=args.shards,
     )
 
     if args.format == "json":
@@ -463,8 +428,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 "k": args.k,
                 "density": args.density,
                 "seed": args.seed,
-                "kernel": args.kernel,
-                "delivery_kernel": args.delivery_kernel,
             },
             "solutions": [sol.to_dict() for sol in solutions],
         }
@@ -500,14 +463,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
         ip_time_budget_s=args.ip_budget,
         parallel=ParallelConfig(n_workers=args.workers),
-        kernel=args.kernel,
-        delivery_kernel=args.delivery_kernel,
         shards=args.shards,
         tracer=tracer,
     )
     _save_trace(
-        tracer, args, command="sweep", set=args.set, kernel=args.kernel,
-        delivery_kernel=args.delivery_kernel, seed=args.seed, shards=args.shards,
+        tracer, args, command="sweep", set=args.set, seed=args.seed,
+        shards=args.shards,
     )
     for metric in ("r_avg", "l_avg_ms", "time_s"):
         print(render_sweep_markdown(result, metric))
@@ -579,7 +540,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _replay_impl(args: argparse.Namespace) -> int:
-    from .config import DeliveryConfig, GameConfig
     from .dynamics import DynamicSimulation
     from .workload import (
         WorkloadState,
@@ -592,8 +552,6 @@ def _replay_impl(args: argparse.Namespace) -> int:
     instance = IDDEInstance.generate(
         n=args.n, m=args.m, k=args.k, density=args.density, seed=args.seed
     )
-    game_cfg = GameConfig(kernel=args.kernel)
-    delivery_cfg = DeliveryConfig(kernel=args.delivery_kernel)
     shard_cfg = _shard_config(args.shards)
     tracer = _make_tracer(args)
 
@@ -622,8 +580,6 @@ def _replay_impl(args: argparse.Namespace) -> int:
         sim = DynamicSimulation(
             instance,
             policy=policy,
-            game=game_cfg,
-            delivery=delivery_cfg,
             sharding=shard_cfg,
             tracer=tracer,
         )
@@ -656,7 +612,7 @@ def _replay_impl(args: argparse.Namespace) -> int:
             sol = records[-1].solution
             from .core.game import IddeUGame
 
-            certified = IddeUGame(final_instance, game_cfg).is_nash(
+            certified = IddeUGame(final_instance).is_nash(
                 sol.allocation,
                 tol=sol.game.effective_epsilon,
                 active=state.active,
@@ -893,26 +849,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     threshold = DEFAULT_THRESHOLD if args.threshold is None else args.threshold
     try:
-        if args.verify_parity:
-            from .bench import render_parity_text, verify_kernel_pair
-
-            report = verify_kernel_pair(scale=args.scale)
-            print(render_parity_text(report))
-            return 0 if report.ok else 1
-
         if args.verify_shard_parity:
             from .bench import render_shard_parity_text, verify_sharded_pair
 
             shard_report = verify_sharded_pair(scale=args.scale)
             print(render_shard_parity_text(shard_report))
             return 0 if shard_report.ok else 1
-
-        if args.verify_delivery_parity:
-            from .bench import render_delivery_parity_text, verify_delivery_pair
-
-            delivery_report = verify_delivery_pair(scale=args.scale)
-            print(render_delivery_parity_text(delivery_report))
-            return 0 if delivery_report.ok else 1
 
         if args.compare is not None:
             old_path, new_path = args.compare
@@ -978,7 +920,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"idde serve: error: {exc.args[0]}", file=sys.stderr)
         return 2
 
-    from .request import SolveRequest
+    from dataclasses import replace
+
     from .serve import ServeConfig, ServeDaemon, SolverSession
 
     instance = IDDEInstance.generate(
@@ -986,15 +929,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     # warm_start=True: once a resident solution exists, bare POST
     # /v1/solve re-solves warm from it (events always re-solve warm).
-    base = _request_for(args, name)
-    request = SolveRequest(
-        solver=base.solver,
-        game_config=base.game_config,
-        delivery_config=base.delivery_config,
-        sharding=base.sharding,
-        warm_start=True,
-        rng=args.seed,
-    )
+    request = replace(_request_for(args, name), warm_start=True)
     try:
         daemon = ServeDaemon(
             SolverSession(instance, request),

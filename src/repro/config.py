@@ -158,13 +158,6 @@ class GameConfig:
         random improving user (classic asynchronous better-response);
         ``"round-robin"`` sweeps users in index order applying every
         improving move within one sweep.
-    kernel:
-        Best-response evaluation kernel.  ``"reference"`` evaluates users
-        one at a time through :meth:`SinrEngine.candidates`;
-        ``"batched"`` evaluates all users' candidate grids in one einsum
-        pass per round (:meth:`SinrEngine.batch_best_responses`).  The two
-        are a verified pair: identical move sequences, identical equilibria
-        (see ``repro.bench.parity`` and docs/BENCHMARKING.md).
     epsilon:
         Minimum relative benefit improvement for a move to count; guards
         against floating-point livelock near the equilibrium.
@@ -201,7 +194,6 @@ class GameConfig:
     """
 
     schedule: str = "round-robin"
-    kernel: str = "reference"
     epsilon: float = 1e-9
     max_rounds: int = 10_000
     patience_moves: int = 0
@@ -211,16 +203,11 @@ class GameConfig:
     allow_unallocated: bool = False
 
     _SCHEDULES = ("best-gain-winner", "random-winner", "round-robin")
-    _KERNELS = ("reference", "batched")
 
     def __post_init__(self) -> None:
         _require(
             self.schedule in self._SCHEDULES,
             f"schedule must be one of {self._SCHEDULES}, got {self.schedule!r}",
-        )
-        _require(
-            self.kernel in self._KERNELS,
-            f"kernel must be one of {self._KERNELS}, got {self.kernel!r}",
         )
         _require(self.epsilon >= 0, f"epsilon must be >= 0, got {self.epsilon}")
         _require(self.max_rounds >= 1, f"max_rounds must be >= 1, got {self.max_rounds}")
@@ -260,33 +247,17 @@ class DeliveryConfig:
     Both default to 0 — any strictly positive improvement is accepted, as
     in Algorithm 1 line 24.  (The old single ``min_gain`` field conflated
     the two units and was removed.)
-
-    ``kernel``
-        Placement-loop implementation.  ``"reference"`` sweeps all K items
-        in Python each iteration (the literal Algorithm 1 transcription);
-        ``"batched"`` maintains the full ``(K, N)`` gain table and updates
-        it incrementally — only the placed item's row changes between
-        iterations.  The two are a verified pair: identical placement
-        sequence, gains, and threshold-reject counts, bit for bit (see
-        ``repro.bench.delivery_parity`` and docs/BENCHMARKING.md).
     """
 
     ratio_rule: bool = True
     min_gain_s: float = 0.0
     min_gain_s_per_mb: float = 0.0
-    kernel: str = "reference"
-
-    _KERNELS = ("reference", "batched")
 
     def __post_init__(self) -> None:
         _require(self.min_gain_s >= 0, f"min_gain_s must be >= 0, got {self.min_gain_s}")
         _require(
             self.min_gain_s_per_mb >= 0,
             f"min_gain_s_per_mb must be >= 0, got {self.min_gain_s_per_mb}",
-        )
-        _require(
-            self.kernel in self._KERNELS,
-            f"kernel must be one of {self._KERNELS}, got {self.kernel!r}",
         )
 
 

@@ -11,21 +11,17 @@ server, per-item request counts are aggregated per attached server once, and
 each candidate's gain is a relu-ed ``(N × N) @ (N,)`` product — ``O(N²K)``
 per iteration, independent of M.
 
-Two kernels implement the loop (``DeliveryConfig.kernel``):
-
-``"reference"``
-    The literal transcription above: every iteration re-sweeps all K items
-    in Python and rebuilds each item's gain vector from scratch.
-``"batched"``
-    Builds the full ``(K, N)`` gain table up front (tiled over K-blocks so
-    the ``(B, N, N)`` improvement tensor stays memory-bounded) and then
-    maintains it *incrementally*: placing ``(i, k)`` changes only
-    ``best[k]`` — so only row ``k`` is recomputed (``O(N²)``) — and server
-    ``i``'s residual — so only column ``i`` of the feasibility mask is
-    re-derived (``O(K)``).  Per-iteration cost drops by ~K× with no
-    approximation: the pair is bit-for-bit identical, including argmax
-    tie-breaks and the tracer's threshold-reject counts (see
-    ``repro.bench.delivery_parity``).
+The loop builds the full ``(K, N)`` gain table up front (tiled over
+K-blocks so the ``(B, N, N)`` improvement tensor stays memory-bounded) and
+then maintains it *incrementally*: placing ``(i, k)`` changes only
+``best[k]`` — so only row ``k`` is recomputed (``O(N²)``) — and server
+``i``'s residual — so only column ``i`` of the feasibility mask is
+re-derived (``O(K)``).  Per-iteration cost is ~K× below the literal
+transcription, which re-sweeps all K items in Python every iteration, with
+no approximation: the literal loop lives in the test suite
+(``tests/oracles/delivery.py``) as the readable oracle, and the two are
+bit-for-bit identical, including argmax tie-breaks and the tracer's
+threshold-reject counts (``tests/oracles/test_parity.py``).
 """
 
 from __future__ import annotations
@@ -85,28 +81,28 @@ def attached_request_counts(
 
 
 #: Peak size in bytes of one ``(B, N, N)`` improvement-tensor tile in the
-#: batched kernel's initial table build; the block height B is derived from
+#: gain table's initial build; the block height B is derived from
 #: it, so metro-scale instances never materialise the full K·N² tensor.
 _GAIN_TILE_BYTES = 32 << 20
 
 
 class _GainTable:
-    """The batched kernel's incrementally-maintained ``(K, N)`` gain table.
+    """The incrementally-maintained ``(K, N)`` gain table.
 
     ``gains[k, i] = Σ_{i'} counts[k, i'] · relu(best[k, i'] − sizes[k]·pc[i, i'])``
 
     Incremental-update invariant (the whole correctness argument of the
-    batched kernel): a row depends only on ``best[k]``, ``sizes[k]``,
+    loop): a row depends only on ``best[k]``, ``sizes[k]``,
     ``pc`` and ``counts[k]`` — never on ``placed`` or ``residual``, which
     enter the selection through the feasibility mask alone.  Placing
     ``(i, k)`` mutates only ``best[k]``, so :meth:`refresh_row` on that one
     row restores the table to exactly what a from-scratch rebuild would
     produce, bit for bit.
 
-    Bitwise parity with the reference sweep holds because both paths run
+    Bitwise parity with the literal per-item sweep holds because both run
     the identical BLAS matvec per item: the tiled build uses a stacked
     3-D ``np.matmul`` (one gemv per block slice) and the row refresh is
-    the reference expression verbatim.  A plain ``np.einsum`` contraction
+    the literal sweep's expression verbatim.  A plain ``np.einsum`` contraction
     is *not* used — its sum order differs from gemv at the last ulp, which
     would flip argmax tie-breaks.
     """
@@ -139,75 +135,6 @@ class _GainTable:
         self.gains[kk] = improvement @ self._counts[kk]
 
 
-def _run_reference(
-    cfg: DeliveryConfig,
-    tracer: Tracer,
-    sizes: np.ndarray,
-    pc: np.ndarray,
-    counts: np.ndarray,
-    best: np.ndarray,
-    residual: np.ndarray,
-    placed: np.ndarray,
-    stop_threshold: float,
-) -> tuple[list[tuple[int, int]], float]:
-    """The literal Algorithm 1 loop: full K-item Python sweep per iteration."""
-    k = best.shape[0]
-    placements: list[tuple[int, int]] = []
-    total_gain = 0.0
-    while True:
-        best_score = stop_threshold
-        best_pick: tuple[int, int] | None = None
-        best_pick_gain = 0.0
-        sweep_rejects = 0
-        for kk in range(k):
-            s_k = sizes[kk]
-            feasible = (~placed[:, kk]) & (residual >= s_k)
-            if not feasible.any():
-                continue
-            # gain[i] = Σ_{i'} counts[kk, i'] · relu(best[kk, i'] − s_k·pc[i, i'])
-            improvement = np.maximum(best[kk][None, :] - s_k * pc, 0.0)
-            gains = improvement @ counts[kk]
-            gains[~feasible] = -1.0
-            scores = gains / s_k if cfg.ratio_rule else gains
-            i = int(np.argmax(scores))
-            if gains[i] > 0.0 and scores[i] > best_score:
-                best_score = float(scores[i])
-                best_pick = (i, kk)
-                best_pick_gain = float(gains[i])
-            if tracer.enabled:
-                # Positive-gain candidates killed by the stopping
-                # threshold (not merely outscored within the sweep) —
-                # all of them, not just the item's argmax server.
-                # Infeasible servers carry gain = -1, so positivity
-                # implies feasibility.
-                sweep_rejects += int(
-                    np.count_nonzero((gains > 0.0) & (scores <= stop_threshold))
-                )
-        if best_pick is None:
-            if tracer.enabled:
-                tracer.event(
-                    "delivery.stop", rejected=sweep_rejects, iterations=len(placements)
-                )
-                tracer.count("delivery.threshold_rejects", sweep_rejects)
-            break
-        i, kk = best_pick
-        placed[i, kk] = True
-        residual[i] -= sizes[kk]
-        best[kk] = np.minimum(best[kk], sizes[kk] * pc[i, :])
-        placements.append((i, kk))
-        total_gain += best_pick_gain
-        if tracer.enabled:
-            tracer.event(
-                "delivery.place",
-                server=i,
-                item=kk,
-                gain_s=best_pick_gain,
-                score=best_score,
-            )
-            tracer.count("delivery.placements")
-    return placements, total_gain
-
-
 def _run_batched(
     cfg: DeliveryConfig,
     tracer: Tracer,
@@ -219,13 +146,13 @@ def _run_batched(
     placed: np.ndarray,
     stop_threshold: float,
 ) -> tuple[list[tuple[int, int]], float]:
-    """Incremental table-driven loop, bit-identical to :func:`_run_reference`.
+    """Incremental table-driven greedy loop.
 
-    Selection semantics replicated exactly: within an item, infeasible
-    servers score ``-1`` so ``np.argmax`` picks the lowest-index winner on
-    ties; across items, the reference's strict-``>`` scan keeps the *first*
-    item attaining the maximum score, which is what row-major ``np.argmax``
-    over the per-item winners returns.
+    Selection semantics match the literal per-item sweep exactly: within an
+    item, infeasible servers score ``-1`` so ``np.argmax`` picks the
+    lowest-index winner on ties; across items, a strict-``>`` scan keeps
+    the *first* item attaining the maximum score, which is what row-major
+    ``np.argmax`` over the per-item winners returns.
     """
     k = best.shape[0]
     table = _GainTable(best, sizes, pc, counts)
@@ -236,8 +163,7 @@ def _run_batched(
     total_gain = 0.0
     while True:
         # Masked (K, N) score table — items whose every server is
-        # infeasible become all -1 rows, excluded exactly like the
-        # reference's empty-feasibility ``continue``.
+        # infeasible become all -1 rows, which never place.
         eff = np.where(feasible, table.gains, -1.0)
         scores = eff / sizes[:, None] if cfg.ratio_rule else eff
         srv = np.argmax(scores, axis=1)
@@ -299,8 +225,6 @@ def greedy_delivery(
         ``ratio_rule=True`` applies Eq. (17) (gain per MB, thresholded by
         ``min_gain_s_per_mb``); ``False`` selects by absolute gain in
         seconds (the ablation A1 variant, thresholded by ``min_gain_s``).
-        ``kernel`` picks the loop implementation (``"reference"`` or the
-        incremental ``"batched"`` — a bit-for-bit verified pair).
     weights:
         Optional ``(K, N)`` demand weights replacing the true attached
         request counts — used by baselines that work from aggregate
@@ -332,16 +256,11 @@ def greedy_delivery(
     # MB of storage under Eq. (17), plain seconds under the A1 ablation —
     # so each has its own explicitly-suffixed stopping threshold.
     stop_threshold = cfg.min_gain_s_per_mb if cfg.ratio_rule else cfg.min_gain_s
-    run = _run_batched if cfg.kernel == "batched" else _run_reference
 
     with tracer.span(
-        "delivery.greedy",
-        servers=n,
-        items=k,
-        ratio_rule=cfg.ratio_rule,
-        kernel=cfg.kernel,
+        "delivery.greedy", servers=n, items=k, ratio_rule=cfg.ratio_rule
     ) as span:
-        placements, total_gain = run(
+        placements, total_gain = _run_batched(
             cfg, tracer, sizes, pc, counts, best, residual, placed, stop_threshold
         )
         span.set(placements=len(placements), total_gain_s=total_gain)

@@ -30,14 +30,14 @@ the improvement threshold until the cycle dies (see
 ``GameResult.effective_epsilon`` — a ``converged=True`` result is never
 returned without a certificate that holds.
 
-Each schedule runs on one of two interchangeable evaluation kernels
-(:class:`~repro.config.GameConfig` ``kernel``): the per-user ``"reference"``
-loop, or the ``"batched"`` kernel that evaluates every user's candidate grid
+Every schedule, and the certificate, evaluates all users' candidate grids
 in one einsum pass per round via
-:meth:`~repro.radio.sinr.SinrEngine.batch_best_responses`.  The pair is
-verified bit-for-bit — identical move sequences (``GameResult.move_log``),
-identical equilibria, identical certificates — by ``repro.bench.parity`` and
-``tests/core/test_game_kernels.py``.
+:meth:`~repro.radio.sinr.SinrEngine.batch_best_responses`.  The literal
+per-user transcription of Algorithm 1 lives in the test suite
+(``tests/oracles/game.py``) as the readable oracle: the batched runners
+must replay it bit-for-bit — identical move sequences
+(``GameResult.move_log``), identical equilibria, identical certificates
+(``tests/oracles/test_parity.py``).
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class GameResult:
     effective_epsilon: float = 0.0
     potential_trace: list[float] = field(default_factory=list)
     #: Every applied move in order, as ``(user, server, channel)`` — the
-    #: observable the reference/batched kernel-parity harness compares.
+    #: observable the oracle parity tests compare.
     move_log: list[tuple[int, int, int]] = field(default_factory=list)
     #: Users whose per-run move budget (``max_moves_per_user``) was spent
     #: when the dynamics stopped — the players a quiescent sweep had to
@@ -223,24 +223,20 @@ class IddeUGame:
                 trace.append(interference_potential(engine))
 
             schedule = self.cfg.schedule
-            batched = self.cfg.kernel == "batched"
             with self.tracer.span(
                 "game.run",
                 schedule=schedule,
-                kernel=self.cfg.kernel,
                 users=self.instance.n_users,
                 warm_start=initial is not None,
             ) as span:
                 if schedule == "round-robin":
-                    sweep = (
-                        self._run_round_robin_batched if batched else self._run_round_robin
+                    rounds, moves, converged, eps, moves_of = self._run_round_robin(
+                        engine, trace, log
                     )
-                    rounds, moves, converged, eps, moves_of = sweep(engine, trace, log)
                 else:
-                    best_gain = schedule == "best-gain-winner"
-                    winner = self._run_winner_batched if batched else self._run_winner
-                    rounds, moves, converged, eps, moves_of = winner(
-                        engine, trace, log, rng, best_gain=best_gain
+                    rounds, moves, converged, eps, moves_of = self._run_winner(
+                        engine, trace, log, rng,
+                        best_gain=schedule == "best-gain-winner",
                     )
 
                 profile = AllocationProfile(engine.alloc_server, engine.alloc_channel)
@@ -318,9 +314,9 @@ class IddeUGame:
         refreshes and the eventual certificate is an honest ε-Nash at the
         returned tolerance.
 
-        Shared verbatim by the reference and batched runners: the check is
-        per-user (it is a rare, terminal-sweep-only path) so both kernels
-        take bit-for-bit identical escalation decisions.
+        The check is per-user on purpose: it is a rare, terminal-sweep-only
+        path, and the per-user oracle shares it verbatim, so both take
+        bit-for-bit identical escalation decisions.
         """
         cap = self.cfg.max_moves_per_user
         capped = players[moves_of[players] >= cap]
@@ -348,7 +344,7 @@ class IddeUGame:
         return None
 
     def _escalate_patience(self, eps: float, moves: int, label: str) -> float:
-        """Patience-driven epsilon escalation, shared by all four runners."""
+        """Patience-driven epsilon escalation, shared by both runners."""
         new_eps = min(eps * self.cfg.epsilon_growth, self.cfg.epsilon_max)
         _log.debug(
             "%s cycling: escalated epsilon to %.1e after %d moves",
@@ -366,59 +362,16 @@ class IddeUGame:
     def _run_round_robin(
         self, engine: SinrEngine, trace: list[float], log: list[tuple[int, int, int]]
     ) -> tuple[int, int, bool, float, np.ndarray]:
-        m = self.instance.n_users
-        players = self._players()
-        moves = 0
-        eps = self.cfg.epsilon
-        patience = self.cfg.patience_for(m)
-        since_escalation = 0
-        moves_of = np.zeros(m, dtype=np.int64)
-        cap = self.cfg.max_moves_per_user
-        for rounds in range(1, self.cfg.max_rounds + 1):
-            moved = False
-            for j in players:
-                j = int(j)
-                if moves_of[j] >= cap:
-                    continue
-                br = self.best_response(engine, j)
-                if self._improves(br, engine, eps):
-                    assert br is not None
-                    self._apply(engine, br, trace, log)
-                    moves += 1
-                    moves_of[j] += 1
-                    since_escalation += 1
-                    moved = True
-            if not moved:
-                unfrozen = self._unfreeze_capped(engine, players, moves_of, eps)
-                if unfrozen is None:
-                    return rounds, moves, True, eps, moves_of
-                eps = unfrozen
-                since_escalation = 0
-                _log.debug(
-                    "capped users still deviate: escalated epsilon to %.1e "
-                    "after %d moves",
-                    eps,
-                    moves,
-                )
-                continue
-            if since_escalation >= patience and eps < self.cfg.epsilon_max:
-                eps = self._escalate_patience(eps, moves, "round-robin")
-                since_escalation = 0
-        _log.info("round-robin truncated at max_rounds=%d", self.cfg.max_rounds)
-        return self.cfg.max_rounds, moves, False, eps, moves_of
-
-    def _run_round_robin_batched(
-        self, engine: SinrEngine, trace: list[float], log: list[tuple[int, int, int]]
-    ) -> tuple[int, int, bool, float, np.ndarray]:
-        """Round-robin sweeps on the batched kernel.
+        """Round-robin sweeps: users in index order, each applying its best
+        response immediately; a sweep with no move terminates.
 
         All users are evaluated in one einsum pass against the sweep-start
         state; within the sweep, a move at server ``i`` only perturbs the
         interference of users covered by ``i``, so exactly those users are
         marked stale and re-evaluated per-user at their turn.  Fresh batch
         entries and per-user fallbacks are bit-for-bit interchangeable
-        (shared padded reduction), so the move sequence is identical to
-        :meth:`_run_round_robin`.
+        (shared padded reduction), so the move sequence is identical to the
+        literal per-user sweep.
         """
         m = self.instance.n_users
         players = self._players()
@@ -487,69 +440,15 @@ class IddeUGame:
         *,
         best_gain: bool,
     ) -> tuple[int, int, bool, float, np.ndarray]:
-        m = self.instance.n_users
-        players = self._players()
-        moves = 0
-        eps = self.cfg.epsilon
-        patience = self.cfg.patience_for(m)
-        since_escalation = 0
-        moves_of = np.zeros(m, dtype=np.int64)
-        cap = self.cfg.max_moves_per_user
-        for rounds in range(1, self.cfg.max_rounds + 1):
-            candidates: list[BestResponse] = []
-            for j in players:
-                j = int(j)
-                if moves_of[j] >= cap:
-                    continue
-                br = self.best_response(engine, j)
-                if self._improves(br, engine, eps):
-                    assert br is not None
-                    candidates.append(br)
-            if not candidates:
-                unfrozen = self._unfreeze_capped(engine, players, moves_of, eps)
-                if unfrozen is None:
-                    return rounds, moves, True, eps, moves_of
-                eps = unfrozen
-                since_escalation = 0
-                _log.debug(
-                    "capped users still deviate: escalated epsilon to %.1e "
-                    "after %d moves",
-                    eps,
-                    moves,
-                )
-                continue
-            if best_gain:
-                winner = max(candidates, key=lambda b: (b.gain, -b.user))
-            else:
-                winner = candidates[int(rng.integers(0, len(candidates)))]
-            self._apply(engine, winner, trace, log)
-            moves += 1
-            moves_of[winner.user] += 1
-            since_escalation += 1
-            if since_escalation >= patience and eps < self.cfg.epsilon_max:
-                eps = self._escalate_patience(eps, moves, "winner schedule")
-                since_escalation = 0
-        _log.info("winner schedule truncated at max_rounds=%d", self.cfg.max_rounds)
-        return self.cfg.max_rounds, moves, False, eps, moves_of
-
-    def _run_winner_batched(
-        self,
-        engine: SinrEngine,
-        trace: list[float],
-        log: list[tuple[int, int, int]],
-        rng: np.random.Generator,
-        *,
-        best_gain: bool,
-    ) -> tuple[int, int, bool, float, np.ndarray]:
-        """Winner schedules on the batched kernel.
+        """Winner schedules: one improving user moves per round.
 
         Each round evaluates every eligible user against the same fixed
-        state — exactly what the per-user winner loop does — so one
-        ``batch_best_responses`` pass replaces the whole candidate sweep.
-        The winner choice preserves the reference tie-breaks: ``argmax``
-        returns the lowest improving user among equal gains (the reference's
-        ``(gain, -user)`` key), and the random winner draws the same index
-        from the identical candidate list, keeping the rng stream aligned.
+        state, so one ``batch_best_responses`` pass replaces the per-user
+        candidate sweep.  The winner choice keeps Algorithm 1's tie-breaks:
+        ``argmax`` returns the lowest improving user among equal gains (the
+        ``(gain, -user)`` key), and the random winner draws its index from
+        the candidate list in user order, so the rng stream is consumed
+        exactly as in the per-user loop.
         """
         m = self.instance.n_users
         players = self._players()
@@ -641,24 +540,11 @@ class IddeUGame:
             players = np.flatnonzero(np.asarray(active, dtype=bool))
         else:
             players = self._players()
-        if self.cfg.kernel == "batched":
-            batch = engine.batch_best_responses(players)
-            has_candidate = batch.server != UNALLOCATED
-            unallocated = engine.alloc_server[players] == UNALLOCATED
-            threshold = batch.current_benefit * (1.0 + tol) + tol * 1e-30
-            deviates = has_candidate & np.where(
-                unallocated, batch.benefit > 0.0, batch.benefit > threshold
-            )
-            return not bool(deviates.any())
-        for j in players:
-            j = int(j)
-            br = self.best_response(engine, j)
-            if br is None:
-                continue
-            current = engine.user_benefit(j)
-            if engine.alloc_server[j] == UNALLOCATED:
-                if br.benefit > 0.0:
-                    return False
-            elif br.benefit > current * (1.0 + tol) + tol * 1e-30:
-                return False
-        return True
+        batch = engine.batch_best_responses(players)
+        has_candidate = batch.server != UNALLOCATED
+        unallocated = engine.alloc_server[players] == UNALLOCATED
+        threshold = batch.current_benefit * (1.0 + tol) + tol * 1e-30
+        deviates = has_candidate & np.where(
+            unallocated, batch.benefit > 0.0, batch.benefit > threshold
+        )
+        return not bool(deviates.any())

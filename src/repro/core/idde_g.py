@@ -68,8 +68,6 @@ class IddeG(Solver):
             "effective_epsilon": result.effective_epsilon,
             "capped_users": list(result.capped_users),
             "schedule": self.game_cfg.schedule,
-            "kernel": self.game_cfg.kernel,
-            "delivery_kernel": self.delivery_cfg.kernel,
             "delivery_iterations": delivery.iterations,
             "replicas": delivery.profile.n_replicas,
             "delivery_gain_s": delivery.total_gain_s,

@@ -4,8 +4,8 @@ Each epoch consumes one :class:`~repro.workload.EpochBatch` of events
 (user joins/leaves, moves, popularity shifts — see
 :mod:`repro.workload`), folds it into the scenario state, and re-solves
 through the :func:`repro.api.solve` façade — so every epoch composes with
-tracing (spans ``timeline.epoch`` / ``workload.batch``), sharding, the
-batched kernels, and yields a full schema-versioned
+tracing (spans ``timeline.epoch`` / ``workload.batch``), sharding, and
+yields a full schema-versioned
 :class:`~repro.api.Solution` on its :class:`EpochRecord`.
 
 The classic mobility-model entry point (:meth:`DynamicSimulation.run`)

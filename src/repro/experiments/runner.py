@@ -12,7 +12,6 @@ from functools import lru_cache
 
 from ..api import solve
 from ..baselines import CDP, SAA, DupG, IddeIP
-from ..config import DeliveryConfig, GameConfig
 from ..core.idde_g import IddeG
 from ..core.instance import IDDEInstance
 from ..core.strategy import Solver
@@ -44,12 +43,6 @@ class TrialSpec:
     pool_seed: int = 0
     ip_time_budget_s: float = 3.0
     solver_names: tuple[str, ...] = SOLVER_NAMES
-    #: Game evaluation kernel for the IDDE-G runs ("reference"/"batched");
-    #: the kernel pair is move-for-move identical, so results match either way.
-    kernel: str = "reference"
-    #: Phase 2 delivery kernel for the IDDE-G runs ("reference"/"batched");
-    #: the pair is placement-for-placement identical, only the speed differs.
-    delivery_kernel: str = "reference"
     #: Interference-domain decomposition for the IDDE-G runs: ``None`` (off),
     #: ``"auto"`` (natural coverage domains), or a target shard count.
     shards: int | str | None = None
@@ -62,15 +55,6 @@ class TrialSpec:
         unknown = set(self.solver_names) - set(SOLVER_NAMES)
         if unknown:
             raise ExperimentError(f"unknown solvers {sorted(unknown)}")
-        if self.kernel not in GameConfig._KERNELS:
-            raise ExperimentError(
-                f"unknown kernel {self.kernel!r}; choose from {GameConfig._KERNELS}"
-            )
-        if self.delivery_kernel not in DeliveryConfig._KERNELS:
-            raise ExperimentError(
-                f"unknown delivery_kernel {self.delivery_kernel!r}; "
-                f"choose from {DeliveryConfig._KERNELS}"
-            )
         if not (
             self.shards is None
             or self.shards == "auto"
@@ -97,14 +81,9 @@ class TrialSpec:
         """The :class:`~repro.request.SolveRequest` for one of this trial's
         solvers — the single spec→request mapping :func:`run_trial` uses
         (the per-solver RNG stream is stamped in at run time)."""
-        is_g = name == "IDDE-G"
         return SolveRequest(
             solver=name.lower(),
-            game_config=GameConfig(kernel=self.kernel) if is_g else None,
-            delivery_config=(
-                DeliveryConfig(kernel=self.delivery_kernel) if is_g else None
-            ),
-            sharding=self.shard_config() if is_g else None,
+            sharding=self.shard_config() if name == "IDDE-G" else None,
             ip_time_budget_s=self.ip_time_budget_s,
         )
 
@@ -136,12 +115,9 @@ def build_solver(name: str, spec: TrialSpec) -> Solver:
         return IddeIP(time_budget_s=spec.ip_time_budget_s)
     if name == "IDDE-G":
         shard_cfg = spec.shard_config()
-        delivery_cfg = DeliveryConfig(kernel=spec.delivery_kernel)
         if shard_cfg is not None:
-            return ShardedIddeG(
-                GameConfig(kernel=spec.kernel), delivery_cfg, sharding=shard_cfg
-            )
-        return IddeG(GameConfig(kernel=spec.kernel), delivery_cfg)
+            return ShardedIddeG(sharding=shard_cfg)
+        return IddeG()
     if name == "SAA":
         return SAA()
     if name == "CDP":
@@ -177,7 +153,7 @@ def run_trial(spec: TrialSpec, tracer: Tracer | None = None) -> TrialResult:
     instance = build_instance(spec)
     result = TrialResult(spec=spec)
     with tracer.span(
-        "trial", n=spec.n, m=spec.m, k=spec.k, seed=spec.seed, kernel=spec.kernel
+        "trial", n=spec.n, m=spec.m, k=spec.k, seed=spec.seed
     ):
         for name in spec.solver_names:
             request = spec.request_for(name).with_runtime(

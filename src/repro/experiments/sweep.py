@@ -118,8 +118,6 @@ def run_sweep(
     solver_names: tuple[str, ...] = SOLVER_NAMES,
     parallel: ParallelConfig | None = None,
     keep_raw: bool = False,
-    kernel: str = "reference",
-    delivery_kernel: str = "reference",
     shards: int | str | None = None,
     tracer: Tracer | None = None,
 ) -> SweepResult:
@@ -127,12 +125,9 @@ def run_sweep(
 
     Trials at different points and repetitions are independent; the trial
     seed is spawned from ``(seed, set name, value, rep)`` so adding points
-    or repetitions never perturbs existing trials.  ``kernel`` selects the
-    IDDE-G evaluation kernel per trial (results are identical either way —
-    the pair is move-for-move verified — only the speed differs),
-    ``delivery_kernel`` does the same for the Phase 2 placement loop, and
-    ``shards`` routes the IDDE-G trials through the interference-domain
-    decomposition solver (``"auto"`` or a target count; ``None`` = off).
+    or repetitions never perturbs existing trials.  ``shards`` routes the
+    IDDE-G trials through the interference-domain decomposition solver
+    (``"auto"`` or a target count; ``None`` = off).
 
     When a recording ``tracer`` is attached, trials run serially in this
     process — a tracer cannot aggregate across worker processes — so
@@ -157,8 +152,6 @@ def run_sweep(
                     pool_seed=seed,
                     ip_time_budget_s=ip_time_budget_s,
                     solver_names=solver_names,
-                    kernel=kernel,
-                    delivery_kernel=delivery_kernel,
                     shards=shards,
                 )
             )

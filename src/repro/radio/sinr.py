@@ -28,15 +28,17 @@ Batched evaluation
 The engine also exposes a *batched* path (:meth:`SinrEngine.batch_candidates`
 / :meth:`SinrEngine.batch_best_responses`) that evaluates every user's
 candidate grid in one einsum pass over a padded covering-server tensor
-``(M, Smax)`` built once per engine.  The per-user and batched paths are a
-verified kernel pair: both reduce the interference aggregate over the *same*
-padded row with ``np.einsum``, so the floats they produce are bit-for-bit
-identical (padding contributes exact zeros and the reduction grouping is
-length-determined) and best-response dynamics driven by either path take
-identical move sequences.  Do not "simplify" the per-user reduction back to
-``g @ p``: BLAS accumulates in a different order and the pair's bitwise
-parity — asserted by ``tests/core/test_game_kernels.py`` and
-``repro.bench.parity`` — would quietly degrade to approximate.
+``(M, Smax)`` built once per engine.  The game runs on the batched path and
+falls back to the per-user path for users a move made stale; the per-user
+path also drives the test suite's Algorithm 1 oracle.  Both reduce the
+interference aggregate over the *same* padded row with ``np.einsum``, so the
+floats they produce are bit-for-bit identical (padding contributes exact
+zeros and the reduction grouping is length-determined) and best-response
+dynamics driven by either path take identical move sequences.  Do not
+"simplify" the per-user reduction back to ``g @ p``: BLAS accumulates in a
+different order and the bitwise parity — asserted by
+``tests/core/test_game_kernels.py`` and ``tests/oracles/test_parity.py`` —
+would quietly degrade to approximate.
 """
 
 from __future__ import annotations

@@ -8,11 +8,13 @@ now the IDDE-Serve daemon) re-spelled that sprawl its own way.
 
 :class:`SolveRequest` consolidates the run description into a single
 frozen dataclass that is *also* the daemon's wire format: the
-``idde-request/1`` JSON document round-trips through
+``idde-request/2`` JSON document round-trips through
 :meth:`SolveRequest.to_dict` / :meth:`SolveRequest.from_dict` with strict
 validation — unknown keys are errors, nested configs reconstruct through
 their own ``__post_init__`` checks — so a malformed request fails loudly
-at the boundary, never deep inside a kernel.
+at the boundary, never deep inside a kernel.  Version 2 dropped the
+``kernel`` key of ``game`` and ``delivery``: each phase has one kernel, so
+a request still carrying it fails as an unknown key.
 
 Two request fields are *runtime state*, not wire data:
 
@@ -46,9 +48,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 
 __all__ = ["REQUEST_SCHEMA", "SolveRequest", "json_scalarish"]
 
-REQUEST_SCHEMA = "idde-request/1"
+REQUEST_SCHEMA = "idde-request/2"
 
-#: Wire keys of the ``idde-request/1`` document, in canonical order.
+#: Wire keys of the ``idde-request/2`` document, in canonical order.
 _WIRE_KEYS = (
     "schema",
     "solver",
@@ -163,12 +165,12 @@ class SolveRequest:
     # wire format
     # ------------------------------------------------------------------
     def to_dict(self, *, lenient: bool = False) -> dict[str, Any]:
-        """The ``idde-request/1`` JSON document for this request.
+        """The ``idde-request/2`` JSON document for this request.
 
         Strict by default: a live ``warm_start`` object or a non-integer
         ``rng`` cannot go on the wire and raise
         :class:`~repro.errors.ConfigurationError`.  ``lenient=True`` (used
-        when embedding the request in an ``idde-solution/2`` document)
+        when embedding the request in an ``idde-solution/3`` document)
         degrades them instead — ``warm_start`` to its boolean presence,
         ``rng`` to ``null``.
         """
@@ -219,7 +221,7 @@ class SolveRequest:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "SolveRequest":
-        """Rebuild a request from an ``idde-request/1`` document.
+        """Rebuild a request from an ``idde-request/2`` document.
 
         Validation is strict: the schema tag must match, unknown keys are
         errors (no silent typo-tolerance on a wire format), and nested
@@ -304,8 +306,6 @@ class SolveRequest:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         bits = [f"solver={self.solver!r}"]
-        if self.game_config is not None:
-            bits.append(f"kernel={self.game_config.kernel!r}")
         if self.sharding is not None:
             bits.append("sharded")
         if self.warm_start is not None:

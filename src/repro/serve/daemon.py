@@ -30,9 +30,9 @@ Endpoints (all JSON; see docs/SERVING.md for the wire reference):
 =======  =============  ====================================================
 Method   Path           Semantics
 =======  =============  ====================================================
-POST     /v1/solve      Adopt an ``idde-request/1`` document (empty body =
+POST     /v1/solve      Adopt an ``idde-request/2`` document (empty body =
                         re-run the current base request) and solve on the
-                        current workload state; returns ``idde-solution/2``.
+                        current workload state; returns ``idde-solution/3``.
 POST     /v1/events     Fold ``idde-events/1`` delta events into the
                         workload state and warm re-solve from the resident
                         solution; returns the new certified solution.

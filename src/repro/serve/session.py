@@ -292,7 +292,7 @@ class SolverSession:
             }
 
     def solution_document(self) -> dict[str, Any]:
-        """The resident solution as ``idde-solution/2`` + session context.
+        """The resident solution as ``idde-solution/3`` + session context.
 
         Raises :class:`~repro.errors.SolverError` when nothing has been
         solved yet (the daemon maps that to a structured 409).

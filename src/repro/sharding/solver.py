@@ -384,8 +384,6 @@ class ShardedIddeG(IddeG):
             "effective_epsilon": result.effective_epsilon,
             "capped_users": list(result.capped_users),
             "schedule": self.game_cfg.schedule,
-            "kernel": self.game_cfg.kernel,
-            "delivery_kernel": self.delivery_cfg.kernel,
             "sharding": stats,
             "delivery_iterations": delivery.iterations,
             "replicas": delivery.profile.n_replicas,

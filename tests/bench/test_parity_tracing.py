@@ -1,4 +1,4 @@
-"""Kernel-pair parity must hold with a live recording tracer attached.
+"""Game parity with the oracle must hold with a live recording tracer attached.
 
 The tracer never consumes RNG and never feeds back into move selection,
 so attaching it to both replays must leave every move log, profile and
@@ -7,14 +7,15 @@ certificate bit-identical — the acceptance gate for the instrumentation.
 
 from __future__ import annotations
 
-from repro.bench.parity import verify_kernel_pair
 from repro.obs import RecordingTracer
+
+from ..oracles.parity import game_cases, render
 
 
 def test_parity_holds_with_tracing_enabled():
     tracer = RecordingTracer()
-    report = verify_kernel_pair(scale="S", seeds=(0,), tracer=tracer)
-    assert report.ok, [case.describe() for case in report.failures]
-    # Both kernels of every (seed, schedule) case were actually observed.
+    cases = game_cases("S", 0, tracer=tracer)
+    assert all(case.ok for case in cases), render(cases)
+    # Kernel and oracle of every schedule were actually observed.
     assert len([s for s in tracer.spans if s.name == "game.run"]) == 6
     assert tracer.counters["game.moves"] > 0

@@ -9,21 +9,16 @@ from repro.bench import BenchRunConfig, all_benchmarks, get_benchmark, run_one, 
 from repro.bench.fixtures import SCALES, clear_cache, equilibrium_profile, instance_for, scale_spec
 from repro.errors import BenchError
 
-#: The hot paths the ISSUE requires coverage for.
+#: The hot paths the registry must cover.
 EXPECTED = {
     "sinr.candidates",
     "sinr.churn",
     "sinr.rates",
     "game.round.round-robin",
-    "game.round.round-robin.batched",
     "game.round.best-gain-winner",
-    "game.round.best-gain-winner.batched",
     "game.round.random-winner",
-    "game.round.random-winner.batched",
     "game.converge",
-    "game.converge.batched",
     "delivery.greedy",
-    "delivery.greedy.batched",
     "topology.all-pairs-dijkstra",
     "datasets.eua-sample",
     "analysis.selflint.cold",
@@ -52,22 +47,16 @@ class TestRegistry:
         selected = select_benchmarks("game.round")
         assert {b.name for b in selected} == {
             "game.round.round-robin",
-            "game.round.round-robin.batched",
             "game.round.round-robin.traced",
-            "game.round.round-robin.batched.traced",
             "game.round.best-gain-winner",
-            "game.round.best-gain-winner.batched",
             "game.round.random-winner",
-            "game.round.random-winner.batched",
         }
 
-    def test_kernel_pairs_complete(self):
-        """Every game benchmark is registered as a reference/batched pair."""
+    def test_no_kernel_twins(self):
+        """Each phase has one kernel, so no benchmark name is registered
+        twice under a kernel suffix."""
         names = {b.name for b in all_benchmarks()}
-        pairs = {n for n in names if n.endswith(".batched")}
-        assert pairs  # the batched kernel is benchmarked at all
-        for batched in pairs:
-            assert batched.removesuffix(".batched") in names
+        assert not {n for n in names if ".batched" in n or ".reference" in n}
 
     def test_filter_with_no_match_raises(self):
         with pytest.raises(BenchError, match="matches no benchmark"):

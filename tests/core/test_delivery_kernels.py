@@ -1,12 +1,11 @@
-"""Delivery kernel-pair parity: reference vs batched greedy placement.
+"""The incremental delivery kernel against the per-item oracle.
 
-The batched kernel's claim is bit-for-bit equivalence — identical
+The incremental gain-table loop claims bit-for-bit equivalence with the
+literal Algorithm 1 sweep (``tests/oracles/delivery.py``) — identical
 placement sequence, identical floats, identical tracer observables — so
 every comparison here is exact equality, never a tolerance (the
-``repro.bench.delivery_parity`` discipline).
+``tests/oracles/test_parity.py`` discipline).
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,8 +19,9 @@ from repro.core.delivery import (
 from repro.core.game import IddeUGame
 from repro.core.instance import IDDEInstance
 from repro.core.profiles import AllocationProfile
-from repro.errors import ConfigurationError
 from repro.obs.tracer import RecordingTracer
+
+from ..oracles.delivery import oracle_delivery
 
 SEEDS = (0, 1, 2, 3)
 
@@ -40,12 +40,8 @@ def _small(seed: int) -> tuple[IDDEInstance, AllocationProfile]:
 
 
 def _run_pair(instance, alloc, cfg, tracer_ref=None, tracer_bat=None):
-    ref = greedy_delivery(
-        instance, alloc, replace(cfg, kernel="reference"), tracer=tracer_ref
-    )
-    bat = greedy_delivery(
-        instance, alloc, replace(cfg, kernel="batched"), tracer=tracer_bat
-    )
+    ref = oracle_delivery(instance, alloc, cfg, tracer=tracer_ref)
+    bat = greedy_delivery(instance, alloc, cfg, tracer=tracer_bat)
     return ref, bat
 
 
@@ -97,24 +93,25 @@ class TestKernelParity:
             ref, bat = _run_pair(line_instance, alloc, cfg)
             _assert_identical(ref, bat)
 
-    def test_span_records_kernel(self, line_instance):
+    def test_span_records_shape(self, line_instance):
         alloc = AllocationProfile.empty(line_instance.n_users)
         tracer = RecordingTracer()
-        greedy_delivery(
-            line_instance, alloc, DeliveryConfig(kernel="batched"), tracer=tracer
-        )
+        greedy_delivery(line_instance, alloc, DeliveryConfig(), tracer=tracer)
         spans = [s for s in tracer.spans if s.name == "delivery.greedy"]
-        assert spans and spans[0].attrs["kernel"] == "batched"
+        assert spans
+        assert spans[0].attrs["items"] == line_instance.n_data
+        assert "kernel" not in spans[0].attrs
 
     def test_bad_kernel_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DeliveryConfig(kernel="vectorised")
+        """Delivery has one kernel: there is no field to select another."""
+        with pytest.raises(TypeError):
+            DeliveryConfig(kernel="batched")
 
 
 class TestTieBreaks:
     """Explicit argmax tie-break parity: equal scores must resolve to the
     lowest server index within an item and the lowest item index across
-    items — in both kernels."""
+    items — in kernel and oracle alike."""
 
     @pytest.fixture
     def symmetric(self):
@@ -149,7 +146,7 @@ class TestTieBreaks:
         ref, bat = _run_pair(inst, alloc, cfg)
         _assert_identical(ref, bat)
         # With no links, each placement only helps its own server's users,
-        # so the four candidates stay tied until placed: the reference scan
+        # so the four candidates stay tied until placed: the oracle's scan
         # order (lowest server within an item, first item across items)
         # must be reproduced exactly.
         assert ref.placements == [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -157,15 +154,15 @@ class TestTieBreaks:
 
 class TestIncrementalInvariant:
     """Property: after every placement, the incrementally-maintained gain
-    table is bitwise equal to a from-scratch rebuild (the batched kernel's
-    correctness invariant)."""
+    table is bitwise equal to a from-scratch rebuild (the incremental
+    loop's correctness invariant)."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("ratio_rule", [True, False])
     def test_refresh_matches_rebuild(self, seed, ratio_rule):
         instance, alloc = _small(seed)
         result = greedy_delivery(
-            instance, alloc, DeliveryConfig(ratio_rule=ratio_rule, kernel="batched")
+            instance, alloc, DeliveryConfig(ratio_rule=ratio_rule)
         )
         assert result.placements  # the property must be exercised
 
@@ -183,7 +180,7 @@ class TestIncrementalInvariant:
 
     def test_tiled_build_matches_reference_matvec(self, monkeypatch):
         """Forcing a one-row tile exercises the K-block loop; every row of
-        the build must equal the reference per-item matvec bitwise."""
+        the build must equal the oracle's per-item matvec bitwise."""
         import repro.core.delivery as delivery_mod
 
         instance, alloc = _small(0)
@@ -203,9 +200,9 @@ class TestIncrementalInvariant:
         import repro.core.delivery as delivery_mod
 
         instance, alloc = _small(1)
-        wide = greedy_delivery(instance, alloc, DeliveryConfig(kernel="batched"))
+        wide = greedy_delivery(instance, alloc, DeliveryConfig())
         monkeypatch.setattr(delivery_mod, "_GAIN_TILE_BYTES", 1)
-        narrow = greedy_delivery(instance, alloc, DeliveryConfig(kernel="batched"))
+        narrow = greedy_delivery(instance, alloc, DeliveryConfig())
         _assert_identical(wide, narrow)
 
 

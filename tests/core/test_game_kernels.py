@@ -1,9 +1,10 @@
-"""Reference/batched kernel-pair tests: bit-for-bit parity and state hygiene.
+"""The batched game kernel against the per-user oracle, and state hygiene.
 
 The batched einsum kernel is only admissible because it replays the
-per-user reference exactly — same benefits, same tie-breaks, same RNG
-stream, hence the same ``move_log``.  These tests pin that contract in
-the suite; ``idde bench --verify-parity`` checks the same grid in CI.
+per-user Algorithm 1 loop (``tests/oracles/game.py``) exactly — same
+benefits, same tie-breaks, same RNG stream, hence the same ``move_log``.
+``tests/oracles/test_parity.py`` checks the same contract on the bench
+fixtures at S and M.
 """
 
 import numpy as np
@@ -13,16 +14,18 @@ from repro.config import GameConfig
 from repro.core.game import IddeUGame
 from repro.core.instance import IDDEInstance
 from repro.errors import ConfigurationError, ConvergenceError
+from repro.request import SolveRequest
+
+from ..oracles.game import OracleGame
+from ..oracles.parity import PairCase, game_cases, render
 
 SCHEDULES = ("round-robin", "best-gain-winner", "random-winner")
 SEEDS = (0, 1, 2, 3, 4)
 
 
-def _run_pair(instance, cfg: GameConfig, seed: int):
-    from dataclasses import replace
-
-    ref = IddeUGame(instance, replace(cfg, kernel="reference")).run(rng=seed)
-    bat = IddeUGame(instance, replace(cfg, kernel="batched")).run(rng=seed)
+def _run_pair(instance, cfg: GameConfig, seed: int, **kwargs):
+    ref = OracleGame(instance, cfg).run(rng=seed, **kwargs)
+    bat = IddeUGame(instance, cfg).run(rng=seed, **kwargs)
     return ref, bat
 
 
@@ -46,18 +49,12 @@ class TestKernelParity:
 
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_parity_under_active_mask(self, small_instance, schedule):
-        """Inactive users are excluded identically by both kernels."""
+        """Inactive users are excluded identically by kernel and oracle."""
         rng = np.random.default_rng(7)
         active = rng.random(small_instance.n_users) < 0.6
         active[0] = True  # keep at least one player
-        cfg = GameConfig(schedule=schedule)
-        from dataclasses import replace
-
-        ref = IddeUGame(small_instance, replace(cfg, kernel="reference")).run(
-            rng=3, active=active
-        )
-        bat = IddeUGame(small_instance, replace(cfg, kernel="batched")).run(
-            rng=3, active=active
+        ref, bat = _run_pair(
+            small_instance, GameConfig(schedule=schedule), 3, active=active
         )
         _assert_identical(ref, bat)
         assert not ref.profile.allocated[~active].any()
@@ -69,75 +66,66 @@ class TestKernelParity:
         _assert_identical(ref, bat)
 
     def test_parity_under_move_cap(self, small_instance):
-        """The per-user move cap freezes the same users in both kernels."""
+        """The per-user move cap freezes the same users in kernel and oracle."""
         cfg = GameConfig(schedule="round-robin", max_moves_per_user=1)
         ref, bat = _run_pair(small_instance, cfg, 0)
         _assert_identical(ref, bat)
 
     def test_move_log_matches_move_count(self, tiny_instance):
-        for kernel in ("reference", "batched"):
-            result = IddeUGame(tiny_instance, GameConfig(kernel=kernel)).run(rng=0)
+        for game in (OracleGame, IddeUGame):
+            result = game(tiny_instance, GameConfig()).run(rng=0)
             assert len(result.move_log) == result.moves
 
 
 class TestBatchedKernel:
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_converges_to_nash(self, tiny_instance, schedule):
-        game = IddeUGame(tiny_instance, GameConfig(schedule=schedule, kernel="batched"))
+        game = IddeUGame(tiny_instance, GameConfig(schedule=schedule))
         result = game.run(rng=0)
         assert result.converged
         assert result.is_nash
-        # The batched certificate path agrees with the run's verdict.
+        # The batched certificate agrees with the run's verdict and the oracle.
         assert game.is_nash(result.profile)
+        assert OracleGame(tiny_instance).is_nash(result.profile)
 
     def test_batched_certificate_rejects_non_equilibrium(self, tiny_instance):
         from repro.core.profiles import AllocationProfile
 
-        game = IddeUGame(tiny_instance, GameConfig(kernel="batched"))
         empty = AllocationProfile.empty(tiny_instance.n_users)
-        assert not game.is_nash(empty)
+        assert not IddeUGame(tiny_instance).is_nash(empty)
+        assert not OracleGame(tiny_instance).is_nash(empty)
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(ConfigurationError):
-            GameConfig(kernel="simd")
+        """The game has one kernel: there is no field to select another."""
+        with pytest.raises(TypeError):
+            GameConfig(kernel="batched")
+        doc = SolveRequest().to_dict()
+        doc["game"] = {"kernel": "batched"}
+        with pytest.raises(ConfigurationError, match="unknown game key"):
+            SolveRequest.from_dict(doc)
 
 
 class TestParityHarness:
-    """The ``repro.bench.parity`` harness the CLI and CI run."""
+    """The game half of the oracle parity harness (``tests/oracles/parity.py``)."""
 
     def test_verify_kernel_pair_ok(self):
-        from repro.bench.parity import render_parity_text, verify_kernel_pair
-
-        report = verify_kernel_pair(
-            scale="S", seeds=(0, 1), schedules=("round-robin", "random-winner")
-        )
-        assert report.ok
-        assert report.failures == ()
-        assert len(report.cases) == 4
-        text = render_parity_text(report)
+        cases = [
+            case
+            for seed in (0, 1)
+            for case in game_cases("S", seed, ("round-robin", "random-winner"))
+        ]
+        assert len(cases) == 4
+        assert all(case.ok for case in cases)
+        text = render(cases)
         assert "PARITY OK" in text
         assert "round-robin" in text
 
     def test_report_flags_broken_cases(self):
-        from dataclasses import replace
-
-        from repro.bench.parity import KernelPairCase, ParityReport
-
-        good = KernelPairCase(
-            scale="S",
-            seed=0,
-            schedule="round-robin",
-            moves=10,
-            rounds=2,
-            same_move_log=True,
-            same_profile=True,
-            same_certificate=True,
-        )
-        bad = replace(good, seed=1, same_move_log=False)
-        report = ParityReport(cases=(good, bad))
-        assert not report.ok
-        assert report.failures == (bad,)
+        good = PairCase(label="game S seed=0 round-robin", work=10)
+        bad = PairCase(label="game S seed=1 round-robin", work=10, broken=("move-log",))
+        assert good.ok and not bad.ok
         assert "move-log" in bad.describe()
+        assert "PARITY BROKEN (1 cases)" in render([good, bad])
 
 
 class TestActiveMaskHygiene:

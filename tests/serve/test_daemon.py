@@ -108,7 +108,7 @@ class TestEndpoints:
         status, body = out["solve"]
         assert status == 200
         doc = json.loads(body)
-        assert doc["schema"] == "idde-solution/2"
+        assert doc["schema"] == "idde-solution/3"
         assert doc["session"] == {
             "epoch": 0, "events_applied": 0, "certified": True,
             "n_active": instance.scenario.n_users,
@@ -150,7 +150,7 @@ class TestEndpoints:
         served = json.loads(body)
         # the document embeds the producing request (lenient wire form:
         # the per-epoch generator degrades to a null seed)
-        assert served["request"]["schema"] == "idde-request/1"
+        assert served["request"]["schema"] == "idde-request/2"
         assert served["request"]["solver"] == "idde-g"
         assert served["session"]["epoch"] == 0
 
@@ -191,6 +191,29 @@ class TestErrorPaths:
         (status, body), _ = _drive(daemon, scenario)
         assert status == 400
         assert "warmstart" in json.loads(body)["error"]["message"]
+
+    @pytest.mark.parametrize("section", ["game", "delivery"])
+    def test_kernel_key_is_structured_400(self, instance, section):
+        """A pre-v2 client still sending a kernel switch gets a structured
+        400 naming the key, never a 500, and the session keeps serving."""
+        daemon = ServeDaemon(_session(instance))
+        doc = SolveRequest(solver="idde-g").to_dict()
+        doc[section] = {"kernel": "batched"}
+
+        async def scenario(d):
+            return (
+                await _http(d.port, "POST", "/v1/solve", doc),
+                await _http(d.port, "POST", "/v1/solve"),
+            )
+
+        (rejected, after), _ = _drive(daemon, scenario)
+        assert rejected[0] == 400
+        error = json.loads(rejected[1])["error"]
+        assert error["type"] == "ConfigurationError"
+        assert error["status"] == 400
+        assert f"unknown {section} key" in error["message"]
+        assert "kernel" in error["message"]
+        assert after[0] == 200
 
     def test_unknown_endpoint_and_wrong_method(self, instance):
         daemon = ServeDaemon(_session(instance))

@@ -46,7 +46,7 @@ class TestReadRequest:
         assert req.body == b""
 
     def test_post_with_content_length_body(self):
-        body = json.dumps({"schema": "idde-request/1"}).encode()
+        body = json.dumps({"schema": "idde-request/2"}).encode()
         raw = (
             b"POST /v1/solve HTTP/1.1\r\nHost: x\r\n"
             + f"Content-Length: {len(body)}\r\n\r\n".encode()
@@ -54,7 +54,7 @@ class TestReadRequest:
         )
         req = _parse(raw)
         assert req.method == "POST"
-        assert req.json() == {"schema": "idde-request/1"}
+        assert req.json() == {"schema": "idde-request/2"}
 
     def test_clean_eof_is_none(self):
         assert _parse(b"") is None

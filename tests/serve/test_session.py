@@ -134,7 +134,7 @@ class TestCertification:
         assert tracer.counters["serve.solves"] == 1
 
     def test_certifier_respects_game_config(self, instance):
-        cfg = GameConfig(kernel="batched")
+        cfg = GameConfig(schedule="best-gain-winner")
         session = SolverSession(
             instance, SolveRequest(solver="idde-g", game_config=cfg, rng=5)
         )
@@ -168,7 +168,7 @@ class TestRequestValidation:
         session.solve()
         mask_before = session.state.active.copy()
         bad = SolveRequest.from_dict(
-            {"schema": "idde-request/1", "solver": "ide-g", "warm_start": True,
+            {"schema": "idde-request/2", "solver": "ide-g", "warm_start": True,
              "active": [0] * instance.scenario.n_users}
         )
         with pytest.raises(SolverLookupError):
@@ -191,7 +191,7 @@ class TestSolutionDocument:
         session.solve()
         session.apply_events([UserLeave(t=1.0, user=0)])
         doc = session.solution_document()
-        assert doc["schema"] == "idde-solution/2"
+        assert doc["schema"] == "idde-solution/3"
         assert doc["session"]["epoch"] == 1
         assert doc["session"]["events_applied"] == 1
         assert doc["session"]["certified"] is True

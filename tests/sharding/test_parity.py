@@ -1,6 +1,6 @@
 """Sharded-vs-global parity across the seed × schedule grid.
 
-The harness mirrors the kernel-pair verifier: every sharded S-scale run
+The harness mirrors the oracle parity tests: every sharded S-scale run
 must certify ε-Nash on the whole instance, and on clean decompositions the
 deterministic schedules must reproduce the global profile bit-for-bit.
 """

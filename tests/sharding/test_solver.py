@@ -74,7 +74,7 @@ class TestShardedSolve:
     ):
         # Deterministic schedules on a clean (no-boundary) decomposition
         # stitch bit-identically to the unsharded run.
-        cfg = GameConfig(schedule=schedule, kernel="batched")
+        cfg = GameConfig(schedule=schedule)
         plain = IddeUGame(two_cluster_instance, cfg).run(rng=5)
         sharded, stats = solve_sharded_game(
             two_cluster_instance, cfg, ShardConfig(n_workers=0), rng=5

@@ -43,13 +43,18 @@ class TestSolve:
         sol = solve(instance, "IDDE-G", rng=3)
         assert sol.solver == "IDDE-G"
 
-    def test_batched_kernel_recorded_and_identical(self, instance):
-        ref = solve(instance, "idde-g", rng=3)
-        bat = solve(instance, "idde-g", game_config=GameConfig(kernel="batched"), rng=3)
-        assert bat.config["kernel"] == "batched"
-        assert bat.r_avg == ref.r_avg
-        assert bat.l_avg_ms == ref.l_avg_ms
-        assert bat.game.move_log == ref.game.move_log
+    def test_solution_matches_oracle_and_records_no_kernel(self, instance):
+        from .oracles.delivery import oracle_delivery
+        from .oracles.game import OracleGame
+
+        sol = solve(instance, "idde-g", rng=3)
+        game = OracleGame(instance).run(rng=3)
+        delivery = oracle_delivery(instance, game.profile)
+        assert sol.game.move_log == game.move_log
+        assert sol.delivery_result.placements == delivery.placements
+        assert sol.delivery_result.total_gain_s == delivery.total_gain_s
+        for key in ("kernel", "delivery_kernel"):
+            assert key not in sol.config and key not in sol.extras
 
     def test_game_config_rejected_for_baselines(self, instance):
         with pytest.raises(ConfigurationError, match="idde-g"):
@@ -79,7 +84,6 @@ class TestSolutionDocument:
         assert doc["schema"] == SOLUTION_SCHEMA
         assert doc["game"]["effective_epsilon"] > 0
         assert isinstance(doc["game"]["capped_users"], list)
-        assert doc["config"]["kernel"] == "reference"
         assert doc["config"]["schedule"] == "round-robin"
         assert doc["delivery"]["iterations"] == len(doc["delivery"]["placements"])
         json.dumps(doc)
@@ -196,25 +200,43 @@ class TestWarmStart:
 
 
 class TestSolutionSchemaVersions:
-    """idde-solution/1 -> /2: the dual-version loader and typed extras."""
+    """idde-solution/1 -> /2 -> /3: the multi-version loader and typed extras."""
 
-    def _v2_doc(self, instance):
+    def _v3_doc(self, instance):
         from repro.request import SolveRequest
 
         return solve(instance, SolveRequest(solver="idde-g", rng=3)).to_dict()
 
-    def test_loader_passes_v2_through(self, instance):
+    def test_loader_passes_v3_through(self, instance):
         from repro.api import load_solution_document
 
-        doc = self._v2_doc(instance)
+        doc = self._v3_doc(instance)
+        assert doc["schema"] == "idde-solution/3"
         loaded = load_solution_document(json.loads(json.dumps(doc)))
+        assert loaded == doc
+        assert loaded["request"]["schema"] == "idde-request/2"
+
+    def test_loader_passes_v2_through(self, instance):
+        """A v2 document still loads; only its tag and the kernel keys v3
+        dropped change."""
+        from repro.api import SOLUTION_SCHEMA_V2, load_solution_document
+
+        doc = self._v3_doc(instance)
+        doc["schema"] = SOLUTION_SCHEMA_V2
+        # v2 recorded the kernels of both phases in config and extras.
+        doc["config"].update(kernel="reference", delivery_kernel="reference")
+        doc["extras"].update(kernel="reference", delivery_kernel="reference")
+        loaded = load_solution_document(doc)
         assert loaded["schema"] == SOLUTION_SCHEMA
-        assert loaded["request"]["schema"] == "idde-request/1"
+        assert loaded["config"] == self._v3_doc(instance)["config"]
+        assert "kernel" not in loaded["extras"]
+        assert "delivery_kernel" not in loaded["extras"]
+        assert loaded["request"] == doc["request"]
 
     def test_loader_upgrades_v1_in_place(self, instance):
         from repro.api import SOLUTION_SCHEMA_V1, load_solution_document
 
-        doc = self._v2_doc(instance)
+        doc = self._v3_doc(instance)
         doc["schema"] = SOLUTION_SCHEMA_V1
         del doc["request"]  # v1 never recorded the producing request
         loaded = load_solution_document(doc)
@@ -225,8 +247,8 @@ class TestSolutionSchemaVersions:
     def test_loader_rejects_unknown_schema(self, instance):
         from repro.api import load_solution_document
 
-        doc = self._v2_doc(instance)
-        doc["schema"] = "idde-solution/3"
+        doc = self._v3_doc(instance)
+        doc["schema"] = "idde-solution/4"
         with pytest.raises(ConfigurationError, match="idde-solution"):
             load_solution_document(doc)
 
@@ -244,7 +266,6 @@ class TestSolutionSchemaVersions:
         cold = solve(instance, "idde-g", rng=0)
         assert cold.warm_detached is None
         assert cold.sharding_stats is None
-        assert cold.delivery_kernel == "reference"
 
         warm = solve(instance, "idde-g", warm_start=cold, rng=1)
         assert warm.warm_detached == 0

@@ -30,7 +30,7 @@ class TestSolve:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == "idde-solution/2"
+        assert doc["schema"] == "idde-solution/3"
         assert doc["instance"]["n"] == 5
         (sol,) = doc["solutions"]
         assert sol["solver"] == "IDDE-G"
@@ -49,31 +49,24 @@ class TestSolve:
         names = {s.name for s in doc.spans}
         assert {"api.solve", "game.run", "delivery.greedy"} <= names
 
-    def test_batched_kernel_recorded(self, capsys):
+    def test_no_kernel_recorded(self, capsys):
         code, out, _ = _run(
-            capsys,
-            [
-                "solve", *TINY, "--solver", "idde-g",
-                "--kernel", "batched", "--format", "json",
-            ],
+            capsys, ["solve", *TINY, "--solver", "idde-g", "--format", "json"]
         )
         assert code == 0
-        (sol,) = json.loads(out)["solutions"]
-        assert sol["config"]["kernel"] == "batched"
+        doc = json.loads(out)
+        (sol,) = doc["solutions"]
+        for block in (doc["instance"], sol["config"], sol["extras"]):
+            assert "kernel" not in block and "delivery_kernel" not in block
 
-    def test_batched_delivery_kernel_recorded(self, capsys):
-        code, out, _ = _run(
-            capsys,
-            [
-                "solve", *TINY, "--solver", "idde-g",
-                "--delivery-kernel", "batched", "--format", "json",
-            ],
-        )
-        assert code == 0
-        (sol,) = json.loads(out)["solutions"]
-        assert sol["config"]["delivery_kernel"] == "batched"
-        assert sol["config"]["kernel"] == "reference"  # game kernel untouched
-        assert sol["extras"]["delivery_kernel"] == "batched"
+    @pytest.mark.parametrize("command", ["solve", "sweep", "replay", "serve"])
+    @pytest.mark.parametrize("flag", ["--kernel", "--delivery-kernel"])
+    def test_kernel_flags_rejected(self, capsys, command, flag):
+        argv = [command, "1"] if command == "sweep" else [command]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, "batched"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_solver_exits_2_with_suggestion(self, capsys):
         code, _, err = _run(capsys, ["solve", *TINY, "--solver", "ide-g"])

@@ -14,10 +14,10 @@ from repro.errors import ConfigurationError
 from repro.request import REQUEST_SCHEMA, SolveRequest
 from repro.sharding import ShardConfig
 
-#: A fully-populated idde-request/1 document, exactly as it travels the
+#: A fully-populated idde-request/2 document, exactly as it travels the
 #: wire — golden bytes for cross-version compatibility.
 GOLDEN_DOC = {
-    "schema": "idde-request/1",
+    "schema": "idde-request/2",
     "solver": "idde-g",
     "game": None,
     "delivery": None,
@@ -58,8 +58,8 @@ class TestWireRoundTrip:
     def test_nested_configs_round_trip(self):
         req = SolveRequest(
             solver="idde-g",
-            game_config=GameConfig(kernel="batched"),
-            delivery_config=DeliveryConfig(kernel="batched"),
+            game_config=GameConfig(schedule="best-gain-winner"),
+            delivery_config=DeliveryConfig(ratio_rule=False),
             sharding=ShardConfig(n_shards=2, n_workers=0),
         )
         back = SolveRequest.from_dict(req.to_dict())
@@ -76,7 +76,7 @@ class TestWireRoundTrip:
     def test_schema_tag_required(self):
         doc = dict(GOLDEN_DOC)
         doc["schema"] = "idde-request/9"
-        with pytest.raises(ConfigurationError, match="idde-request/1"):
+        with pytest.raises(ConfigurationError, match="idde-request/2"):
             SolveRequest.from_dict(doc)
         with pytest.raises(ConfigurationError, match="schema"):
             SolveRequest.from_dict({"solver": "idde-g"})
@@ -95,8 +95,21 @@ class TestWireRoundTrip:
 
     def test_nested_config_range_checks_still_run(self):
         doc = dict(GOLDEN_DOC)
-        doc["game"] = {"kernel": "gpu"}  # GameConfig's own validation
-        with pytest.raises(ConfigurationError):
+        doc["game"] = {"epsilon": -1.0}  # GameConfig's own validation
+        with pytest.raises(ConfigurationError, match="epsilon"):
+            SolveRequest.from_dict(doc)
+
+    @pytest.mark.parametrize("section", ["game", "delivery"])
+    def test_kernel_key_is_unknown(self, section):
+        """v2 dropped the kernel switch: each phase has one kernel."""
+        doc = dict(GOLDEN_DOC)
+        doc[section] = {"kernel": "batched"}
+        with pytest.raises(ConfigurationError, match=f"unknown {section} key"):
+            SolveRequest.from_dict(doc)
+
+    def test_v1_document_rejected(self):
+        doc = dict(GOLDEN_DOC, schema="idde-request/1")
+        with pytest.raises(ConfigurationError, match="idde-request/2"):
             SolveRequest.from_dict(doc)
 
     @pytest.mark.parametrize(
@@ -154,7 +167,7 @@ class TestRuntimeFields:
 
     def test_with_runtime_swaps_only_runtime_state(self):
         base = SolveRequest(
-            solver="idde-g", game_config=GameConfig(kernel="batched"), rng=1
+            solver="idde-g", game_config=GameConfig(schedule="random-winner"), rng=1
         )
         mask = np.ones(4, dtype=bool)
         stamped = base.with_runtime(warm_start=True, active=mask, rng=7)
@@ -182,16 +195,16 @@ class TestFacadeParity:
         by_kwargs = solve(
             instance,
             "idde-g",
-            game_config=GameConfig(kernel="batched"),
-            delivery_config=DeliveryConfig(kernel="batched"),
+            game_config=GameConfig(schedule="best-gain-winner"),
+            delivery_config=DeliveryConfig(min_gain_s_per_mb=0.01),
             rng=3,
         )
         by_request = solve(
             instance,
             SolveRequest(
                 solver="idde-g",
-                game_config=GameConfig(kernel="batched"),
-                delivery_config=DeliveryConfig(kernel="batched"),
+                game_config=GameConfig(schedule="best-gain-winner"),
+                delivery_config=DeliveryConfig(min_gain_s_per_mb=0.01),
                 rng=3,
             ),
         )

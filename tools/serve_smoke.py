@@ -6,7 +6,7 @@ Stdlib-only, mirrors the lifecycle in docs/SERVING.md:
 1. boot the daemon as a subprocess on an ephemeral port and parse the
    listen banner;
 2. POST /v1/solve (empty body = the session's base request) and check
-   the idde-solution/2 document certifies;
+   the idde-solution/3 document certifies;
 3. POST /v1/events delta batches and check each warm re-solve advances
    the epoch with a verified certificate;
 4. read /v1/health, /v1/metrics and /v1/solution concurrently with a
@@ -79,7 +79,7 @@ def main() -> int:
         [
             sys.executable, "-m", "repro", "serve",
             "--port", "0", "--n", "10", "--m", "60", "--k", "4",
-            "--seed", "7", "--kernel", "batched", "--delivery-kernel", "batched",
+            "--seed", "7",
         ],
         cwd=REPO_ROOT,
         stderr=subprocess.PIPE,
@@ -95,7 +95,7 @@ def main() -> int:
         # -- 1. base solve certifies --------------------------------------
         status, doc = request(port, "POST", "/v1/solve")
         check(status == 200, f"solve returned {status}: {doc}")
-        check(doc["schema"] == "idde-solution/2", f"bad schema {doc['schema']}")
+        check(doc["schema"] == "idde-solution/3", f"bad schema {doc['schema']}")
         check(doc["session"]["certified"] is True, "epoch 0 not certified")
         check(doc["game"]["is_nash"], "epoch 0 solve is not an ε-Nash")
         print(f"serve_smoke: epoch 0 certified (eps={doc['game']['effective_epsilon']:.2e})")
@@ -152,7 +152,7 @@ def main() -> int:
         print("serve_smoke: health/metrics/solution answered mid-solve")
 
         # -- 4. structured errors -----------------------------------------
-        bad = {"schema": "idde-request/1", "solver": "ide-g"}
+        bad = {"schema": "idde-request/2", "solver": "ide-g"}
         status, doc = request(port, "POST", "/v1/solve", bad)
         check(status == 400, f"unknown solver -> {status}, want 400")
         check(
