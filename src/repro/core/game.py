@@ -32,7 +32,11 @@ returned without a certificate that holds.
 
 Every schedule, and the certificate, evaluates all users' candidate grids
 in one einsum pass per round via
-:meth:`~repro.radio.sinr.SinrEngine.batch_best_responses`.  The literal
+:meth:`~repro.radio.sinr.SinrEngine.batch_best_responses`; the round-robin
+sweep re-evaluates a user that an earlier move of the same sweep made stale
+with the fused single-user kernel
+:meth:`~repro.radio.sinr.SinrEngine.best_response`, which builds only the
+best move.  The literal
 per-user transcription of Algorithm 1 lives in the test suite
 (``tests/oracles/game.py``) as the readable oracle: the batched runners
 must replay it bit-for-bit — identical move sequences
@@ -139,17 +143,8 @@ class IddeUGame:
     def best_response(self, engine: SinrEngine, j: int) -> BestResponse | None:
         """The benefit-maximising move for user ``j``, or ``None`` when the
         user has no covering server (it must stay at ``α_j = (0,0)``)."""
-        view = engine.candidates(j)
-        if view.servers.size == 0:
-            return None
-        server, channel, benefit = view.best("benefit")
-        return BestResponse(
-            user=j,
-            server=server,
-            channel=channel,
-            benefit=benefit,
-            current_benefit=engine.user_benefit(j),
-        )
+        fused = engine.best_response(j)
+        return None if fused is None else BestResponse(j, *fused)
 
     def _improves(
         self, br: BestResponse | None, engine: SinrEngine, epsilon: float
@@ -315,8 +310,9 @@ class IddeUGame:
         returned tolerance.
 
         The check is per-user on purpose: it is a rare, terminal-sweep-only
-        path, and the per-user oracle shares it verbatim, so both take
-        bit-for-bit identical escalation decisions.
+        path.  It goes through :meth:`best_response`, so the per-user oracle
+        runs it on the literal candidate grid and both must take bit-for-bit
+        identical escalation decisions.
         """
         cap = self.cfg.max_moves_per_user
         capped = players[moves_of[players] >= cap]
@@ -368,10 +364,14 @@ class IddeUGame:
         All users are evaluated in one einsum pass against the sweep-start
         state; within the sweep, a move at server ``i`` only perturbs the
         interference of users covered by ``i``, so exactly those users are
-        marked stale and re-evaluated per-user at their turn.  Fresh batch
-        entries and per-user fallbacks are bit-for-bit interchangeable
-        (shared padded reduction), so the move sequence is identical to the
-        literal per-user sweep.
+        marked stale and re-evaluated at their turn by the fused
+        single-user kernel (:meth:`~repro.radio.sinr.SinrEngine.best_response`).
+        A fresh user's batch entry is still exact at its turn and epsilon
+        is fixed within a sweep, so the sweep-start :meth:`_improving_mask`
+        decides that turn without building anything.  Batch entries and
+        fused re-evaluations are bit-for-bit interchangeable (shared padded
+        reduction), so the move sequence is identical to the literal
+        per-user sweep.
         """
         m = self.instance.n_users
         players = self._players()
@@ -385,15 +385,15 @@ class IddeUGame:
         for rounds in range(1, self.cfg.max_rounds + 1):
             eligible = players[moves_of[players] < cap]
             batch = engine.batch_best_responses(eligible)
+            improving = self._improving_mask(engine, batch, eps).tolist()
             stale = np.zeros(m, dtype=bool)
             moved = False
-            for pos in range(eligible.shape[0]):
-                j = int(eligible[pos])
+            for pos, j in enumerate(eligible.tolist()):
                 if stale[j]:
                     br = self.best_response(engine, j)
-                elif batch.server[pos] == UNALLOCATED:
-                    br = None
-                else:
+                    if not self._improves(br, engine, eps):
+                        continue
+                elif improving[pos]:
                     br = BestResponse(
                         user=j,
                         server=int(batch.server[pos]),
@@ -401,17 +401,17 @@ class IddeUGame:
                         benefit=float(batch.benefit[pos]),
                         current_benefit=float(batch.current_benefit[pos]),
                     )
-                if self._improves(br, engine, eps):
-                    assert br is not None
-                    old = int(engine.alloc_server[j])
-                    self._apply(engine, br, trace, log)
-                    moves += 1
-                    moves_of[j] += 1
-                    since_escalation += 1
-                    moved = True
-                    stale |= coverage[br.server]
-                    if old != UNALLOCATED:
-                        stale |= coverage[old]
+                else:
+                    continue
+                old = int(engine.alloc_server[j])
+                self._apply(engine, br, trace, log)
+                moves += 1
+                moves_of[j] += 1
+                since_escalation += 1
+                moved = True
+                stale |= coverage[br.server]
+                if old != UNALLOCATED:
+                    stale |= coverage[old]
             if not moved:
                 unfrozen = self._unfreeze_capped(engine, players, moves_of, eps)
                 if unfrozen is None:

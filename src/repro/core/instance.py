@@ -2,9 +2,10 @@
 
 An :class:`IDDEInstance` couples a :class:`~repro.types.Scenario` with an
 :class:`~repro.topology.EdgeTopology` and a :class:`~repro.config.RadioConfig`
-and owns the derived structure every solver needs: the gain matrix (via a
-fresh :class:`~repro.radio.SinrEngine` per solver), the delivery latency
-model, and the request aggregation used by the latency objective.
+and owns the derived structure every solver needs: the radio tables (gain
+matrix and padded covering structure, built once and shared read-only by
+the fresh :class:`~repro.radio.SinrEngine` each solver gets), the delivery
+latency model, and the request aggregation used by the latency objective.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from ..config import RadioConfig, ScenarioConfig, TopologyConfig, WorkloadConfig
 from ..datasets.eua import EuaPool, sample_scenario, synthetic_eua
 from ..errors import ScenarioError
-from ..radio.sinr import SinrEngine
+from ..radio.sinr import RadioTables, SinrEngine
 from ..rng import ensure_rng, spawn_rng
 from ..topology.graph import EdgeTopology, build_topology
 from ..topology.latency import DeliveryLatencyModel
@@ -93,9 +94,14 @@ class IDDEInstance:
     def latency_model(self) -> DeliveryLatencyModel:
         return DeliveryLatencyModel(self.topology)
 
+    @cached_property
+    def radio_tables(self) -> RadioTables:
+        """The read-only gain matrix and padded covering tables, built once."""
+        return RadioTables.build(self.scenario, self.radio, self.gain_override)
+
     def new_engine(self) -> SinrEngine:
-        """A fresh all-unallocated SINR engine over this instance."""
-        return SinrEngine(self.scenario, self.radio, gain=self.gain_override)
+        """A fresh all-unallocated SINR engine sharing :attr:`radio_tables`."""
+        return SinrEngine(self.scenario, self.radio, tables=self.radio_tables)
 
     @cached_property
     def requests_per_item(self) -> np.ndarray:

@@ -28,15 +28,19 @@ Batched evaluation
 The engine also exposes a *batched* path (:meth:`SinrEngine.batch_candidates`
 / :meth:`SinrEngine.batch_best_responses`) that evaluates every user's
 candidate grid in one einsum pass over a padded covering-server tensor
-``(M, Smax)`` built once per engine.  The game runs on the batched path and
-falls back to the per-user path for users a move made stale; the per-user
-path also drives the test suite's Algorithm 1 oracle.  Both reduce the
-interference aggregate over the *same* padded row with ``np.einsum``, so the
-floats they produce are bit-for-bit identical (padding contributes exact
-zeros and the reduction grouping is length-determined) and best-response
-dynamics driven by either path take identical move sequences.  Do not
-"simplify" the per-user reduction back to ``g @ p``: BLAS accumulates in a
-different order and the bitwise parity — asserted by
+``(M, Smax)``.  That tensor and the gain matrix live in :class:`RadioTables`,
+read-only structure built once per scenario and shared by every engine of
+an :class:`~repro.core.instance.IDDEInstance`.  The game runs on the batched
+path; a user a move made stale is re-evaluated by
+:meth:`SinrEngine.best_response`, the fused single-user kernel that returns
+only the best move and the current benefit.  The per-user grid
+(:meth:`SinrEngine.candidates`) drives the test suite's Algorithm 1 oracle.
+All three reduce the interference aggregate over the *same* padded row with
+``np.einsum``, so the floats they produce are bit-for-bit identical (padding
+contributes exact zeros and the reduction grouping is length-determined)
+and best-response dynamics driven by any of them take identical move
+sequences.  Do not "simplify" the per-user reduction back to ``g @ p``:
+BLAS accumulates in a different order and the bitwise parity — asserted by
 ``tests/core/test_game_kernels.py`` and ``tests/oracles/test_parity.py`` —
 would quietly degrade to approximate.
 """
@@ -54,7 +58,13 @@ from ..types import Scenario
 from .channel import gain_matrix
 from .rate import capped_rate, shannon_rate
 
-__all__ = ["SinrEngine", "CandidateView", "BatchCandidateView", "BatchBestResponse"]
+__all__ = [
+    "SinrEngine",
+    "RadioTables",
+    "CandidateView",
+    "BatchCandidateView",
+    "BatchBestResponse",
+]
 
 UNALLOCATED = -1
 
@@ -140,14 +150,70 @@ class BatchBestResponse:
 
 
 @dataclass(frozen=True)
-class _BatchTables:
-    """Precomputed padded covering structure (immutable per engine)."""
+class RadioTables:
+    """The read-only radio structure of one scenario.
 
+    Coverage, powers and gains never change under allocation moves, so
+    this is built once (:meth:`build`) and shared by every engine over the
+    same scenario; every array is marked ``write=False``.
+    """
+
+    gain: np.ndarray  # (N, M) channel gain g_{i,j}
+    count: np.ndarray  # (M,) |V_j|: the real slots lead each padded row
     cov: np.ndarray  # (M, Smax) covering server indices, padded with 0
     mask: np.ndarray  # (M, Smax) True on real covering slots
-    gain: np.ndarray  # (M, Smax) gain to the user, 0 on padding
+    cov_gain: np.ndarray  # (M, Smax) gain to the user, 0 on padding
     signal: np.ndarray  # (M, Smax) gain · own power, 0 on padding
     valid: np.ndarray  # (M, Smax, X) real slot × existing channel
+
+    @classmethod
+    def build(
+        cls,
+        scenario: Scenario,
+        cfg: RadioConfig,
+        gain: np.ndarray | None = None,
+    ) -> "RadioTables":
+        """Gain matrix (``gain`` overrides the power law) and padded tables.
+
+        Row ``j`` of ``cov`` lists ``V_j`` in ascending server order, the
+        order of :attr:`~repro.types.Scenario.covering_servers`.
+        """
+        n, m = scenario.n_servers, scenario.n_users
+        if gain is None:
+            gain = gain_matrix(scenario.server_xy, scenario.user_xy, cfg)
+        else:
+            gain = np.asarray(gain, dtype=float)
+            if gain.shape != (n, m):
+                raise AllocationError(
+                    f"gain override must be (N, M) = {(n, m)}, got {gain.shape}"
+                )
+            if np.any(gain <= 0):
+                raise AllocationError("gain override must be strictly positive")
+            gain = gain.copy()
+        cover = scenario.coverage
+        count = cover.sum(axis=0, dtype=np.int64)
+        smax = max(int(count.max(initial=0)), 1)
+        mask = np.arange(smax)[None, :] < count[:, None]
+        cov = np.zeros((m, smax), dtype=np.int64)
+        # Row-major nonzeros of the (M, N) transpose: users ascending, each
+        # user's servers ascending — exactly the fill order of ``mask``.
+        cov[mask] = np.nonzero(cover.T)[1]
+        cov_gain = np.where(mask, gain[cov, np.arange(m)[:, None]], 0.0)
+        signal = cov_gain * scenario.power[:, None]
+        x = max(scenario.max_channels, 1)
+        valid = scenario.channel_mask[cov, :x] & mask[:, :, None]
+        tables = cls(
+            gain=gain,
+            count=count,
+            cov=cov,
+            mask=mask,
+            cov_gain=cov_gain,
+            signal=signal,
+            valid=valid,
+        )
+        for array in (gain, count, cov, mask, cov_gain, signal, valid):
+            array.setflags(write=False)
+        return tables
 
 
 class SinrEngine:
@@ -155,9 +221,11 @@ class SinrEngine:
 
     The engine owns the allocation arrays (``server[j]``, ``channel[j]``,
     with −1 meaning unallocated) and the per-channel power table, and
-    exposes: single-user candidate evaluation (:meth:`candidates`), global
-    rate evaluation (:meth:`rates`), and incremental mutation
-    (:meth:`assign`, :meth:`unassign`, :meth:`move`).
+    exposes: single-user evaluation (the fused :meth:`best_response` and
+    the full grid of :meth:`candidates`), batched evaluation
+    (:meth:`batch_best_responses`), global rate evaluation (:meth:`rates`),
+    and incremental mutation (:meth:`assign`, :meth:`unassign`,
+    :meth:`move`, :meth:`load_profile`).
 
     Parameters
     ----------
@@ -169,7 +237,15 @@ class SinrEngine:
     gain:
         Optional ``(N, M)`` gain-matrix override (e.g. a shadowed model
         from :mod:`repro.radio.fading`); defaults to the deterministic
-        power law of :func:`~repro.radio.channel.gain_matrix`.
+        power law of :func:`~repro.radio.channel.gain_matrix`.  Without
+        ``tables`` the engine builds private tables from it; this public
+        form stays for standalone engines (the benchmark suite, fading
+        studies and tests construct engines directly).
+    tables:
+        Prebuilt :class:`RadioTables` of ``scenario`` to share instead of
+        building them (exclusive with ``gain``, which the tables already
+        carry); :meth:`~repro.core.instance.IDDEInstance.new_engine` passes
+        the instance's cached tables.
     """
 
     def __init__(
@@ -178,23 +254,23 @@ class SinrEngine:
         cfg: RadioConfig | None = None,
         *,
         gain: np.ndarray | None = None,
+        tables: RadioTables | None = None,
     ):
         self.scenario = scenario
         self.cfg = cfg or RadioConfig()
-        if gain is None:
-            self.gain = gain_matrix(scenario.server_xy, scenario.user_xy, self.cfg)
-        else:
-            gain = np.asarray(gain, dtype=float)
-            if gain.shape != (scenario.n_servers, scenario.n_users):
-                raise AllocationError(
-                    f"gain override must be (N, M) = "
-                    f"{(scenario.n_servers, scenario.n_users)}, got {gain.shape}"
-                )
-            if np.any(gain <= 0):
-                raise AllocationError("gain override must be strictly positive")
-            self.gain = gain.copy()
+        if tables is None:
+            tables = RadioTables.build(scenario, self.cfg, gain)
+        elif gain is not None:
+            raise AllocationError("pass either a gain override or shared tables, not both")
+        elif tables.gain.shape != (scenario.n_servers, scenario.n_users):
+            raise AllocationError(
+                f"shared tables are for a {tables.gain.shape} gain matrix, not "
+                f"(N, M) = {(scenario.n_servers, scenario.n_users)}"
+            )
+        self._tables = tables
+        #: ``(N, M)`` gain matrix, read-only and shared with ``_tables``.
+        self.gain = tables.gain
         self.coverage = scenario.coverage
-        self.covering = scenario.covering_servers
         self.power = scenario.power
         self.noise = self.cfg.noise_watts
         self.bandwidth = self.cfg.bandwidth
@@ -207,9 +283,6 @@ class SinrEngine:
         self.alloc_server = np.full(scenario.n_users, UNALLOCATED, dtype=np.int64)
         self.alloc_channel = np.full(scenario.n_users, UNALLOCATED, dtype=np.int64)
         self._channel_valid = scenario.channel_mask
-        #: Lazily-built padded covering tables shared by the per-user and
-        #: batched evaluation paths (coverage and gain are fixed per engine).
-        self._batch: _BatchTables | None = None
         #: IDDE-Trace hook; the owning game attaches its tracer so kernel
         #: selection (scalar vs batched) and evaluation volume are observable.
         self.tracer: Tracer = NULL_TRACER
@@ -272,38 +345,48 @@ class SinrEngine:
         self.alloc_channel.fill(UNALLOCATED)
 
     def load_profile(self, server: np.ndarray, channel: np.ndarray) -> None:
-        """Replace the full allocation state from profile arrays."""
+        """Replace the full allocation state from profile arrays.
+
+        All or nothing: the whole profile is checked against Eq. (1) first
+        (raising the :class:`CoverageError` / :class:`AllocationError` that
+        :meth:`assign` would raise for the lowest offending user), so a bad
+        profile leaves the engine untouched.  The load itself accumulates
+        the channel powers in ascending user order, the float additions of
+        an :meth:`assign` loop, so the state is bitwise the same.
+        """
         server = np.asarray(server, dtype=np.int64)
         channel = np.asarray(channel, dtype=np.int64)
         if server.shape != (self.scenario.n_users,) or channel.shape != server.shape:
             raise AllocationError("profile arrays must both have shape (M,)")
+        users = np.flatnonzero(server != UNALLOCATED)
+        srv, ch = server[users], channel[users]
+        in_range = (srv >= 0) & (srv < self.scenario.n_servers)
+        safe = np.where(in_range, srv, 0)
+        uncovered = in_range & ~self.coverage[safe, users]
+        n_ch = self.scenario.channels[safe]
+        bad_channel = in_range & ((ch < 0) | (ch >= n_ch))
+        bad = ~in_range | uncovered | bad_channel
+        if bad.any():
+            pos = int(np.argmax(bad))
+            j, i, x = int(users[pos]), int(srv[pos]), int(ch[pos])
+            if not in_range[pos]:
+                raise AllocationError(f"server {i} out of range for user {j}")
+            if uncovered[pos]:
+                raise CoverageError(f"server {i} does not cover user {j}")
+            raise AllocationError(
+                f"channel {x} out of range for server {i} ({int(n_ch[pos])} "
+                f"channels) for user {j}"
+            )
         self.reset()
-        for j in np.flatnonzero(server != UNALLOCATED):
-            self.assign(int(j), int(server[j]), int(channel[j]))
+        self.alloc_server[users] = srv
+        self.alloc_channel[users] = ch
+        # ``np.add.at`` is unbuffered and applies the updates in index order.
+        np.add.at(self.channel_power, (srv, ch), self.power[users])
+        np.add.at(self.channel_count, (srv, ch), 1)
 
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
-    def _batch_tables(self) -> _BatchTables:
-        """The padded covering tables, built once per engine."""
-        if self._batch is None:
-            m, x = self.scenario.n_users, self.n_channels
-            smax = max((len(v) for v in self.covering), default=0)
-            smax = max(smax, 1)
-            cov = np.zeros((m, smax), dtype=np.int64)
-            mask = np.zeros((m, smax), dtype=bool)
-            for j, servers in enumerate(self.covering):
-                s = len(servers)
-                cov[j, :s] = servers
-                mask[j, :s] = True
-            gain = np.where(mask, self.gain[cov, np.arange(m)[:, None]], 0.0)
-            signal = gain * self.power[:, None]
-            valid = self._channel_valid[cov, :x] & mask[:, :, None]
-            self._batch = _BatchTables(
-                cov=cov, mask=mask, gain=gain, signal=signal, valid=valid
-            )
-        return self._batch
-
     def interference_profile(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-channel interference aggregate ``W_j[x]`` for user ``j``.
 
@@ -312,14 +395,14 @@ class SinrEngine:
         over the covering servers, excluding ``j``'s own contribution.
         """
         self._check_user(j)
-        servers = self.covering[j]
-        if len(servers) == 0:
+        tables = self._tables
+        servers = tables.cov[j, : tables.count[j]]
+        if servers.size == 0:
             return servers, np.zeros(self.n_channels)
-        tables = self._batch_tables()
         # Reduce over the *padded* covering row with einsum, exactly like the
         # batched path: padding contributes exact zeros, and the identical
         # length/grouping keeps the two kernels bit-for-bit interchangeable.
-        g = tables.gain[j]
+        g = tables.cov_gain[j]
         p = self.channel_power[tables.cov[j], :]
         w = np.einsum("s,sx->x", g, p)
         i, x = self.alloc_server[j], self.alloc_channel[j]
@@ -337,12 +420,12 @@ class SinrEngine:
         bit-for-bit equal to :meth:`interference_profile`.  ``users`` defaults
         to all users.
         """
-        tables = self._batch_tables()
+        tables = self._tables
         if users is None:
             users = np.arange(self.scenario.n_users)
         else:
             users = np.asarray(users, dtype=np.int64)
-        g = tables.gain[users]  # (U, Smax)
+        g = tables.cov_gain[users]  # (U, Smax)
         p = self.channel_power[tables.cov[users], :]  # (U, Smax, X)
         w = np.einsum("us,usx->ux", g, p)
         srv = self.alloc_server[users]
@@ -361,7 +444,7 @@ class SinrEngine:
         The padded-axis equivalent of calling :meth:`candidates` per user:
         valid entries carry bit-identical SINR / rate / benefit values.
         """
-        tables = self._batch_tables()
+        tables = self._tables
         if users is None:
             users = np.arange(self.scenario.n_users)
         else:
@@ -395,7 +478,7 @@ class SinrEngine:
         Users without a covering server get ``server == channel ==
         UNALLOCATED``.
         """
-        tables = self._batch_tables()
+        tables = self._tables
         if users is None:
             users = np.arange(self.scenario.n_users)
         else:
@@ -448,13 +531,44 @@ class SinrEngine:
             current_benefit=current,
         )
 
+    def _trace_scalar_eval(self, j: int) -> None:
+        """Count one single-user evaluation; name the kernel the first time."""
+        self.tracer.count("sinr.scalar_evals")
+        if not self._scalar_kernel_seen:
+            self._scalar_kernel_seen = True
+            self.tracer.event("sinr.kernel", kernel="scalar", user=int(j))
+
+    def best_response(self, j: int) -> tuple[int, int, float, float] | None:
+        """User ``j``'s benefit-maximising move, fused into one evaluation.
+
+        Returns ``(server, channel, benefit, current_benefit)``, or ``None``
+        when no server covers the user.  Bit-for-bit the result of
+        :meth:`candidates` → ``best("benefit")`` plus :meth:`user_benefit`
+        (and of the user's row of :meth:`batch_best_responses`): the same
+        padded einsum, the current benefit read off the same ``W_j``, and
+        no SINR or rate grid.
+        """
+        if self.tracer.enabled:
+            self._trace_scalar_eval(j)
+        servers, w = self.interference_profile(j)
+        s = len(servers)
+        if s == 0:
+            return None
+        i = self.alloc_server[j]
+        current = 0.0
+        if i != UNALLOCATED:
+            own = self.gain[i, j] * self.power[j]
+            current = float(own / (w[self.alloc_channel[j]] + own))
+        tables = self._tables
+        signal = tables.signal[j, :s, None]  # (S, 1): the real covering slots
+        masked = np.where(tables.valid[j, :s], signal / (w + signal), -np.inf)
+        row, col = divmod(int(masked.argmax()), self.n_channels)
+        return int(servers[row]), col, float(masked[row, col]), current
+
     def candidates(self, j: int) -> CandidateView:
         """Evaluate every candidate ``(server, channel)`` for user ``j``."""
         if self.tracer.enabled:
-            self.tracer.count("sinr.scalar_evals")
-            if not self._scalar_kernel_seen:
-                self._scalar_kernel_seen = True
-                self.tracer.event("sinr.kernel", kernel="scalar", user=int(j))
+            self._trace_scalar_eval(j)
         servers, w = self.interference_profile(j)
         s = len(servers)
         if s == 0:
@@ -572,7 +686,7 @@ class SinrEngine:
                 parent[a], a = root, int(parent[a])
             return root
 
-        for servers in self.covering:
+        for servers in self.scenario.covering_servers:
             if len(servers) < 2:
                 continue
             first = find(int(servers[0]))

@@ -7,6 +7,7 @@ import pytest
 
 from repro.config import RadioConfig, TopologyConfig
 from repro.core.instance import IDDEInstance
+from repro.radio.sinr import UNALLOCATED
 from repro.topology.graph import EdgeTopology, build_topology
 from repro.types import Scenario
 
@@ -44,6 +45,32 @@ def make_scenario(
         sizes=sizes,
         requests=np.asarray(requests, dtype=bool),
     )
+
+
+def ragged_scenario(seed: int) -> Scenario:
+    """Partial coverage (some users covered by no server) and servers with
+    fewer channels than the widest one."""
+    rng = np.random.default_rng(seed)
+    n, m = 6, 40
+    return make_scenario(
+        rng.uniform(0.0, 1000.0, (n, 2)),
+        rng.uniform(-400.0, 1400.0, (m, 2)),
+        radius=rng.uniform(150.0, 400.0, n),
+        channels=rng.integers(1, 5, n),
+        power=rng.uniform(1.0, 5.0, m),
+    )
+
+
+def random_profile(scenario, rng, fill: float = 0.7):
+    """A random Eq. (1)-feasible partial profile as ``(server, channel)``."""
+    server = np.full(scenario.n_users, UNALLOCATED, dtype=np.int64)
+    channel = np.full(scenario.n_users, UNALLOCATED, dtype=np.int64)
+    for j, servers in enumerate(scenario.covering_servers):
+        if len(servers) == 0 or rng.random() > fill:
+            continue
+        server[j] = rng.choice(servers)
+        channel[j] = rng.integers(0, scenario.channels[server[j]])
+    return server, channel
 
 
 def make_instance(scenario: Scenario, *, density: float = 2.0, seed: int = 0) -> IDDEInstance:

@@ -16,6 +16,7 @@ from repro.core.instance import IDDEInstance
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.request import SolveRequest
 
+from ..conftest import make_instance, ragged_scenario, random_profile
 from ..oracles.game import OracleGame
 from ..oracles.parity import PairCase, game_cases, render
 
@@ -75,6 +76,84 @@ class TestKernelParity:
         for game in (OracleGame, IddeUGame):
             result = game(tiny_instance, GameConfig()).run(rng=0)
             assert len(result.move_log) == result.moves
+
+
+def _literal_best_response(engine, j):
+    """The oracle's path: full candidate grid, ``best``, then ``user_benefit``."""
+    view = engine.candidates(j)
+    if view.servers.size == 0:
+        return None
+    server, channel, benefit = view.best("benefit")
+    return server, channel, benefit, engine.user_benefit(j)
+
+
+def _bits(move):
+    """A best response with its floats as exact bit patterns."""
+    server, channel, benefit, current = move
+    return (server, channel, float(benefit).hex(), float(current).hex())
+
+
+class TestFusedBestResponse:
+    """``SinrEngine.best_response``, the round-robin sweep's stale-user kernel."""
+
+    @pytest.mark.parametrize("fill", (0.0, 0.4, 1.0))
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_literal_path_bitwise(self, seed, fill):
+        sc = ragged_scenario(seed)
+        # The fixture must exercise both ragged shapes.
+        assert not sc.covered_users.all()
+        assert (sc.channels < sc.max_channels).any()
+        engine = make_instance(sc).new_engine()
+        engine.load_profile(*random_profile(sc, np.random.default_rng(seed), fill))
+        batch = engine.batch_best_responses()
+        for j in range(sc.n_users):
+            literal = _literal_best_response(engine, j)
+            fused = engine.best_response(j)
+            if literal is None:
+                assert fused is None
+                assert batch.server[j] == -1
+                continue
+            assert isinstance(fused[0], int) and isinstance(fused[1], int)
+            assert _bits(fused) == _bits(literal)
+            row = (
+                int(batch.server[j]),
+                int(batch.channel[j]),
+                batch.benefit[j],
+                batch.current_benefit[j],
+            )
+            assert _bits(fused) == _bits(row)
+
+    def test_counts_as_scalar_evaluation(self, tiny_instance):
+        from repro.obs.tracer import RecordingTracer
+
+        tracer = RecordingTracer()
+        engine = tiny_instance.new_engine()
+        engine.set_tracer(tracer)
+        for j in range(3):
+            engine.best_response(j)
+        assert tracer.counters["sinr.scalar_evals"] == 3
+        kernels = [e.fields["kernel"] for e in tracer.events if e.etype == "sinr.kernel"]
+        assert kernels == ["scalar"]
+
+    def test_round_robin_uses_it_for_stale_users(self, small_instance, monkeypatch):
+        """The sweep re-evaluates stale users with the fused kernel only."""
+        from repro.radio.sinr import SinrEngine
+
+        calls = []
+        fused = SinrEngine.best_response
+
+        def spy(engine, j):
+            calls.append(j)
+            return fused(engine, j)
+
+        def refuse(engine, j):
+            raise AssertionError("the sweep built a full candidate grid")
+
+        monkeypatch.setattr(SinrEngine, "best_response", spy)
+        monkeypatch.setattr(SinrEngine, "candidates", refuse)
+        game = IddeUGame(small_instance, GameConfig(schedule="round-robin"))
+        result = game.run(rng=0)
+        assert calls and result.converged and result.is_nash
 
 
 class TestBatchedKernel:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.config import ScenarioConfig, WorkloadConfig
+from repro.config import RadioConfig, ScenarioConfig, WorkloadConfig
+from repro.core.game import IddeUGame
 from repro.core.instance import IDDEInstance
 from repro.datasets.eua import synthetic_eua
 from repro.errors import ScenarioError
@@ -35,6 +36,54 @@ class TestConstruction:
 
     def test_latency_model_cached(self, tiny_instance):
         assert tiny_instance.latency_model is tiny_instance.latency_model
+
+
+class TestSharedRadioTables:
+    """Every engine of an instance shares one read-only radio build."""
+
+    def test_engines_share_one_build(self, small_instance):
+        a, b = small_instance.new_engine(), small_instance.new_engine()
+        assert a.gain is b.gain is small_instance.radio_tables.gain
+        assert a._tables is b._tables is small_instance.radio_tables
+        assert a.channel_power is not b.channel_power
+
+    def test_in_place_writes_raise(self, small_instance):
+        engine = small_instance.new_engine()
+        with pytest.raises(ValueError, match="read-only"):
+            engine.gain[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            engine._tables.signal[0] *= 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            engine._tables.cov[0, 0] = 1
+
+    def test_moves_on_one_engine_never_reach_another(self, small_instance):
+        game = IddeUGame(small_instance)
+        result = game.run(rng=0)
+        watcher = small_instance.new_engine()
+        watcher.load_profile(result.profile.server, result.profile.channel)
+        before = watcher.batch_best_responses()
+        # Scramble a second engine of the same instance.
+        other = small_instance.new_engine()
+        other.load_profile(result.profile.server, result.profile.channel)
+        rng = np.random.default_rng(0)
+        for j in rng.permutation(small_instance.n_users)[:10]:
+            servers = small_instance.scenario.covering_servers[j]
+            if len(servers):
+                other.unassign(int(j))
+                other.assign(int(j), int(servers[-1]), 0)
+        after = watcher.batch_best_responses()
+        for name in ("server", "channel", "benefit", "current_benefit"):
+            assert getattr(after, name).tobytes() == getattr(before, name).tobytes()
+        assert game.is_nash(result.profile, tol=result.effective_epsilon)
+
+    def test_gain_override_shared(self, tiny_scenario):
+        gain = np.full((3, 6), 2e-7)
+        inst = IDDEInstance(
+            tiny_scenario, build_topology(3, 2.0, 0), RadioConfig(), gain_override=gain
+        )
+        engine = inst.new_engine()
+        assert engine.gain is inst.radio_tables.gain
+        assert np.array_equal(engine.gain, gain) and engine.gain is not gain
 
 
 class TestGenerate:

@@ -80,14 +80,18 @@ class TestGlobalChannelPotential:
         """Forcing homogeneous gains reproduces the paper's Theorem 3 proof
         regime: improving moves decrease the global-channel potential."""
         inst = single_server_instance(6, channels=3)
-        engine = inst.new_engine()
-        engine.gain = np.full_like(engine.gain, 1e-6)
-        # Manual better-response loop on the doctored engine.
+        engine = SinrEngine(
+            inst.scenario, inst.radio, gain=np.full((1, 6), 1e-6)
+        )
         for j in range(6):
             engine.assign(j, 0, 0)
         before = global_channel_potential(engine)
-        # User 0 moves to the empty channel 1 — an improving move.
+        # User 0 moves to the empty channel 1 — an improving move under the
+        # homogeneous gains the engine evaluates.
+        assert engine.best_response(0)[:2] == (0, 1)
+        crowded = engine.user_benefit(0)
         engine.move(0, 0, 1)
+        assert engine.user_benefit(0) > crowded
         after = global_channel_potential(engine)
         assert after < before
 

@@ -6,10 +6,12 @@ The production runners evaluate every user in one batched pass instead; on
 every instance, schedule and seed they must apply the identical move
 sequence, reach the identical profile and issue the identical certificate.
 
-:class:`OracleGame` swaps only the two schedule runners and the
-certificate of :class:`~repro.core.game.IddeUGame`; the run scaffolding
-(warm start, participant mask, escalation bookkeeping, tracing) is the
-production one, so a parity break points at the batched evaluation.
+:class:`OracleGame` swaps the single-user best response, the two schedule
+runners and the certificate of :class:`~repro.core.game.IddeUGame`, so the
+inherited capped-player check of a quiescent sweep also reads the candidate
+grid; the run scaffolding (warm start, participant mask, escalation
+bookkeeping, tracing) is the production one, so a parity break points at
+the batched or fused evaluation.
 :func:`oracle_is_nash` is the certificate on its own, reading nothing but
 the engine's per-user candidate grid.
 """
@@ -55,6 +57,20 @@ def oracle_is_nash(
 
 class OracleGame(IddeUGame):
     """:class:`IddeUGame` on the per-user runners and certificate."""
+
+    def best_response(self, engine: SinrEngine, j: int) -> BestResponse | None:
+        """User ``j``'s best move read off its full candidate grid."""
+        view = engine.candidates(j)
+        if view.servers.size == 0:
+            return None
+        server, channel, benefit = view.best("benefit")
+        return BestResponse(
+            user=j,
+            server=server,
+            channel=channel,
+            benefit=benefit,
+            current_benefit=engine.user_benefit(j),
+        )
 
     def _run_round_robin(
         self, engine: SinrEngine, trace: list[float], log: list[tuple[int, int, int]]

@@ -5,9 +5,28 @@ import pytest
 
 from repro.config import RadioConfig
 from repro.errors import AllocationError, CoverageError
-from repro.radio.sinr import UNALLOCATED, SinrEngine
+from repro.core.instance import IDDEInstance
+from repro.radio.channel import gain_matrix
+from repro.radio.sinr import UNALLOCATED, RadioTables, SinrEngine
 
-from ..conftest import make_scenario
+from ..conftest import make_scenario, ragged_scenario, random_profile
+
+
+def engine_state(engine):
+    return tuple(
+        a.copy()
+        for a in (
+            engine.channel_power,
+            engine.channel_count,
+            engine.alloc_server,
+            engine.alloc_channel,
+        )
+    )
+
+
+def assert_state_bitwise(a, b):
+    for x, y in zip(a, b):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 @pytest.fixture
@@ -72,6 +91,63 @@ class TestMutation:
     def test_load_profile_shape_check(self, engine):
         with pytest.raises(AllocationError):
             engine.load_profile(np.array([0]), np.array([0]))
+
+
+class TestLoadProfile:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_sequential_assign_bitwise(self, seed):
+        sc = ragged_scenario(seed)
+        rng = np.random.default_rng(seed)
+        server, channel = random_profile(sc, rng, fill=rng.uniform(0.2, 1.0))
+        loaded = SinrEngine(sc)
+        loaded.load_profile(*random_profile(sc, rng))  # replaced wholesale
+        loaded.load_profile(server, channel)
+        looped = SinrEngine(sc)
+        for j in np.flatnonzero(server != UNALLOCATED):
+            looped.assign(int(j), int(server[j]), int(channel[j]))
+        assert_state_bitwise(engine_state(loaded), engine_state(looped))
+
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            ("uncovered", CoverageError),
+            ("channel", AllocationError),
+            ("negative-channel", AllocationError),
+            ("server", AllocationError),
+        ],
+    )
+    def test_failed_load_leaves_engine_unchanged(self, corrupt, error):
+        sc = ragged_scenario(3)
+        rng = np.random.default_rng(3)
+        engine = SinrEngine(sc)
+        engine.load_profile(*random_profile(sc, rng))
+        before = engine_state(engine)
+        server, channel = random_profile(sc, rng, fill=1.0)
+        # Corrupt the last allocated user, so every earlier user would load.
+        j = int(np.flatnonzero(server != UNALLOCATED)[-1])
+        if corrupt == "uncovered":
+            server[j] = int(np.flatnonzero(~sc.coverage[:, j])[0])
+            channel[j] = 0
+        elif corrupt == "channel":
+            channel[j] = sc.channels[server[j]]
+        elif corrupt == "negative-channel":
+            channel[j] = -2
+        else:
+            server[j] = sc.n_servers
+        with pytest.raises(error, match=str(j)):
+            engine.load_profile(server, channel)
+        assert_state_bitwise(engine_state(engine), before)
+
+    def test_lowest_offending_user_reported(self):
+        sc = ragged_scenario(5)
+        server, channel = random_profile(sc, np.random.default_rng(5), fill=1.0)
+        allocated = np.flatnonzero(server != UNALLOCATED)
+        first, last = int(allocated[1]), int(allocated[-1])
+        channel[last] = -1  # an AllocationError at a later user ...
+        server[first] = int(np.flatnonzero(~sc.coverage[:, first])[0])
+        channel[first] = 0  # ... loses to the CoverageError at an earlier one
+        with pytest.raises(CoverageError, match=f"cover user {first}$"):
+            SinrEngine(sc).load_profile(server, channel)
 
 
 class TestSinrMath:
@@ -191,3 +267,79 @@ class TestInterferenceProfile:
         _, w = engine.interference_profile(0)
         assert w[0] == pytest.approx(engine.gain[0, 0] * engine.power[1])
         assert w[1] == 0.0
+
+
+def loop_built_tables(scenario, gain):
+    """The padded covering tables built user by user (the reference)."""
+    m = scenario.n_users
+    covering = scenario.covering_servers
+    smax = max(max((len(v) for v in covering), default=0), 1)
+    cov = np.zeros((m, smax), dtype=np.int64)
+    mask = np.zeros((m, smax), dtype=bool)
+    for j, servers in enumerate(covering):
+        cov[j, : len(servers)] = servers
+        mask[j, : len(servers)] = True
+    cov_gain = np.where(mask, gain[cov, np.arange(m)[:, None]], 0.0)
+    x = max(scenario.max_channels, 1)
+    return {
+        "count": np.array([len(v) for v in covering], dtype=np.int64),
+        "cov": cov,
+        "mask": mask,
+        "cov_gain": cov_gain,
+        "signal": cov_gain * scenario.power[:, None],
+        "valid": scenario.channel_mask[cov, :x] & mask[:, :, None],
+    }
+
+
+class TestRadioTables:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_vectorised_build_equals_loop(self, seed):
+        sc = ragged_scenario(seed)
+        tables = RadioTables.build(sc, RadioConfig())
+        assert tables.gain.tobytes() == gain_matrix(
+            sc.server_xy, sc.user_xy, RadioConfig()
+        ).tobytes()
+        for name, expected in loop_built_tables(sc, tables.gain).items():
+            got = getattr(tables, name)
+            assert got.dtype == expected.dtype and got.shape == expected.shape, name
+            assert got.tobytes() == expected.tobytes(), name
+
+    def test_generated_instance_equals_loop(self):
+        inst = IDDEInstance.generate(n=12, m=80, k=3, density=1.5, seed=4)
+        tables = inst.radio_tables
+        for name, expected in loop_built_tables(inst.scenario, tables.gain).items():
+            assert getattr(tables, name).tobytes() == expected.tobytes(), name
+
+    def test_no_user_and_no_coverage_edges(self):
+        lonely = make_scenario([[0.0, 0.0]], [[9999.0, 0.0]], radius=10.0)
+        tables = RadioTables.build(lonely, RadioConfig())
+        assert tables.count.tolist() == [0]
+        assert tables.cov.shape == (1, 1) and not tables.mask.any()
+        assert SinrEngine(lonely).best_response(0) is None
+
+    def test_every_table_read_only(self, tiny_scenario):
+        tables = RadioTables.build(tiny_scenario, RadioConfig())
+        for name in ("gain", "count", "cov", "mask", "cov_gain", "signal", "valid"):
+            array = getattr(tables, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = array.flat[0]
+
+    def test_gain_override_copied_and_validated(self, tiny_scenario):
+        gain = np.full((3, 6), 1e-6)
+        engine = SinrEngine(tiny_scenario, gain=gain)
+        gain[0, 0] = 1.0  # the caller's array stays writable and unshared
+        assert engine.gain[0, 0] == 1e-6
+        assert not engine.gain.flags.writeable
+        with pytest.raises(AllocationError, match="must be"):
+            SinrEngine(tiny_scenario, gain=np.ones((2, 6)))
+        with pytest.raises(AllocationError, match="strictly positive"):
+            SinrEngine(tiny_scenario, gain=np.zeros((3, 6)))
+
+    def test_tables_exclusive_with_gain(self, tiny_scenario):
+        tables = RadioTables.build(tiny_scenario, RadioConfig())
+        assert SinrEngine(tiny_scenario, tables=tables).gain is tables.gain
+        with pytest.raises(AllocationError, match="not both"):
+            SinrEngine(tiny_scenario, gain=np.ones((3, 6)), tables=tables)
+        other = make_scenario([[0.0, 0.0]], [[1.0, 1.0]])
+        with pytest.raises(AllocationError, match="shared tables"):
+            SinrEngine(other, tables=tables)
