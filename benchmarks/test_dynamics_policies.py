@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.core.instance import IDDEInstance
 from repro.datasets.melbourne import CBD_REGION
-from repro.dynamics import DynamicSimulation, RandomWaypoint
+from repro.dynamics import DynamicSimulation, RandomWaypoint, mobility_batches
 
 from conftest import write_artifact
 
@@ -26,8 +26,9 @@ def _run(policy: str) -> dict[str, float]:
     mobility = RandomWaypoint(
         instance.scenario.user_xy, CBD_REGION, rng=7, speed_range=SPEEDS
     )
-    sim = DynamicSimulation(instance, mobility, policy=policy)
-    return DynamicSimulation.summarize(sim.run(epochs=EPOCHS, dt=DT, rng=7))
+    sim = DynamicSimulation(instance, policy=policy)
+    records = sim.run_events(mobility_batches(mobility, EPOCHS, DT), rng=7)
+    return DynamicSimulation.summarize(records)
 
 
 def test_dynamics_policy_comparison(benchmark):

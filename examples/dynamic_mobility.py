@@ -20,7 +20,7 @@ Run:  python examples/dynamic_mobility.py
 
 from repro import IDDEInstance
 from repro.datasets.melbourne import CBD_REGION
-from repro.dynamics import DynamicSimulation, RandomWaypoint
+from repro.dynamics import DynamicSimulation, RandomWaypoint, mobility_batches
 
 EPOCHS = 8
 DT = 45.0  # seconds per epoch
@@ -31,8 +31,8 @@ def run_policy(instance: IDDEInstance, policy: str):
     mobility = RandomWaypoint(
         instance.scenario.user_xy, CBD_REGION, rng=7, speed_range=SPEEDS
     )
-    sim = DynamicSimulation(instance, mobility, policy=policy)
-    return sim.run(epochs=EPOCHS, dt=DT, rng=7)
+    sim = DynamicSimulation(instance, policy=policy)
+    return sim.run_events(mobility_batches(mobility, EPOCHS, DT), rng=7)
 
 
 def main() -> None:

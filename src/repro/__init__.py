@@ -45,7 +45,7 @@ from .core import (
 from .core.strategy import Solver
 from .api import Solution, solve
 from .request import SolveRequest
-from .baselines import CDP, SAA, DupG, IddeIP, default_solvers, solver_by_name
+from .baselines import CDP, SAA, DupG, IddeIP, build_solver, default_solvers
 from .datasets import EuaPool, sample_scenario, synthetic_eua
 from .dynamics import DynamicSimulation, RandomWaypoint
 from .errors import ReproError
@@ -87,7 +87,7 @@ __all__ = [
     "CDP",
     "DupG",
     "default_solvers",
-    "solver_by_name",
+    "build_solver",
     # objectives
     "average_data_rate",
     "average_delivery_latency_ms",

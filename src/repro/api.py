@@ -13,8 +13,7 @@ also the daemon's wire format)::
                 game_config=GameConfig(schedule="best-gain-winner"), rng=0))
     sol.to_dict()   # the schema-versioned ``idde-solution/3`` document
 
-The classic keyword form still works and is bit-identical — it is a thin
-shim that builds the same :class:`SolveRequest`::
+A solver name plus request fields builds the same request::
 
     sol = solve(instance, "idde-g", tracer=RecordingTracer(), rng=0)
 
@@ -23,17 +22,18 @@ shim that builds the same :class:`SolveRequest`::
 certificate), the :class:`~repro.core.delivery.DeliveryResult` (placements,
 latency gain), and the joint :class:`~repro.core.objectives.Evaluation` —
 without re-running any phase: the solver stashes the full result objects in
-``extras`` and this module lifts them out.  Version 2 of the solution
-document added the request that produced it, and the typed ``extras``
-accessors (:attr:`Solution.sharding_stats`, :attr:`Solution.warm_detached`)
-replace dict-key spelunking.  Version 3 dropped the ``kernel`` and
-``delivery_kernel`` keys from ``config`` and ``extras``, since each phase
-has a single kernel.  :func:`load_solution_document` reads all three
-versions (see docs/SERVING.md for the migration notes).
+``extras`` and this module lifts them out.  The solution document carries
+the request that produced it, and the typed ``extras`` accessors
+(:attr:`Solution.sharding_stats`, :attr:`Solution.warm_detached`) replace
+dict-key spelunking.  :func:`load_solution_document` reads
+``idde-solution/3`` only (see docs/SERVING.md for the schema history).
 
 Solver names resolve through the :mod:`repro.baselines` registry, so
 unknown names fail with a did-you-mean
-:class:`~repro.errors.SolverLookupError`, and tracing threads through every
+:class:`~repro.errors.SolverLookupError`, and every solver is built by
+:func:`~repro.baselines.build_solver`, so ``solver_options`` its
+constructor does not accept fail with a
+:class:`~repro.errors.ConfigurationError`.  Tracing threads through every
 layer via the shared :class:`~repro.obs.tracer.Tracer` (no-op by default —
 observability is execution context, not part of the request).
 """
@@ -45,8 +45,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .baselines import IddeG, resolve_solver_name, solver_by_name
-from .config import DeliveryConfig, GameConfig
+from .baselines import Solver, build_solver, resolve_solver_name
 from .core.delivery import DeliveryResult
 from .core.game import GameResult
 from .core.instance import IDDEInstance
@@ -57,27 +56,16 @@ from .errors import ConfigurationError
 from .obs.tracer import Tracer, ensure_tracer
 from .request import SolveRequest, json_scalarish
 from .rng import ensure_rng
-from .sharding import ShardConfig, ShardedIddeG
+from .sharding import ShardedIddeG
 
 __all__ = [
     "SOLUTION_SCHEMA",
-    "SOLUTION_SCHEMA_V1",
-    "SOLUTION_SCHEMA_V2",
     "Solution",
-    "execute",
     "load_solution_document",
     "solve",
 ]
 
 SOLUTION_SCHEMA = "idde-solution/3"
-SOLUTION_SCHEMA_V1 = "idde-solution/1"
-SOLUTION_SCHEMA_V2 = "idde-solution/2"
-
-#: Schema tags :func:`load_solution_document` accepts, oldest first.
-SOLUTION_SCHEMAS = (SOLUTION_SCHEMA_V1, SOLUTION_SCHEMA_V2, SOLUTION_SCHEMA)
-
-#: Keys v1/v2 documents recorded in ``config``/``extras`` that v3 dropped.
-_V3_DROPPED_KEYS = ("kernel", "delivery_kernel")
 
 
 @dataclass(frozen=True)
@@ -208,25 +196,20 @@ class Solution:
 
 
 def load_solution_document(doc: Mapping[str, Any]) -> dict[str, Any]:
-    """Validate a solution document and normalise it to ``idde-solution/3``.
+    """Validate an ``idde-solution/3`` document and return a copy of it.
 
-    Accepts every schema version.  Older documents are upgraded in place:
-    the tag is rewritten, a v1 document (pre-IDDE-Serve) gets
-    ``request: None`` (v1 never recorded the producing request), and the
-    ``kernel``/``delivery_kernel`` keys v1 and v2 recorded in ``config``
-    and ``extras`` are dropped.  Anything else fails with
-    :class:`~repro.errors.ConfigurationError`.  See docs/SERVING.md for
-    the migration notes.
+    Any other schema tag, a non-object, or a document missing a required
+    key fails with :class:`~repro.errors.ConfigurationError`.
     """
     if not isinstance(doc, Mapping):
         raise ConfigurationError(
             f"solution document must be a JSON object, got {type(doc).__name__}"
         )
     schema = doc.get("schema")
-    if schema not in SOLUTION_SCHEMAS:
+    if schema != SOLUTION_SCHEMA:
         raise ConfigurationError(
             f"unsupported solution schema {schema!r}; this build reads "
-            f"{list(SOLUTION_SCHEMAS)}"
+            f"{SOLUTION_SCHEMA!r}"
         )
     missing = [
         key
@@ -237,31 +220,37 @@ def load_solution_document(doc: Mapping[str, Any]) -> dict[str, Any]:
         raise ConfigurationError(
             f"solution document is missing required key(s) {missing}"
         )
-    out = dict(doc)
-    if schema == SOLUTION_SCHEMA_V1:
-        out.setdefault("request", None)
-    if schema != SOLUTION_SCHEMA:
-        out["schema"] = SOLUTION_SCHEMA
-        for key in ("config", "extras"):
-            if isinstance(out.get(key), Mapping):
-                out[key] = {
-                    k: v for k, v in out[key].items() if k not in _V3_DROPPED_KEYS
-                }
-    return out
+    return dict(doc)
 
 
-def execute(
+def solve(
     instance: IDDEInstance,
-    request: SolveRequest,
+    solver: "str | SolveRequest" = "idde-g",
     *,
     tracer: Tracer | None = None,
+    **fields: Any,
 ) -> Solution:
-    """Execute one :class:`~repro.request.SolveRequest` on one instance.
+    """Solve one instance as one :class:`~repro.request.SolveRequest` describes.
 
-    The core of the façade: :func:`solve` (both spellings) and the
-    IDDE-Serve :class:`~repro.serve.SolverSession` all funnel through
-    here.  ``tracer`` is execution context, not part of the request.
+    ``solver`` is either a request, run as is, or a registry name
+    (``"idde-g"``, ``"idde-ip"``, ``"saa"``, ``"cdp"``, ``"dup-g"``,
+    ``"random"``, ``"nearest"``; case-insensitive), which runs
+    ``SolveRequest(solver=solver, **fields)`` — the request documents every
+    field.  A request plus any field raises
+    :class:`~repro.errors.ConfigurationError`: the request is the single
+    source of truth.  ``tracer`` is execution context, not part of the
+    request, and composes with both forms.
     """
+    if isinstance(solver, SolveRequest):
+        if fields:
+            raise ConfigurationError(
+                f"solve() got both a SolveRequest and field(s) {sorted(fields)}; "
+                "the request object is the single source of truth — use "
+                "dataclasses.replace / SolveRequest.with_runtime"
+            )
+        request = solver
+    else:
+        request = SolveRequest(solver=solver, **fields)
     tracer = ensure_tracer(tracer)
     name = resolve_solver_name(request.solver)
     opts = dict(request.solver_options)
@@ -274,6 +263,8 @@ def execute(
         )
     active = request.active
     warm_detached: int | None = None
+    cls: type[Solver] | None = None  # the registry class of ``name``
+    fixed: dict[str, Any] = {}
     if name == "idde-g":
         initial: AllocationProfile | None = None
         if warm_start is not None:
@@ -288,24 +279,20 @@ def execute(
                     detached=warm_detached,
                     carried=int(initial.allocated.sum()),
                 )
+        fixed = dict(
+            game=request.game_config,
+            delivery=request.delivery_config,
+            tracer=tracer,
+            initial=initial,
+            active=active,
+        )
         if request.sharding is not None:
-            s = ShardedIddeG(
-                request.game_config,
-                request.delivery_config,
-                sharding=request.sharding,
-                tracer=tracer,
-                initial=initial,
-                active=active,
-                **opts,
-            )
-        else:
-            s = IddeG(
-                request.game_config,
-                request.delivery_config,
-                tracer=tracer,
-                initial=initial,
-                active=active,
-                **opts,
+            cls = ShardedIddeG
+            fixed["sharding"] = request.sharding
+        taken = sorted(set(opts) & set(fixed))
+        if taken:
+            raise ConfigurationError(
+                f"solver_options may not set {taken}: the request sets them"
             )
     else:
         if request.game_config is not None or request.delivery_config is not None:
@@ -325,7 +312,7 @@ def execute(
             )
         if name == "idde-ip" and request.ip_time_budget_s is not None:
             opts.setdefault("time_budget_s", request.ip_time_budget_s)
-        s = solver_by_name(name, **opts)
+    s = build_solver(name, cls, **fixed, **opts)
 
     config: dict[str, Any] = {"solver": name}
     if name == "idde-g":
@@ -369,124 +356,3 @@ def execute(
         extras=extras,
         request=request,
     )
-
-
-def solve(
-    instance: IDDEInstance,
-    solver: "str | SolveRequest" = "idde-g",
-    *,
-    game_config: GameConfig | None = None,
-    delivery_config: DeliveryConfig | None = None,
-    sharding: ShardConfig | None = None,
-    warm_start: "Solution | AllocationProfile | None" = None,
-    active: np.ndarray | None = None,
-    tracer: Tracer | None = None,
-    rng: Any = None,
-    ip_time_budget_s: float | None = None,
-    validate: bool = True,
-    solver_options: dict[str, Any] | None = None,
-) -> Solution:
-    """Solve one instance with a registry-named solver.
-
-    Two spellings, bit-identical results:
-
-    * ``solve(instance, SolveRequest(...), tracer=...)`` — the request
-      object carries the whole run description (the recommended form; the
-      same object is the daemon's ``idde-request/2`` wire format).
-    * ``solve(instance, "idde-g", game_config=..., ...)`` — the classic
-      keyword form, kept as a thin back-compat shim that constructs the
-      identical :class:`~repro.request.SolveRequest` and executes it.
-
-    Parameters
-    ----------
-    instance:
-        The problem to solve.
-    solver:
-        Registry name (``"idde-g"``, ``"idde-ip"``, ``"saa"``, ``"cdp"``,
-        ``"dup-g"``, ``"random"``, ``"nearest"``; case-insensitive) or a
-        full :class:`~repro.request.SolveRequest`.  Unknown names raise
-        :class:`~repro.errors.SolverLookupError` with a did-you-mean
-        suggestion.  When a request object is passed, every other
-        run-description keyword must stay at its default — the request is
-        the single source of truth (``tracer`` is execution context and
-        composes with both spellings).
-    game_config, delivery_config:
-        Phase configs for the two-phase IDDE-G solver (e.g.
-        ``GameConfig(schedule="best-gain-winner")``).  Passing either for any other
-        solver raises :class:`~repro.errors.ConfigurationError` — baselines
-        have no such phases, and silently ignoring the configs would
-        mislabel the run.
-    sharding:
-        Optional :class:`~repro.sharding.ShardConfig`: phase 1 then runs
-        through the interference-domain decomposition solver
-        (:class:`~repro.sharding.ShardedIddeG`) — shards solved
-        concurrently, boundary users reconciled globally, certificate on
-        the whole instance.  Only meaningful for ``"idde-g"``; any other
-        solver raises :class:`~repro.errors.ConfigurationError`.
-    warm_start:
-        A prior :class:`Solution` (or bare
-        :class:`~repro.core.profiles.AllocationProfile`) to re-enter the
-        IDDE-U game from instead of cold-solving — the incremental
-        re-solve path of the streaming engine.  The profile is first
-        *repaired* against this instance
-        (:func:`~repro.core.repair.repair_allocation`): users whose server
-        no longer covers them, whose channel no longer exists, or who fell
-        out of ``active`` are detached; the game then plays on from there
-        and re-certifies ε-Nash on the full instance (the certificate is
-        as strong as a cold solve's).  Composes with ``sharding``
-        (shard-local warm starts, boundary carry-over) and any
-        schedule.  Only meaningful for ``"idde-g"``.
-    active:
-        Optional boolean ``(M,)`` participant mask (churn): inactive users
-        never allocate and never move in the game.  Only meaningful for
-        ``"idde-g"``.
-    tracer:
-        Optional IDDE-Trace tracer threaded through every layer the run
-        touches; defaults to the shared no-op.
-    rng:
-        Seed or generator for the solver's randomness (``repro.rng``
-        discipline).
-    ip_time_budget_s:
-        Time cap for the ``"idde-ip"`` solver; ignored by every other
-        solver (the experiment harness passes one bundle to all five).
-    validate:
-        Check the returned strategy against the instance constraints.
-    solver_options:
-        Extra keyword arguments for the solver's constructor.
-    """
-    if isinstance(solver, SolveRequest):
-        overrides = [
-            name
-            for name, value, default in (
-                ("game_config", game_config, None),
-                ("delivery_config", delivery_config, None),
-                ("sharding", sharding, None),
-                ("warm_start", warm_start, None),
-                ("active", active, None),
-                ("rng", rng, None),
-                ("ip_time_budget_s", ip_time_budget_s, None),
-                ("validate", validate, True),
-                ("solver_options", solver_options, None),
-            )
-            if value is not default
-        ]
-        if overrides:
-            raise ConfigurationError(
-                f"solve() got both a SolveRequest and keyword override(s) "
-                f"{overrides}; the request object is the single source of "
-                "truth — use dataclasses.replace / SolveRequest.with_runtime"
-            )
-        return execute(instance, solver, tracer=tracer)
-    request = SolveRequest(
-        solver=solver,
-        game_config=game_config,
-        delivery_config=delivery_config,
-        sharding=sharding,
-        warm_start=warm_start,
-        active=active,
-        rng=rng,
-        ip_time_budget_s=ip_time_budget_s,
-        validate=validate,
-        solver_options=dict(solver_options or {}),
-    )
-    return execute(instance, request, tracer=tracer)

@@ -12,24 +12,22 @@
   by the ablation benches.
 
 :func:`default_solvers` returns the paper's five-approach line-up in
-figure order.  Name-based construction goes through the registry
-(:func:`resolve_solver_name` / :func:`solver_by_name`), which is also what
-the :func:`repro.api.solve` façade uses: unknown names raise
-:class:`~repro.errors.SolverLookupError` with a did-you-mean suggestion,
-and keyword arguments a solver's constructor cannot accept are dropped
-with a :class:`DeprecationWarning` instead of a ``TypeError`` (the
-pre-façade ``solver_by_name(**kwargs)`` contract).
+figure order.  Every solver, including the one the :func:`repro.api.solve`
+façade runs, is built by :func:`build_solver`: unknown names raise
+:class:`~repro.errors.SolverLookupError` with a did-you-mean suggestion
+(:func:`resolve_solver_name`), and keywords a solver's constructor does
+not accept raise :class:`~repro.errors.ConfigurationError` naming them.
 """
 
 from __future__ import annotations
 
 import difflib
 import inspect
-import warnings
+from typing import Any
 
 from ..core.idde_g import IddeG
 from ..core.strategy import Solver
-from ..errors import SolverLookupError
+from ..errors import ConfigurationError, SolverLookupError
 from .cdp import CDP
 from .dup_g import DupG
 from .idde_ip import IddeIP
@@ -47,8 +45,8 @@ __all__ = [
     "NearestNeighbor",
     "CANONICAL_SOLVERS",
     "resolve_solver_name",
+    "build_solver",
     "default_solvers",
-    "solver_by_name",
 ]
 
 #: Registry name → solver class.  Aliases ("dupg") map to the same class.
@@ -87,46 +85,30 @@ def resolve_solver_name(name: str) -> str:
     )
 
 
-def _accepted_kwargs(cls: type[Solver]) -> frozenset[str]:
-    """Keyword names ``cls()`` accepts (none for bare ``object.__init__``)."""
-    if cls.__init__ is object.__init__:
-        return frozenset()
-    params = inspect.signature(cls.__init__).parameters
-    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
-        return frozenset(("*",))
-    return frozenset(
-        n
-        for n, p in params.items()
-        if n != "self"
-        and p.kind in (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
-    )
+def build_solver(name: str, cls: type[Solver] | None = None, /, **kwargs: Any) -> Solver:
+    """Construct the solver registered as ``name`` (case-insensitive).
 
-
-def solver_by_name(name: str, **kwargs) -> Solver:
-    """Instantiate a solver from its report name (case-insensitive).
-
-    Keyword arguments the solver's constructor does not accept are dropped
-    with a :class:`DeprecationWarning` naming them — the historical
-    contract where callers passed one kwarg bundle to every solver name.
-    New code should construct solver classes directly, or go through
-    :func:`repro.api.solve`.
+    ``cls`` replaces the registry class (the façade passes
+    :class:`~repro.sharding.ShardedIddeG` for a sharded ``"idde-g"``).
+    The keywords bind against the constructor's signature; any it does
+    not accept raise :class:`~repro.errors.ConfigurationError` naming
+    them and the solver.
     """
-    cls = _FACTORIES[resolve_solver_name(name)]
-    accepted = _accepted_kwargs(cls)
-    if "*" not in accepted:
-        dropped = sorted(set(kwargs) - accepted)
-        if dropped:
-            warnings.warn(
-                f"solver {name!r} does not accept {dropped}; dropping them. "
-                "Pass only applicable kwargs (or use repro.api.solve).",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            kwargs = {k: v for k, v in kwargs.items() if k in accepted}
+    key = resolve_solver_name(name)
+    cls = cls or _FACTORIES[key]
+    signature = inspect.signature(cls)
+    try:
+        signature.bind(**kwargs)
+    except TypeError as exc:
+        unknown = sorted(set(kwargs) - set(signature.parameters))
+        raise ConfigurationError(
+            f"solver {key!r} does not accept {unknown or exc}; "
+            f"it takes {sorted(signature.parameters) or 'no options'}"
+        ) from None
     return cls(**kwargs)
 
 
 def default_solvers(*, ip_time_budget: float = 10.0) -> list[Solver]:
     """The paper's five approaches, in the order of Figs. 3–7."""
     budget = {"idde-ip": {"time_budget_s": ip_time_budget}}
-    return [solver_by_name(n, **budget.get(n, {})) for n in CANONICAL_SOLVERS]
+    return [build_solver(n, **budget.get(n, {})) for n in CANONICAL_SOLVERS]

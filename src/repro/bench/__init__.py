@@ -17,11 +17,7 @@ Pieces:
 * :mod:`~repro.bench.document` — the schema-versioned JSON trajectory
   point (``BENCH_<rev>.json``);
 * :mod:`~repro.bench.compare` — the noise-aware regression gate
-  (``idde bench --compare OLD NEW``);
-* :mod:`~repro.bench.shard_parity` — the sharded-vs-global harness
-  proving the decomposition solver certifies on the whole instance and
-  stitches bit-identically where the theory demands it
-  (``idde bench --verify-shard-parity``).
+  (``idde bench --compare OLD NEW``).
 
 See ``docs/BENCHMARKING.md`` for the workflow and the CI gate.
 """
@@ -44,14 +40,6 @@ from .document import (
 )
 from .fixtures import SCALES, ScaleSpec, instance_for, scale_spec
 from .registry import Benchmark, all_benchmarks, benchmark, get_benchmark, select_benchmarks
-from .shard_parity import (
-    PARITY_SCHEDULES,
-    PARITY_SEEDS,
-    ShardPairCase,
-    ShardParityReport,
-    render_shard_parity_text,
-    verify_sharded_pair,
-)
 from .runner import BenchRunConfig, run_benchmarks, run_one
 from .timer import BenchStats, summarize, time_callable
 
@@ -63,11 +51,7 @@ __all__ = [
     "BenchRunConfig",
     "BenchStats",
     "CompareResult",
-    "PARITY_SCHEDULES",
-    "PARITY_SEEDS",
     "ScaleSpec",
-    "ShardPairCase",
-    "ShardParityReport",
     "all_benchmarks",
     "benchmark",
     "build_document",
@@ -78,7 +62,6 @@ __all__ = [
     "instance_for",
     "load_document",
     "render_compare_text",
-    "render_shard_parity_text",
     "render_text",
     "run_benchmarks",
     "run_one",
@@ -88,5 +71,4 @@ __all__ = [
     "summarize",
     "time_callable",
     "validate_document",
-    "verify_sharded_pair",
 ]

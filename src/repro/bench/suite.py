@@ -427,7 +427,7 @@ _SERVE_CACHE: dict[tuple[str, int], tuple[list, object]] = {}
 
 def _serve_day(scale: str, seed: int) -> tuple[list, object]:
     """Event batches + warm-boot solution for the serve bench (memoised)."""
-    from ..api import execute
+    from ..api import solve
     from ..request import SolveRequest
     from ..workload import StreamConfig, batch_by_count, poisson_zipf_stream
 
@@ -443,7 +443,7 @@ def _serve_day(scale: str, seed: int) -> tuple[list, object]:
         n_events=n_events,
     )
     batches = [tuple(batch) for batch in batch_by_count(stream, per_epoch)]
-    sol0 = execute(
+    sol0 = solve(
         base,
         SolveRequest(
             solver="idde-g",

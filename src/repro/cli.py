@@ -22,9 +22,8 @@ Subcommands
                discipline, unit honesty, determinism and layering
                (see docs/STATIC_ANALYSIS.md).
 ``bench``      Run IDDE-Bench, the statistical microbenchmark suite over
-               the IDDE-G hot paths, compare two benchmark documents
-               with the noise-aware regression gate, or verify the
-               sharded-vs-global solver parity
+               the IDDE-G hot paths, or compare two benchmark documents
+               with the noise-aware regression gate
                (see docs/BENCHMARKING.md).
 ``trace``      Inspect IDDE-Trace documents: ``idde trace summarize``
                renders the span tree, top counters and event mix of an
@@ -257,10 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--threshold", type=float, default=None,
         help="regression gate ratio for --compare (default 2.0)",
-    )
-    p_bench.add_argument(
-        "--verify-shard-parity", action="store_true",
-        help="verify sharded-vs-global solver parity; exit 1 on mismatch",
     )
 
     p_serve = sub.add_parser(
@@ -502,7 +497,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 def _cmd_dynamics(args: argparse.Namespace) -> int:
     from .datasets.melbourne import CBD_REGION
-    from .dynamics import DynamicSimulation, RandomWaypoint
+    from .dynamics import DynamicSimulation, RandomWaypoint, mobility_batches
 
     instance = IDDEInstance.generate(
         n=args.n, m=args.m, k=args.k, density=args.density, seed=args.seed
@@ -518,8 +513,9 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
         mobility = RandomWaypoint(
             instance.scenario.user_xy, CBD_REGION, rng=args.seed, speed_range=speed
         )
-        sim = DynamicSimulation(instance, mobility, policy=policy)
-        records = sim.run(epochs=args.epochs, dt=args.dt, rng=args.seed)
+        records = DynamicSimulation(instance, policy=policy).run_events(
+            mobility_batches(mobility, args.epochs, args.dt), rng=args.seed
+        )
         s = DynamicSimulation.summarize(records)
         print(
             f"{policy:>7} | {s['mean_r_avg']:7.2f} | {s['mean_l_avg_ms']:7.2f} | "
@@ -849,13 +845,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     threshold = DEFAULT_THRESHOLD if args.threshold is None else args.threshold
     try:
-        if args.verify_shard_parity:
-            from .bench import render_shard_parity_text, verify_sharded_pair
-
-            shard_report = verify_sharded_pair(scale=args.scale)
-            print(render_shard_parity_text(shard_report))
-            return 0 if shard_report.ok else 1
-
         if args.compare is not None:
             old_path, new_path = args.compare
             result = compare_documents(

@@ -5,7 +5,9 @@ dynamics of user movements and data migrations in IDDE scenarios" — this
 subpackage builds that extension on the static substrate:
 
 * :mod:`~repro.dynamics.mobility` — user movement models (random
-  waypoint, confined random walk) stepping user positions per epoch;
+  waypoint, confined random walk) stepping user positions per epoch, and
+  :func:`~repro.dynamics.mobility.mobility_batches`, which turns them
+  into the event batches the epoch loop consumes;
 * :mod:`~repro.dynamics.churn` — arrival/departure processes toggling a
   per-epoch active-user mask (inactive users request nothing, allocate
   nowhere);
@@ -20,13 +22,14 @@ subpackage builds that extension on the static substrate:
 
 from .churn import PoissonChurn, apply_churn
 from .migration import MigrationPlan, plan_migration
-from .mobility import ConfinedRandomWalk, MobilityModel, RandomWaypoint
+from .mobility import ConfinedRandomWalk, MobilityModel, RandomWaypoint, mobility_batches
 from .timeline import DynamicSimulation, EpochRecord
 
 __all__ = [
     "MobilityModel",
     "RandomWaypoint",
     "ConfinedRandomWalk",
+    "mobility_batches",
     "PoissonChurn",
     "apply_churn",
     "MigrationPlan",

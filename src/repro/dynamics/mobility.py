@@ -11,19 +11,26 @@ mix customary in edge-computing mobility studies (default 0.5–3 m/s).
 * :class:`ConfinedRandomWalk` — i.i.d. Gaussian steps reflected at the
   region boundary (produces jittery, diffusive motion; a harsher test of
   allocation stability).
+
+:func:`mobility_batches` adapts a model (plus optional churn) into the
+event batches :meth:`~repro.dynamics.timeline.DynamicSimulation.run_events`
+consumes.
 """
 
 from __future__ import annotations
 
 import abc
+from typing import Iterator
 
 import numpy as np
 
-from ..errors import ScenarioError
+from ..errors import ExperimentError, ScenarioError
 from ..geometry import Region
 from ..rng import ensure_rng
+from ..workload.events import EpochBatch, Event, Move, UserJoin, UserLeave
+from .churn import PoissonChurn
 
-__all__ = ["MobilityModel", "RandomWaypoint", "ConfinedRandomWalk"]
+__all__ = ["MobilityModel", "RandomWaypoint", "ConfinedRandomWalk", "mobility_batches"]
 
 
 class MobilityModel(abc.ABC):
@@ -147,3 +154,45 @@ class ConfinedRandomWalk(MobilityModel):
             coord[under] = 2 * lo - coord[under]
         self._clip()
         return self.positions
+
+
+def mobility_batches(
+    mobility: MobilityModel,
+    epochs: int,
+    dt: float,
+    churn: PoissonChurn | None = None,
+) -> Iterator[EpochBatch]:
+    """Event batches for ``epochs`` epochs of ``dt`` seconds each.
+
+    Epoch 0 is the initial solve at the starting positions, so the
+    generator yields ``epochs - 1`` batches: each moves every user one
+    :meth:`~MobilityModel.step` and, with ``churn``, toggles the users
+    whose mask flipped.  Start the simulation from the churn's initial
+    mask (``DynamicSimulation(..., active=churn.active)``).
+    """
+    if epochs < 1:
+        raise ExperimentError(f"need at least one epoch, got {epochs}")
+    if churn is not None and churn.n_users != mobility.n_users:
+        raise ExperimentError(
+            f"churn covers {churn.n_users} users, mobility has {mobility.n_users}"
+        )
+    return _batches(mobility, epochs, dt, churn)
+
+
+def _batches(
+    mobility: MobilityModel, epochs: int, dt: float, churn: PoissonChurn | None
+) -> Iterator[EpochBatch]:
+    prev_active = churn.active.copy() if churn is not None else None
+    for epoch in range(1, epochs):
+        t = epoch * dt
+        events: list[Event] = [
+            Move(t=t, user=j, x=float(x), y=float(y))
+            for j, (x, y) in enumerate(mobility.step(dt))
+        ]
+        if churn is not None:
+            active = churn.step()
+            for j in np.flatnonzero(active != prev_active):
+                cls = UserJoin if active[j] else UserLeave
+                events.append(cls(t=t, user=int(j)))
+            prev_active = active.copy()
+        yield EpochBatch(epoch - 1, (epoch - 1) * dt, t, tuple(events))

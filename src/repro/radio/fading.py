@@ -15,9 +15,11 @@ law:
   back-off for worst-case provisioning;
 * :func:`composite_gain` — shadowing and fading combined.
 
-A gain matrix from any of these can be injected into the
-:class:`~repro.radio.sinr.SinrEngine` via its ``gain`` parameter; the
-robustness bench re-runs the solver line-up under shadowing and asserts
+A gain matrix from any of these enters a whole instance as
+``IDDEInstance(..., gain_override=gain)``, or one standalone
+:class:`~repro.radio.sinr.SinrEngine` as
+``SinrEngine(scenario, cfg, tables=RadioTables.build(scenario, cfg, gain))``;
+the robustness bench re-runs the solver line-up under shadowing and asserts
 the orderings survive.
 """
 

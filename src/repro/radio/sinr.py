@@ -234,18 +234,13 @@ class SinrEngine:
     cfg:
         Radio parameters; channel counts come from the scenario (which was
         itself provisioned from a :class:`~repro.config.RadioConfig`).
-    gain:
-        Optional ``(N, M)`` gain-matrix override (e.g. a shadowed model
-        from :mod:`repro.radio.fading`); defaults to the deterministic
-        power law of :func:`~repro.radio.channel.gain_matrix`.  Without
-        ``tables`` the engine builds private tables from it; this public
-        form stays for standalone engines (the benchmark suite, fading
-        studies and tests construct engines directly).
     tables:
-        Prebuilt :class:`RadioTables` of ``scenario`` to share instead of
-        building them (exclusive with ``gain``, which the tables already
-        carry); :meth:`~repro.core.instance.IDDEInstance.new_engine` passes
-        the instance's cached tables.
+        Prebuilt :class:`RadioTables` of ``scenario`` to share; built from
+        the deterministic power law when omitted.  A shadowed or faded
+        gain model (:mod:`repro.radio.fading`) enters as
+        ``RadioTables.build(scenario, cfg, gain)``;
+        :meth:`~repro.core.instance.IDDEInstance.new_engine` passes the
+        instance's cached tables.
     """
 
     def __init__(
@@ -253,15 +248,12 @@ class SinrEngine:
         scenario: Scenario,
         cfg: RadioConfig | None = None,
         *,
-        gain: np.ndarray | None = None,
         tables: RadioTables | None = None,
     ):
         self.scenario = scenario
         self.cfg = cfg or RadioConfig()
         if tables is None:
-            tables = RadioTables.build(scenario, self.cfg, gain)
-        elif gain is not None:
-            raise AllocationError("pass either a gain override or shared tables, not both")
+            tables = RadioTables.build(scenario, self.cfg)
         elif tables.gain.shape != (scenario.n_servers, scenario.n_users):
             raise AllocationError(
                 f"shared tables are for a {tables.gain.shape} gain matrix, not "

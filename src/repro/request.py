@@ -1,12 +1,8 @@
 """The schema-versioned :class:`SolveRequest`: one object describing a run.
 
-:func:`repro.api.solve` grew eleven keyword arguments across five PRs —
-solver name, two phase configs, sharding, warm start, churn mask, tracer,
-RNG, an IP time budget, a validation switch and a solver-options escape
-hatch.  Every front-end (CLI, experiment harness, streaming replay, and
-now the IDDE-Serve daemon) re-spelled that sprawl its own way.
-
-:class:`SolveRequest` consolidates the run description into a single
+:class:`SolveRequest` holds the whole run description — solver name, two
+phase configs, sharding, warm start, churn mask, RNG, an IP time budget,
+a validation switch and the solver's constructor options — in a single
 frozen dataclass that is *also* the daemon's wire format: the
 ``idde-request/2`` JSON document round-trips through
 :meth:`SolveRequest.to_dict` / :meth:`SolveRequest.from_dict` with strict
@@ -111,12 +107,49 @@ def _config_from_doc(cls: type, doc: Any, what: str) -> Any:
 class SolveRequest:
     """A complete, picklable description of one :func:`repro.api.solve` run.
 
-    Attributes mirror the façade's former keyword arguments one-to-one;
-    see :func:`repro.api.solve` for per-field semantics.  ``warm_start``
-    additionally accepts the boolean sentinel ``True`` (wire form): *the
-    executing session should substitute its resident prior solution* —
-    only the IDDE-Serve daemon resolves that, a direct
-    :func:`~repro.api.solve` call on a ``True`` sentinel raises.
+    Attributes
+    ----------
+    solver:
+        Registry name (``"idde-g"``, ``"idde-ip"``, ``"saa"``, ``"cdp"``,
+        ``"dup-g"``, ``"random"``, ``"nearest"``; case-insensitive).
+        Unknown names raise :class:`~repro.errors.SolverLookupError` with
+        a did-you-mean suggestion.
+    game_config, delivery_config:
+        Phase configs for the two-phase IDDE-G solver (e.g.
+        ``GameConfig(schedule="best-gain-winner")``).  Any other solver
+        raises :class:`~repro.errors.ConfigurationError` — baselines have
+        no such phases, and silently ignoring the configs would mislabel
+        the run.
+    sharding:
+        Optional :class:`~repro.sharding.ShardConfig`: phase 1 then runs
+        through the interference-domain decomposition solver
+        (:class:`~repro.sharding.ShardedIddeG`), with the certificate on
+        the whole instance.  ``"idde-g"`` only.
+    warm_start:
+        A prior :class:`~repro.api.Solution` (or bare
+        :class:`~repro.core.profiles.AllocationProfile`) to re-enter the
+        IDDE-U game from instead of cold-solving.  The profile is first
+        repaired against the instance
+        (:func:`~repro.core.repair.repair_allocation`); the game then
+        re-certifies ε-Nash on the full instance.  ``"idde-g"`` only.
+        The boolean sentinel ``True`` (wire form) means *the executing
+        session should substitute its resident prior solution* — only the
+        IDDE-Serve daemon resolves that; a direct solve on it raises.
+    active:
+        Optional boolean ``(M,)`` participant mask (churn): inactive
+        users never allocate and never move in the game.  ``"idde-g"``
+        only.
+    rng:
+        Seed or generator for the solver's randomness (``repro.rng``
+        discipline).
+    ip_time_budget_s:
+        Time cap for ``"idde-ip"``; ignored by every other solver (the
+        experiment harness passes one bundle to all five).
+    validate:
+        Check the returned strategy against the instance constraints.
+    solver_options:
+        Extra keyword arguments for the solver's constructor; one it does
+        not accept raises :class:`~repro.errors.ConfigurationError`.
     """
 
     solver: str = "idde-g"

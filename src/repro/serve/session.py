@@ -44,7 +44,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from ..api import Solution, execute
+from ..api import Solution, solve
 from ..baselines import resolve_solver_name
 from ..config import GameConfig
 from ..core.game import IddeUGame
@@ -228,7 +228,7 @@ class SolverSession:
                 rng=spawn_rng(self.seed, "serve", epoch),
             )
             game_cfg = self.request.game_config or GameConfig()
-        solution = execute(projected, request, tracer=self.tracer)
+        solution = solve(projected, request, tracer=self.tracer)
         certified = self._certify(solution, projected, game_cfg, active)
         if certified is False:
             self.tracer.count("serve.certificate.failed")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines import solver_by_name
+from repro.baselines import build_solver
 from repro.baselines.naive import NearestNeighbor, RandomSolver
 
 
@@ -54,19 +54,19 @@ class TestRegistry:
         "name", ["idde-g", "idde-ip", "saa", "cdp", "dup-g", "random", "nearest"]
     )
     def test_lookup(self, name):
-        solver = solver_by_name(name)
+        solver = build_solver(name)
         assert solver.name
 
     def test_case_insensitive(self):
-        assert solver_by_name("IDDE-G").name == "IDDE-G"
+        assert build_solver("IDDE-G").name == "IDDE-G"
 
     def test_kwargs_forwarded(self):
-        solver = solver_by_name("idde-ip", time_budget_s=1.5)
+        solver = build_solver("idde-ip", time_budget_s=1.5)
         assert solver.time_budget_s == 1.5
 
     def test_unknown_raises(self):
         with pytest.raises(KeyError):
-            solver_by_name("oracle")
+            build_solver("oracle")
 
     def test_default_solvers_order(self):
         from repro.baselines import default_solvers

@@ -109,12 +109,11 @@ class TestCompareCommand:
 
 class TestVerifyParity:
     def test_parser_flag(self):
-        """The kernel-pair flags are gone (the proof is the oracle test
-        suite); only the sharded-vs-global verifier stays on the CLI."""
+        """The kernel-pair flags are gone: the proof is the oracle test
+        suite (tests/oracles/test_parity.py)."""
         for flag in ("--verify-parity", "--verify-delivery-parity"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["bench", flag])
-        assert build_parser().parse_args(["bench", "--verify-shard-parity"]).verify_shard_parity
 
 
 class TestCommittedBaseline:

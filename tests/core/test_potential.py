@@ -11,7 +11,7 @@ from repro.core.potential import (
     lemma2_threshold,
     paper_potential,
 )
-from repro.radio.sinr import SinrEngine
+from repro.radio.sinr import RadioTables, SinrEngine
 
 from ..conftest import make_instance, make_scenario
 
@@ -80,8 +80,11 @@ class TestGlobalChannelPotential:
         """Forcing homogeneous gains reproduces the paper's Theorem 3 proof
         regime: improving moves decrease the global-channel potential."""
         inst = single_server_instance(6, channels=3)
+        gain = np.full((1, 6), 1e-6)
         engine = SinrEngine(
-            inst.scenario, inst.radio, gain=np.full((1, 6), 1e-6)
+            inst.scenario,
+            inst.radio,
+            tables=RadioTables.build(inst.scenario, inst.radio, gain),
         )
         for j in range(6):
             engine.assign(j, 0, 0)

@@ -6,7 +6,7 @@ import pytest
 from repro.core.game import IddeUGame
 from repro.core.instance import IDDEInstance
 from repro.datasets.melbourne import CBD_REGION
-from repro.dynamics import DynamicSimulation, RandomWaypoint
+from repro.dynamics import DynamicSimulation, RandomWaypoint, mobility_batches
 from repro.dynamics.churn import PoissonChurn, apply_churn
 from repro.errors import ScenarioError
 
@@ -108,8 +108,8 @@ class TestTimelineWithChurn:
             instance.scenario.user_xy, CBD_REGION, rng=1, speed_range=(2.0, 6.0)
         )
         churn = PoissonChurn(40, rng=2, p_depart=0.3, p_arrive=0.3, initial_active=0.6)
-        sim = DynamicSimulation(instance, mob, policy="warm", churn=churn)
-        records = sim.run(epochs=4, dt=20.0, rng=0)
+        sim = DynamicSimulation(instance, policy="warm", active=churn.active)
+        records = sim.run_events(mobility_batches(mob, 4, 20.0, churn), rng=0)
         assert all(0 <= r.active_users <= 40 for r in records)
         assert any(r.active_users < 40 for r in records)
 
@@ -118,12 +118,12 @@ class TestTimelineWithChurn:
 
         mob = RandomWaypoint(instance.scenario.user_xy, CBD_REGION, rng=1)
         with pytest.raises(ExperimentError):
-            DynamicSimulation(instance, mob, churn=PoissonChurn(3, rng=0))
+            mobility_batches(mob, 4, 20.0, churn=PoissonChurn(3, rng=0))
 
     def test_without_churn_everyone_active(self, instance):
         mob = RandomWaypoint(
             instance.scenario.user_xy, CBD_REGION, rng=1, speed_range=(2.0, 6.0)
         )
-        sim = DynamicSimulation(instance, mob, policy="warm")
-        records = sim.run(epochs=3, dt=20.0, rng=0)
+        sim = DynamicSimulation(instance, policy="warm")
+        records = sim.run_events(mobility_batches(mob, 3, 20.0), rng=0)
         assert all(r.active_users == 40 for r in records)

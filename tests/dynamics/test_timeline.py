@@ -5,7 +5,12 @@ import pytest
 
 from repro.core.instance import IDDEInstance
 from repro.datasets.melbourne import CBD_REGION
-from repro.dynamics import ConfinedRandomWalk, DynamicSimulation, RandomWaypoint
+from repro.dynamics import (
+    ConfinedRandomWalk,
+    DynamicSimulation,
+    RandomWaypoint,
+    mobility_batches,
+)
 from repro.errors import ExperimentError
 
 
@@ -20,10 +25,15 @@ def waypoint(instance, speed=(5.0, 15.0), seed=1):
     )
 
 
+def run(instance, mobility, epochs, dt, policy="warm"):
+    """``epochs`` epochs of ``mobility`` through the event loop."""
+    sim = DynamicSimulation(instance, policy=policy)
+    return sim.run_events(mobility_batches(mobility, epochs, dt), rng=0)
+
+
 class TestBasics:
     def test_epoch_zero_is_initial_solve(self, instance):
-        sim = DynamicSimulation(instance, waypoint(instance))
-        records = sim.run(epochs=1, dt=10.0, rng=0)
+        records = run(instance, waypoint(instance), epochs=1, dt=10.0)
         assert len(records) == 1
         rec = records[0]
         assert rec.epoch == 0
@@ -31,68 +41,59 @@ class TestBasics:
         assert rec.migration.cloud_seeded == rec.migration.n_added  # cold fill
 
     def test_record_count(self, instance):
-        sim = DynamicSimulation(instance, waypoint(instance))
-        records = sim.run(epochs=5, dt=20.0, rng=0)
+        records = run(instance, waypoint(instance), epochs=5, dt=20.0)
         assert [r.epoch for r in records] == [0, 1, 2, 3, 4]
 
     def test_policy_validation(self, instance):
         with pytest.raises(ExperimentError):
-            DynamicSimulation(instance, waypoint(instance), policy="oracle")
+            DynamicSimulation(instance, policy="oracle")
 
     def test_user_count_mismatch(self, instance):
-        small = RandomWaypoint(np.zeros((3, 2)), CBD_REGION, rng=0)
         with pytest.raises(ExperimentError):
-            DynamicSimulation(instance, small)
+            DynamicSimulation(instance, active=np.ones(3, dtype=bool))
 
     def test_zero_epochs_rejected(self, instance):
-        sim = DynamicSimulation(instance, waypoint(instance))
         with pytest.raises(ExperimentError):
-            sim.run(epochs=0, dt=1.0)
+            mobility_batches(waypoint(instance), epochs=0, dt=1.0)
 
 
 class TestPolicies:
     def test_static_never_resolves(self, instance):
-        sim = DynamicSimulation(instance, waypoint(instance), policy="static")
-        records = sim.run(epochs=4, dt=30.0, rng=0)
+        records = run(instance, waypoint(instance), epochs=4, dt=30.0, policy="static")
         assert all(r.game_moves == 0 for r in records[1:])
         assert all(r.migration_mb == 0.0 for r in records[1:])
 
     def test_static_decays_under_heavy_motion(self, instance):
         """A never-updated strategy loses rate as users walk away."""
-        sim = DynamicSimulation(
-            instance, waypoint(instance, speed=(20.0, 40.0)), policy="static"
+        records = run(
+            instance, waypoint(instance, speed=(20.0, 40.0)), 6, 60.0, policy="static"
         )
-        records = sim.run(epochs=6, dt=60.0, rng=0)
         assert records[-1].r_avg < records[0].r_avg * 0.8
 
     def test_warm_tracks_quality(self, instance):
-        warm = DynamicSimulation(
-            instance, waypoint(instance, speed=(20.0, 40.0)), policy="warm"
-        ).run(epochs=6, dt=60.0, rng=0)
-        static = DynamicSimulation(
-            instance, waypoint(instance, speed=(20.0, 40.0)), policy="static"
-        ).run(epochs=6, dt=60.0, rng=0)
+        warm = run(
+            instance, waypoint(instance, speed=(20.0, 40.0)), 6, 60.0, policy="warm"
+        )
+        static = run(
+            instance, waypoint(instance, speed=(20.0, 40.0)), 6, 60.0, policy="static"
+        )
         assert warm[-1].r_avg > static[-1].r_avg
 
     def test_warm_cheaper_than_cold_under_slow_motion(self, instance):
         """With gentle mobility, warm-started re-solves need far fewer
         best-response moves than solving from scratch."""
         slow = (0.3, 0.8)
-        warm = DynamicSimulation(
-            instance, waypoint(instance, speed=slow), policy="warm"
-        ).run(epochs=5, dt=10.0, rng=0)
-        cold = DynamicSimulation(
-            instance, waypoint(instance, speed=slow), policy="cold"
-        ).run(epochs=5, dt=10.0, rng=0)
+        warm = run(instance, waypoint(instance, speed=slow), 5, 10.0, policy="warm")
+        cold = run(instance, waypoint(instance, speed=slow), 5, 10.0, policy="cold")
         warm_moves = np.mean([r.game_moves for r in warm[1:]])
         cold_moves = np.mean([r.game_moves for r in cold[1:]])
         assert warm_moves < cold_moves * 0.5, (warm_moves, cold_moves)
 
     def test_cold_and_warm_maintain_rate(self, instance):
         for policy in ("warm", "cold"):
-            records = DynamicSimulation(
-                instance, waypoint(instance, speed=(10.0, 20.0)), policy=policy
-            ).run(epochs=5, dt=30.0, rng=0)
+            records = run(
+                instance, waypoint(instance, speed=(10.0, 20.0)), 5, 30.0, policy=policy
+            )
             rates = [r.r_avg for r in records]
             assert min(rates) > 0.6 * rates[0], (policy, rates)
 
@@ -102,16 +103,14 @@ class TestWithRandomWalk:
         walk = ConfinedRandomWalk(
             instance.scenario.user_xy, CBD_REGION, rng=2, sigma=5.0
         )
-        sim = DynamicSimulation(instance, walk, policy="warm")
-        records = sim.run(epochs=4, dt=20.0, rng=0)
+        records = run(instance, walk, epochs=4, dt=20.0)
         assert len(records) == 4
         assert all(r.r_avg > 0 for r in records)
 
 
 class TestSummary:
     def test_summary_keys(self, instance):
-        sim = DynamicSimulation(instance, waypoint(instance))
-        records = sim.run(epochs=4, dt=20.0, rng=0)
+        records = run(instance, waypoint(instance), epochs=4, dt=20.0)
         summary = DynamicSimulation.summarize(records)
         assert set(summary) == {
             "mean_r_avg",
@@ -129,8 +128,7 @@ class TestSummary:
         """Epoch 0 is cold build-up, not churn: a 1-epoch run has no
         steady-state sample, so the churn statistics are NaN rather than
         the cold solve in disguise."""
-        sim = DynamicSimulation(instance, waypoint(instance))
-        records = sim.run(epochs=1, dt=10.0, rng=0)
+        records = run(instance, waypoint(instance), epochs=1, dt=10.0)
         summary = DynamicSimulation.summarize(records)
         for key in (
             "mean_realloc",
@@ -142,8 +140,7 @@ class TestSummary:
         assert summary["mean_r_avg"] == pytest.approx(records[0].r_avg)
 
     def test_multi_record_steady_metrics_exclude_epoch_zero(self, instance):
-        sim = DynamicSimulation(instance, waypoint(instance))
-        records = sim.run(epochs=3, dt=10.0, rng=0)
+        records = run(instance, waypoint(instance), epochs=3, dt=10.0)
         summary = DynamicSimulation.summarize(records)
         assert summary["mean_realloc"] == pytest.approx(
             np.mean([r.reallocated_users for r in records[1:]])
@@ -215,8 +212,7 @@ class TestEventDriven:
         assert not alloc.allocated[:5].any()
 
     def test_mobility_and_event_frontends_share_engine(self, instance):
-        """run() is an adapter: its records carry façade solutions too."""
-        sim = DynamicSimulation(instance, waypoint(instance), policy="cold")
-        records = sim.run(epochs=2, dt=10.0, rng=0)
+        """mobility_batches is an adapter: its records carry façade solutions too."""
+        records = run(instance, waypoint(instance), epochs=2, dt=10.0, policy="cold")
         assert all(r.solution is not None for r in records)
         assert records[1].n_events >= instance.n_users  # a Move per user

@@ -12,7 +12,16 @@ exact equality:
 * delivery: the ordered placements, the bitwise total gain, the final
   placement matrix, and — in the traced replays — every
   ``delivery.place`` / ``delivery.stop`` event and the
-  ``delivery.threshold_rejects`` count.
+  ``delivery.threshold_rejects`` count;
+* shard: the sharded solver (:mod:`repro.sharding`) against the global
+  game.  Both runs must certify an ε-Nash on the whole instance (the
+  sharded certificate comes from the reconciliation run over the full
+  player set).  On a plan with no boundary users the deterministic
+  schedules must also stitch to the *bit-identical* global profile:
+  sorted index maps preserve covering-set order and every per-shard float
+  is the identical padded reduction.  ``random-winner`` is exempt from
+  that — shards consume independent spawned streams, so it reaches a
+  (certified) different equilibrium by design.
 
 A parity break is a correctness bug in whichever side changed last —
 never relax a comparison to a tolerance to make it pass.
@@ -28,6 +37,7 @@ from repro.config import DeliveryConfig, GameConfig
 from repro.core.delivery import DeliveryResult, greedy_delivery
 from repro.core.game import GameResult, IddeUGame
 from repro.obs.tracer import RecordingTracer, Tracer
+from repro.sharding import ShardConfig, build_plan, solve_sharded_game
 
 from .delivery import oracle_delivery
 from .game import OracleGame
@@ -41,10 +51,11 @@ __all__ = [
     "delivery_cases",
     "game_cases",
     "render",
+    "shard_cases",
 ]
 
-#: The verification grid: 5 seeds x all three schedules for the game,
-#: 5 seeds x four configs x {plain, traced} for delivery.
+#: The verification grid: 5 seeds x all three schedules for the game and
+#: the shards, 5 seeds x four configs x {plain, traced} for delivery.
 SEEDS: tuple[int, ...] = (0, 1, 2, 3, 4)
 SCHEDULES: tuple[str, ...] = tuple(GameConfig._SCHEDULES)
 #: Both selection rules, each plain and with a stopping threshold high
@@ -189,4 +200,49 @@ def delivery_cases(
                     _delivery_observables(slow, slow_tr),
                 )
             )
+    return cases
+
+
+def _profile(result: GameResult) -> tuple[list[int], list[int]]:
+    return result.profile.server.tolist(), result.profile.channel.tolist()
+
+
+def shard_cases(
+    scale: str,
+    seed: int,
+    schedules: tuple[str, ...] = SCHEDULES,
+) -> list[PairCase]:
+    """The sharded solver vs the global game, per schedule.
+
+    The expected side states the contract rather than echoing a second
+    run: both certificates are ``True``, and the sharded profile is the
+    global one wherever a bit-identical stitch is guaranteed
+    (deterministic schedule, no boundary users).
+    """
+    instance = instance_for(scale, seed)
+    shard_cfg = ShardConfig(n_workers=0)
+    plan = build_plan(instance, shard_cfg)
+    cases = []
+    for schedule in schedules:
+        cfg = GameConfig(schedule=schedule)
+        glob = IddeUGame(instance, cfg).run(rng=seed)
+        shard, stats = solve_sharded_game(instance, cfg, shard_cfg, rng=seed, plan=plan)
+        must_match = schedule != "random-winner" and plan.boundary_users.size == 0
+        cases.append(
+            compare(
+                f"shard {scale} seed={seed} {schedule} "
+                f"shards={stats['n_shards']} boundary={stats['boundary_users']}",
+                shard.moves,
+                {
+                    "global-nash": glob.is_nash,
+                    "sharded-nash": shard.is_nash,
+                    "profile": _profile(shard),
+                },
+                {
+                    "global-nash": True,
+                    "sharded-nash": True,
+                    "profile": _profile(glob) if must_match else _profile(shard),
+                },
+            )
+        )
     return cases

@@ -7,7 +7,7 @@ from repro.config import RadioConfig
 from repro.errors import AllocationError, ConfigurationError
 from repro.radio.channel import gain_matrix
 from repro.radio.fading import composite_gain, lognormal_shadowing, rayleigh_expected
-from repro.radio.sinr import SinrEngine
+from repro.radio.sinr import RadioTables, SinrEngine
 
 from ..conftest import make_scenario
 
@@ -92,7 +92,8 @@ class TestEngineInjection:
             radius=400.0,
         )
         gain = lognormal_shadowing(sc.server_xy, sc.user_xy, rng=0)
-        engine = SinrEngine(sc, RadioConfig(), gain=gain)
+        tables = RadioTables.build(sc, RadioConfig(), gain)
+        engine = SinrEngine(sc, RadioConfig(), tables=tables)
         assert np.allclose(engine.gain, gain)
         engine.assign(0, 0, 0)
         assert engine.user_rate(0) > 0
@@ -100,12 +101,12 @@ class TestEngineInjection:
     def test_override_shape_checked(self):
         sc = make_scenario([[0.0, 0.0]], [[10.0, 0.0]])
         with pytest.raises(AllocationError):
-            SinrEngine(sc, gain=np.ones((2, 2)))
+            RadioTables.build(sc, RadioConfig(), np.ones((2, 2)))
 
     def test_override_must_be_positive(self):
         sc = make_scenario([[0.0, 0.0]], [[10.0, 0.0]])
         with pytest.raises(AllocationError):
-            SinrEngine(sc, gain=np.zeros((1, 1)))
+            RadioTables.build(sc, RadioConfig(), np.zeros((1, 1)))
 
     def test_instance_level_override(self):
         from repro.core.game import IddeUGame

@@ -325,21 +325,22 @@ class TestRadioTables:
                 array.flat[0] = array.flat[0]
 
     def test_gain_override_copied_and_validated(self, tiny_scenario):
+        cfg = RadioConfig()
         gain = np.full((3, 6), 1e-6)
-        engine = SinrEngine(tiny_scenario, gain=gain)
+        engine = SinrEngine(
+            tiny_scenario, tables=RadioTables.build(tiny_scenario, cfg, gain)
+        )
         gain[0, 0] = 1.0  # the caller's array stays writable and unshared
         assert engine.gain[0, 0] == 1e-6
         assert not engine.gain.flags.writeable
         with pytest.raises(AllocationError, match="must be"):
-            SinrEngine(tiny_scenario, gain=np.ones((2, 6)))
+            RadioTables.build(tiny_scenario, cfg, np.ones((2, 6)))
         with pytest.raises(AllocationError, match="strictly positive"):
-            SinrEngine(tiny_scenario, gain=np.zeros((3, 6)))
+            RadioTables.build(tiny_scenario, cfg, np.zeros((3, 6)))
 
-    def test_tables_exclusive_with_gain(self, tiny_scenario):
+    def test_shared_tables_shape_checked(self, tiny_scenario):
         tables = RadioTables.build(tiny_scenario, RadioConfig())
         assert SinrEngine(tiny_scenario, tables=tables).gain is tables.gain
-        with pytest.raises(AllocationError, match="not both"):
-            SinrEngine(tiny_scenario, gain=np.ones((3, 6)), tables=tables)
         other = make_scenario([[0.0, 0.0]], [[1.0, 1.0]])
         with pytest.raises(AllocationError, match="shared tables"):
             SinrEngine(other, tables=tables)

@@ -215,6 +215,31 @@ class TestErrorPaths:
         assert "kernel" in error["message"]
         assert after[0] == 200
 
+    @pytest.mark.parametrize("solver", ["idde-g", "cdp"])
+    def test_unknown_solver_option_is_structured_400(self, instance, solver):
+        """An option the solver's constructor does not take is a 400 naming
+        it and the solver — never a 500, never silently dropped — and the
+        session's base request survives for the next request."""
+        daemon = ServeDaemon(_session(instance))
+        doc = SolveRequest(solver=solver).to_dict()
+        doc["solver_options"] = {"bogus": 1}
+
+        async def scenario(d):
+            return (
+                await _http(d.port, "POST", "/v1/solve", doc),
+                await _http(d.port, "POST", "/v1/solve"),
+            )
+
+        (rejected, after), _ = _drive(daemon, scenario)
+        assert rejected[0] == 400
+        error = json.loads(rejected[1])["error"]
+        assert error["type"] == "ConfigurationError"
+        assert "bogus" in error["message"] and solver in error["message"]
+        assert after[0] == 200
+        request = json.loads(after[1])["request"]
+        assert request["solver"] == "idde-g"
+        assert request["solver_options"] == {}
+
     def test_unknown_endpoint_and_wrong_method(self, instance):
         daemon = ServeDaemon(_session(instance))
 
@@ -308,7 +333,7 @@ class TestReadsDuringSolve:
 
         Unlike the admission tests this keeps the real
         :class:`SolverSession` (its locking included) and slows only the
-        ``execute`` kernel, so a held-across-the-kernel lock would stall
+        façade ``solve`` call, so a held-across-the-kernel lock would stall
         the event loop and fail the latency assertion below.
         """
         import repro.serve.session as session_module
@@ -316,14 +341,14 @@ class TestReadsDuringSolve:
         session = _session(instance)
         entered = threading.Event()
         release = threading.Event()
-        real_execute = session_module.execute
+        real_solve = session_module.solve
 
-        def slow_execute(inst, request, *, tracer=None):
+        def slow_solve(inst, request, *, tracer=None):
             entered.set()
             assert release.wait(timeout=10), "reads deadlocked behind the solve"
-            return real_execute(inst, request, tracer=tracer)
+            return real_solve(inst, request, tracer=tracer)
 
-        monkeypatch.setattr(session_module, "execute", slow_execute)
+        monkeypatch.setattr(session_module, "solve", slow_solve)
         daemon = ServeDaemon(session)
 
         async def scenario(d):

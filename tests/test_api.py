@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.api import SOLUTION_SCHEMA, Solution, solve
-from repro.baselines import CANONICAL_SOLVERS, resolve_solver_name, solver_by_name
+from repro.baselines import CANONICAL_SOLVERS, build_solver, resolve_solver_name
 from repro.config import DeliveryConfig, GameConfig
 from repro.core.idde_g import IddeG
 from repro.core.instance import IDDEInstance
@@ -112,13 +112,18 @@ class TestRegistry:
         # The lookup error is a KeyError for callers catching that.
         assert isinstance(err.value, KeyError)
 
-    def test_dropped_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="bogus_kw"):
-            solver = solver_by_name("cdp", bogus_kw=1)
-        assert solver.name == "CDP"
+    def test_unknown_kwargs_rejected(self, instance):
+        for name in ("cdp", "idde-g"):
+            with pytest.raises(ConfigurationError, match=f"{name}.*bogus_kw"):
+                build_solver(name, bogus_kw=1)
+            with pytest.raises(ConfigurationError, match="bogus_kw"):
+                solve(instance, name, solver_options={"bogus_kw": 1}, rng=3)
+        # A constructor keyword the request already sets is refused too.
+        with pytest.raises(ConfigurationError, match="tracer"):
+            solve(instance, "idde-g", solver_options={"tracer": None}, rng=3)
 
     def test_accepted_kwargs_pass_through(self):
-        solver = solver_by_name("idde-ip", time_budget_s=0.5)
+        solver = build_solver("idde-ip", time_budget_s=0.5)
         assert solver.time_budget_s == 0.5
 
 
@@ -200,7 +205,7 @@ class TestWarmStart:
 
 
 class TestSolutionSchemaVersions:
-    """idde-solution/1 -> /2 -> /3: the multi-version loader and typed extras."""
+    """The idde-solution/3 loader (older tags are rejected) and typed extras."""
 
     def _v3_doc(self, instance):
         from repro.request import SolveRequest
@@ -216,33 +221,15 @@ class TestSolutionSchemaVersions:
         assert loaded == doc
         assert loaded["request"]["schema"] == "idde-request/2"
 
-    def test_loader_passes_v2_through(self, instance):
-        """A v2 document still loads; only its tag and the kernel keys v3
-        dropped change."""
-        from repro.api import SOLUTION_SCHEMA_V2, load_solution_document
+    @pytest.mark.parametrize("schema", ["idde-solution/1", "idde-solution/2"])
+    def test_loader_rejects_retired_schemas(self, instance, schema):
+        """v1 and v2 are no longer read: they fail like any unknown tag."""
+        from repro.api import load_solution_document
 
         doc = self._v3_doc(instance)
-        doc["schema"] = SOLUTION_SCHEMA_V2
-        # v2 recorded the kernels of both phases in config and extras.
-        doc["config"].update(kernel="reference", delivery_kernel="reference")
-        doc["extras"].update(kernel="reference", delivery_kernel="reference")
-        loaded = load_solution_document(doc)
-        assert loaded["schema"] == SOLUTION_SCHEMA
-        assert loaded["config"] == self._v3_doc(instance)["config"]
-        assert "kernel" not in loaded["extras"]
-        assert "delivery_kernel" not in loaded["extras"]
-        assert loaded["request"] == doc["request"]
-
-    def test_loader_upgrades_v1_in_place(self, instance):
-        from repro.api import SOLUTION_SCHEMA_V1, load_solution_document
-
-        doc = self._v3_doc(instance)
-        doc["schema"] = SOLUTION_SCHEMA_V1
-        del doc["request"]  # v1 never recorded the producing request
-        loaded = load_solution_document(doc)
-        assert loaded["schema"] == SOLUTION_SCHEMA
-        assert loaded["request"] is None
-        assert loaded["solver"] == "IDDE-G"
+        doc["schema"] = schema
+        with pytest.raises(ConfigurationError, match="unsupported solution schema"):
+            load_solution_document(doc)
 
     def test_loader_rejects_unknown_schema(self, instance):
         from repro.api import load_solution_document

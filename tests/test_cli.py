@@ -35,8 +35,10 @@ class TestParser:
                 build_parser().parse_args(["solve", "--shards", bad])
 
     def test_bench_shard_parity_flag(self):
-        args = build_parser().parse_args(["bench", "--verify-shard-parity"])
-        assert args.verify_shard_parity
+        """The sharded-vs-global check is the shard phase of
+        tests/oracles/test_parity.py, not a bench flag."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--verify-shard-parity"])
 
 
 class TestCommands:

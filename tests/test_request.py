@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import execute, solve
+from repro.api import solve
 from repro.config import DeliveryConfig, GameConfig
 from repro.core.instance import IDDEInstance
 from repro.errors import ConfigurationError
@@ -180,7 +180,7 @@ class TestRuntimeFields:
 
     def test_sentinel_rejected_by_direct_execute(self, instance):
         with pytest.raises(ConfigurationError, match="resident"):
-            execute(instance, SolveRequest(solver="idde-g", warm_start=True))
+            solve(instance, SolveRequest(solver="idde-g", warm_start=True))
 
     def test_unserialisable_solver_options_rejected(self):
         req = SolveRequest(solver_options={"obj": object()})
@@ -189,7 +189,7 @@ class TestRuntimeFields:
 
 
 class TestFacadeParity:
-    """solve(**kwargs) and solve(SolveRequest(...)) are one code path."""
+    """solve(name, **fields) and solve(SolveRequest(...)) are one code path."""
 
     def test_kwargs_and_request_are_bit_identical(self, instance):
         by_kwargs = solve(
