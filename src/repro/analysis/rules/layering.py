@@ -11,9 +11,6 @@ solution methods:
 * ``bench/`` must not import ``experiments``, ``viz``, ``cli`` (the
   measurement substrate times kernels, never the reporting harness that
   wraps them);
-* ``sharding/`` must not import ``experiments``, ``viz``, ``cli``,
-  ``bench`` (the decomposition solver is model code: the harness and the
-  benchmarks drive it, never the other way around);
 * ``serve/`` must not import ``experiments``, ``viz``, ``cli``, ``bench``,
   ``analysis`` (the daemon wraps the façade and the workload fold; the
   CLI boots it and the benchmarks time it, never the reverse);
@@ -47,7 +44,6 @@ FORBIDDEN: dict[str, frozenset[str]] = {
     "topology": frozenset({"solvers", "baselines"}),
     "bench": frozenset({"experiments", "viz", "cli"}),
     "workload": frozenset({"experiments", "viz", "cli", "bench"}),
-    "sharding": frozenset({"experiments", "viz", "cli", "bench"}),
     "serve": frozenset({"experiments", "viz", "cli", "bench", "analysis"}),
     "obs": frozenset(
         {

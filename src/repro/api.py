@@ -3,7 +3,7 @@
 Every front-end — the ``idde`` CLI, the experiment harness, the streaming
 replay loop, the IDDE-Serve daemon, notebook users — reaches the solvers
 through one call, and one *object* describes the run everywhere: the
-schema-versioned :class:`~repro.request.SolveRequest` (``idde-request/2``,
+schema-versioned :class:`~repro.request.SolveRequest` (``idde-request/3``,
 also the daemon's wire format)::
 
     from repro.api import solve
@@ -23,10 +23,10 @@ certificate), the :class:`~repro.core.delivery.DeliveryResult` (placements,
 latency gain), and the joint :class:`~repro.core.objectives.Evaluation` —
 without re-running any phase: the solver stashes the full result objects in
 ``extras`` and this module lifts them out.  The solution document carries
-the request that produced it, and the typed ``extras`` accessors
-(:attr:`Solution.sharding_stats`, :attr:`Solution.warm_detached`) replace
-dict-key spelunking.  :func:`load_solution_document` reads
-``idde-solution/3`` only (see docs/SERVING.md for the schema history).
+the request that produced it, and the typed ``extras`` accessor
+:attr:`Solution.warm_detached` replaces dict-key spelunking.
+:func:`load_solution_document` reads ``idde-solution/3`` only (see
+docs/SERVING.md for the schema history).
 
 Solver names resolve through the :mod:`repro.baselines` registry, so
 unknown names fail with a did-you-mean
@@ -45,7 +45,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .baselines import Solver, build_solver, resolve_solver_name
+from .baselines import build_solver, resolve_solver_name
 from .core.delivery import DeliveryResult
 from .core.game import GameResult
 from .core.instance import IDDEInstance
@@ -56,7 +56,6 @@ from .errors import ConfigurationError
 from .obs.tracer import Tracer, ensure_tracer
 from .request import SolveRequest, json_scalarish
 from .rng import ensure_rng
-from .sharding import ShardedIddeG
 
 __all__ = [
     "SOLUTION_SCHEMA",
@@ -104,16 +103,6 @@ class Solution:
     # typed extras accessors
     # ------------------------------------------------------------------
     @property
-    def sharding_stats(self) -> dict[str, Any] | None:
-        """Decomposition statistics from a sharded solve, or ``None``.
-
-        The dict the :class:`~repro.sharding.ShardedIddeG` solver stashes
-        (shard count/sizes, boundary users, reconciliation rounds).
-        """
-        stats = self.extras.get("sharding")
-        return dict(stats) if isinstance(stats, dict) else None
-
-    @property
     def warm_detached(self) -> int | None:
         """Users the warm-start repair detached, or ``None`` on cold solves."""
         detached = self.extras.get("warm_detached")
@@ -125,7 +114,7 @@ class Solution:
         Surfaces every field reachable from the underlying results —
         including the ε-Nash certificate (``effective_epsilon``), the
         move-capped player list, and the schedule that produced the
-        run — plus the ``idde-request/2`` document of the request that
+        run — plus the ``idde-request/3`` document of the request that
         produced it (serialised leniently: a live warm-start object
         degrades to its boolean presence, a live generator to a null
         seed).
@@ -263,7 +252,6 @@ def solve(
         )
     active = request.active
     warm_detached: int | None = None
-    cls: type[Solver] | None = None  # the registry class of ``name``
     fixed: dict[str, Any] = {}
     if name == "idde-g":
         initial: AllocationProfile | None = None
@@ -286,9 +274,6 @@ def solve(
             initial=initial,
             active=active,
         )
-        if request.sharding is not None:
-            cls = ShardedIddeG
-            fixed["sharding"] = request.sharding
         taken = sorted(set(opts) & set(fixed))
         if taken:
             raise ConfigurationError(
@@ -300,11 +285,6 @@ def solve(
                 f"game_config/delivery_config apply only to 'idde-g'; "
                 f"solver {name!r} has no game or greedy-delivery phase"
             )
-        if request.sharding is not None:
-            raise ConfigurationError(
-                f"sharding applies only to 'idde-g'; solver {name!r} "
-                f"has no game phase to decompose"
-            )
         if warm_start is not None or active is not None:
             raise ConfigurationError(
                 f"warm_start/active apply only to 'idde-g'; solver {name!r} "
@@ -312,7 +292,7 @@ def solve(
             )
         if name == "idde-ip" and request.ip_time_budget_s is not None:
             opts.setdefault("time_budget_s", request.ip_time_budget_s)
-    s = build_solver(name, cls, **fixed, **opts)
+    s = build_solver(name, **fixed, **opts)
 
     config: dict[str, Any] = {"solver": name}
     if name == "idde-g":
@@ -323,10 +303,6 @@ def solve(
             max_rounds=gc.max_rounds,
             ratio_rule=dc.ratio_rule,
         )
-        if request.sharding is not None:
-            config["shards"] = (
-                request.sharding.n_shards if request.sharding.n_shards else "auto"
-            )
         config["warm_start"] = warm_start is not None
         if active is not None:
             config["active_users"] = int(np.asarray(active, dtype=bool).sum())

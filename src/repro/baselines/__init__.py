@@ -85,17 +85,15 @@ def resolve_solver_name(name: str) -> str:
     )
 
 
-def build_solver(name: str, cls: type[Solver] | None = None, /, **kwargs: Any) -> Solver:
+def build_solver(name: str, /, **kwargs: Any) -> Solver:
     """Construct the solver registered as ``name`` (case-insensitive).
 
-    ``cls`` replaces the registry class (the façade passes
-    :class:`~repro.sharding.ShardedIddeG` for a sharded ``"idde-g"``).
     The keywords bind against the constructor's signature; any it does
     not accept raise :class:`~repro.errors.ConfigurationError` naming
     them and the solver.
     """
     key = resolve_solver_name(name)
-    cls = cls or _FACTORIES[key]
+    cls = _FACTORIES[key]
     signature = inspect.signature(cls)
     try:
         signature.bind(**kwargs)

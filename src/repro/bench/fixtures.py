@@ -24,9 +24,10 @@ Scales
 ``XL``
     A metropolitan instance: six CBD-sized districts tiled with a gap
     wider than any coverage diameter (:func:`repro.datasets.synthetic_metro`),
-    so the interference graph decomposes naturally — the regime the
-    ``shard.*`` benchmarks measure.  Too slow for the full registry in CI;
-    the bench-trajectory job runs it filtered to ``shard``.
+    so a move touches the best-response rows of one district only — the
+    regime ``game.converge.best-gain-winner`` measures.  Too slow for the
+    full registry in CI; the bench-trajectory job runs it filtered to
+    ``game.converge``.
 """
 
 from __future__ import annotations

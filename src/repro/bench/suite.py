@@ -13,16 +13,11 @@ The hot paths, mapped to the paper:
 * ``game.round.*`` — one best-response round under each of the three
   update schedules of Algorithm 1, plus a ``.traced`` twin of the
   round-robin round timing the recording-tracer overhead;
-* ``game.converge`` — a full IDDE-U run to Nash equilibrium;
-* ``shard.*`` — the interference-domain decomposition layer: plan
-  construction (``shard.build``), a full sharded solve including
-  reconciliation (``shard.solve``), and its unsharded twin
-  (``shard.solve.global``) on the identical instance and config — their
-  ratio IS the decomposition speed-up (serial by construction: the timed
-  region runs under ``force_serial``).  Both solve benches use the
-  literal Algorithm 1 ``best-gain-winner`` schedule, where
-  decomposition shortens the per-move candidate sweep;
-  run them at ``XL`` for the trajectory point;
+* ``game.converge`` — a full IDDE-U run to Nash equilibrium under the
+  default round-robin schedule, and ``game.converge.best-gain-winner``
+  under the literal Algorithm 1 schedule, one winner per round, where
+  the resident best-response table refreshes only the rows each move
+  dirtied; run both at ``XL`` for the trajectory point;
 * ``delivery.greedy`` — Phase 2 marginal-latency-per-byte placement
   (Eq. 17, Theorems 6–7) on the incremental gain-table loop; run it at
   ``M_k64``, where delivery dominates the solve, for the trajectory
@@ -220,57 +215,16 @@ def _bench_game_converge(scale: str, seed: int) -> Callable[[], object]:
     return run
 
 
-#: The shard solve pair plays the literal Algorithm 1 schedule: one winner
-#: per round means the global run pays a full candidate sweep per move,
-#: which is exactly the cost decomposition amortises per shard.
-_SHARD_GAME_CFG = GameConfig(schedule="best-gain-winner")
-
-
 @benchmark(
-    "shard.build",
-    "interference-domain plan construction (components + split + pack)",
+    "game.converge.best-gain-winner",
+    "full IDDE-U run to Nash equilibrium, literal Algorithm 1 schedule",
 )
-def _bench_shard_build(scale: str, seed: int) -> Callable[[], object]:
-    from ..sharding import ShardConfig, build_plan
-
+def _bench_game_converge_best_gain(scale: str, seed: int) -> Callable[[], object]:
     instance = instance_for(scale, seed)
-    cfg = ShardConfig()
+    cfg = GameConfig(schedule="best-gain-winner")
 
     def run() -> object:
-        return len(build_plan(instance, cfg).shards)
-
-    return run
-
-
-@benchmark(
-    "shard.solve",
-    "sharded IDDE-U solve + reconciliation, best-gain-winner (pair)",
-)
-def _bench_shard_solve(scale: str, seed: int) -> Callable[[], object]:
-    from ..sharding import ShardConfig, solve_sharded_game
-
-    instance = instance_for(scale, seed)
-    shard_cfg = ShardConfig(n_workers=0)
-
-    def run() -> object:
-        result, _ = solve_sharded_game(
-            instance, _SHARD_GAME_CFG, shard_cfg, rng=seed
-        )
-        assert result.is_nash
-        return result.moves
-
-    return run
-
-
-@benchmark(
-    "shard.solve.global",
-    "the same solve unsharded on the whole instance (pair twin)",
-)
-def _bench_shard_solve_global(scale: str, seed: int) -> Callable[[], object]:
-    instance = instance_for(scale, seed)
-
-    def run() -> object:
-        result = IddeUGame(instance, _SHARD_GAME_CFG).run(rng=seed)
+        result = IddeUGame(instance, cfg).run(rng=seed)
         assert result.is_nash
         return result.moves
 

@@ -30,14 +30,12 @@ Subcommands
                ``idde-trace/1`` JSONL file (see docs/OBSERVABILITY.md).
 ``serve``      Boot IDDE-Serve, the long-lived async solver daemon: a
                stateful session behind a schema-versioned HTTP/JSON API
-               (``idde-request/2`` in, ``idde-solution/3`` out,
+               (``idde-request/3`` in, ``idde-solution/3`` out,
                ``idde-events/1`` deltas re-solved warm; see
                docs/SERVING.md).
 
 ``solve``, ``sweep`` and ``reproduce`` accept ``--trace out.jsonl`` to
-record a full execution trace; ``solve``/``sweep`` accept ``--shards
-auto|N`` to route IDDE-G through the interference-domain decomposition
-solver (see docs/SHARDING.md).
+record a full execution trace.
 All solving routes through :func:`repro.api.solve`.
 """
 
@@ -84,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--map", action="store_true", help="draw the scenario and IDDE-G allocation"
     )
-    _add_shards_arg(p_solve)
     _add_trace_arg(p_solve)
     p_solve.add_argument(
         "--format", choices=["text", "json"], default="text",
@@ -94,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run one Table 2 experiment set")
     p_sweep.add_argument("set", choices=["1", "2", "3", "4"], help="Table 2 set number")
     _add_sweep_args(p_sweep)
-    _add_shards_arg(p_sweep)
     _add_trace_arg(p_sweep)
 
     p_rep = sub.add_parser("reproduce", help="run every set; emit the markdown report")
@@ -157,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run warm AND cold over the same batches; re-certify both "
         "end-states as ε-Nash on the final instance (exit 1 on failure)",
     )
-    _add_shards_arg(p_replay)
     _add_trace_arg(p_replay)
 
     p_gap = sub.add_parser("gap", help="greedy vs exact MILP delivery gap")
@@ -279,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-limit", type=int, default=8,
         help="max mutating requests admitted at once (429 past it)",
     )
-    _add_shards_arg(p_serve)
 
     p_trace = sub.add_parser(
         "trace", help="inspect IDDE-Trace (idde-trace/1) JSONL documents"
@@ -293,32 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=["text", "json"], default="text", help="report format"
     )
     return parser
-
-
-def _shards_value(text: str) -> int | str:
-    """Parse ``--shards``: the literal ``auto`` or a positive shard count."""
-    if text == "auto":
-        return "auto"
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected 'auto' or a positive integer, got {text!r}"
-        ) from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"shard count must be >= 1, got {n}")
-    return n
-
-
-def _add_shards_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--shards",
-        type=_shards_value,
-        default=None,
-        metavar="auto|N",
-        help="solve IDDE-G by interference-domain decomposition: 'auto' "
-        "(natural coverage domains) or a target shard count",
-    )
 
 
 def _add_trace_arg(p: argparse.ArgumentParser) -> None:
@@ -343,15 +311,6 @@ def _add_sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ip-budget", type=float, default=3.0, help="IDDE-IP seconds per trial")
     p.add_argument("--workers", type=int, default=None, help="worker processes")
-
-
-def _shard_config(shards: int | str | None):
-    """Map a parsed ``--shards`` value to a :class:`ShardConfig` (or None)."""
-    if shards is None:
-        return None
-    from .sharding import ShardConfig
-
-    return ShardConfig() if shards == "auto" else ShardConfig(n_shards=int(shards))
 
 
 def _make_tracer(args: argparse.Namespace):
@@ -382,7 +341,6 @@ def _request_for(args: argparse.Namespace, name: str):
 
     return SolveRequest(
         solver=name,
-        sharding=_shard_config(args.shards) if name == "idde-g" else None,
         ip_time_budget_s=getattr(args, "ip_budget", None),
         rng=args.seed,
     )
@@ -409,10 +367,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     solutions = [
         solve(instance, _request_for(args, name), tracer=tracer) for name in names
     ]
-    _save_trace(
-        tracer, args, command="solve", solver=args.solver, seed=args.seed,
-        shards=args.shards,
-    )
+    _save_trace(tracer, args, command="solve", solver=args.solver, seed=args.seed)
 
     if args.format == "json":
         doc = {
@@ -458,13 +413,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
         ip_time_budget_s=args.ip_budget,
         parallel=ParallelConfig(n_workers=args.workers),
-        shards=args.shards,
         tracer=tracer,
     )
-    _save_trace(
-        tracer, args, command="sweep", set=args.set, seed=args.seed,
-        shards=args.shards,
-    )
+    _save_trace(tracer, args, command="sweep", set=args.set, seed=args.seed)
     for metric in ("r_avg", "l_avg_ms", "time_s"):
         print(render_sweep_markdown(result, metric))
     print(render_advantage_markdown(result))
@@ -548,7 +499,6 @@ def _replay_impl(args: argparse.Namespace) -> int:
     instance = IDDEInstance.generate(
         n=args.n, m=args.m, k=args.k, density=args.density, seed=args.seed
     )
-    shard_cfg = _shard_config(args.shards)
     tracer = _make_tracer(args)
 
     def _events():
@@ -576,7 +526,6 @@ def _replay_impl(args: argparse.Namespace) -> int:
         sim = DynamicSimulation(
             instance,
             policy=policy,
-            sharding=shard_cfg,
             tracer=tracer,
         )
         return sim.run_events(

@@ -30,13 +30,20 @@ the improvement threshold until the cycle dies (see
 ``GameResult.effective_epsilon`` — a ``converged=True`` result is never
 returned without a certificate that holds.
 
-Every schedule, and the certificate, evaluates all users' candidate grids
-in one einsum pass per round via
-:meth:`~repro.radio.sinr.SinrEngine.batch_best_responses`; the round-robin
-sweep re-evaluates a user that an earlier move of the same sweep made stale
-with the fused single-user kernel
+Both runners read their rounds off one resident ``(M,)`` best-response
+table (:meth:`IddeUGame._refresh`).  A move from server ``s'`` to ``s``
+changes the interference of exactly the users that ``s`` or ``s'`` covers,
+so only those rows are marked dirty, and the next round re-evaluates just
+them in one :meth:`~repro.radio.sinr.SinrEngine.batch_best_responses`
+pass.  This is exact: rows are independent reductions, so a clean row is
+bit for bit what a full batch would recompute.  The winner schedules
+therefore pay for the rows one move touched, not all M, and need no
+decomposition of the instance to stay cheap at city scale.  Within a
+round-robin sweep, a user that an earlier move of the same sweep made
+stale is re-evaluated by the fused single-user kernel
 :meth:`~repro.radio.sinr.SinrEngine.best_response`, which builds only the
-best move.  The literal
+best move.  The certificate (:meth:`IddeUGame.is_nash`) never reads the
+table: it evaluates every player afresh on its own engine.  The literal
 per-user transcription of Algorithm 1 lives in the test suite
 (``tests/oracles/game.py``) as the readable oracle: the batched runners
 must replay it bit-for-bit — identical move sequences
@@ -361,11 +368,12 @@ class IddeUGame:
         """Round-robin sweeps: users in index order, each applying its best
         response immediately; a sweep with no move terminates.
 
-        All users are evaluated in one einsum pass against the sweep-start
-        state; within the sweep, a move at server ``i`` only perturbs the
-        interference of users covered by ``i``, so exactly those users are
-        marked stale and re-evaluated at their turn by the fused
-        single-user kernel (:meth:`~repro.radio.sinr.SinrEngine.best_response`).
+        The sweep starts from the resident table, refreshed for the users
+        the previous sweep's moves dirtied; within the sweep, a move at
+        server ``i`` only perturbs the interference of users covered by
+        ``i``, so exactly those users are marked stale and re-evaluated at
+        their turn by the fused single-user kernel
+        (:meth:`~repro.radio.sinr.SinrEngine.best_response`).
         A fresh user's batch entry is still exact at its turn and epsilon
         is fixed within a sweep, so the sweep-start :meth:`_improving_mask`
         decides that turn without building anything.  Batch entries and
@@ -376,6 +384,7 @@ class IddeUGame:
         m = self.instance.n_users
         players = self._players()
         coverage = self.instance.scenario.coverage
+        table, dirty = self._new_table(m)
         moves = 0
         eps = self.cfg.epsilon
         patience = self.cfg.patience_for(m)
@@ -384,7 +393,7 @@ class IddeUGame:
         cap = self.cfg.max_moves_per_user
         for rounds in range(1, self.cfg.max_rounds + 1):
             eligible = players[moves_of[players] < cap]
-            batch = engine.batch_best_responses(eligible)
+            batch = self._refresh(engine, table, dirty, eligible)
             improving = self._improving_mask(engine, batch, eps).tolist()
             stale = np.zeros(m, dtype=bool)
             moved = False
@@ -412,6 +421,7 @@ class IddeUGame:
                 stale |= coverage[br.server]
                 if old != UNALLOCATED:
                     stale |= coverage[old]
+            dirty |= stale
             if not moved:
                 unfrozen = self._unfreeze_capped(engine, players, moves_of, eps)
                 if unfrozen is None:
@@ -442,9 +452,10 @@ class IddeUGame:
     ) -> tuple[int, int, bool, float, np.ndarray]:
         """Winner schedules: one improving user moves per round.
 
-        Each round evaluates every eligible user against the same fixed
-        state, so one ``batch_best_responses`` pass replaces the per-user
-        candidate sweep.  The winner choice keeps Algorithm 1's tie-breaks:
+        Each round reads every eligible user's best response off the
+        resident table, refreshed for the users the last move dirtied,
+        which replaces the per-user candidate sweep.  The winner choice
+        keeps Algorithm 1's tie-breaks:
         ``argmax`` returns the lowest improving user among equal gains (the
         ``(gain, -user)`` key), and the random winner draws its index from
         the candidate list in user order, so the rng stream is consumed
@@ -452,6 +463,8 @@ class IddeUGame:
         """
         m = self.instance.n_users
         players = self._players()
+        coverage = self.instance.scenario.coverage
+        table, dirty = self._new_table(m)
         moves = 0
         eps = self.cfg.epsilon
         patience = self.cfg.patience_for(m)
@@ -460,7 +473,7 @@ class IddeUGame:
         cap = self.cfg.max_moves_per_user
         for rounds in range(1, self.cfg.max_rounds + 1):
             eligible = players[moves_of[players] < cap]
-            batch = engine.batch_best_responses(eligible)
+            batch = self._refresh(engine, table, dirty, eligible)
             improving = self._improving_mask(engine, batch, eps)
             idx = np.flatnonzero(improving)
             if idx.size == 0:
@@ -488,7 +501,11 @@ class IddeUGame:
                 benefit=float(batch.benefit[pos]),
                 current_benefit=float(batch.current_benefit[pos]),
             )
+            old = int(engine.alloc_server[winner.user])
             self._apply(engine, winner, trace, log)
+            dirty |= coverage[winner.server]
+            if old != UNALLOCATED:
+                dirty |= coverage[old]
             moves += 1
             moves_of[winner.user] += 1
             since_escalation += 1
@@ -497,6 +514,51 @@ class IddeUGame:
                 since_escalation = 0
         _log.info("winner schedule truncated at max_rounds=%d", self.cfg.max_rounds)
         return self.cfg.max_rounds, moves, False, eps, moves_of
+
+    @staticmethod
+    def _new_table(m: int) -> tuple[BatchBestResponse, np.ndarray]:
+        """An empty ``(M,)``-indexed best-response table, every row dirty."""
+        table = BatchBestResponse(
+            users=np.arange(m),
+            server=np.full(m, UNALLOCATED, dtype=np.int64),
+            channel=np.full(m, UNALLOCATED, dtype=np.int64),
+            benefit=np.zeros(m),
+            current_benefit=np.zeros(m),
+        )
+        return table, np.ones(m, dtype=bool)
+
+    def _refresh(
+        self,
+        engine: SinrEngine,
+        table: BatchBestResponse,
+        dirty: np.ndarray,
+        eligible: np.ndarray,
+    ) -> BatchBestResponse:
+        """The round's batch view of ``eligible``, read off the resident table.
+
+        Only the dirty eligible rows are re-evaluated, in one
+        ``batch_best_responses`` pass.  A row depends only on the channel
+        powers of the user's covering servers, so the runners mark dirty
+        exactly the users covered by a move's old or new server; every
+        clean row is still the value a full batch would compute now (rows
+        are independent reductions over the same padded tables, bit for
+        bit).  Dirty rows of capped players wait until they are eligible.
+        """
+        rows = eligible[dirty[eligible]]
+        if rows.size:
+            fresh = engine.batch_best_responses(rows)
+            table.server[rows] = fresh.server
+            table.channel[rows] = fresh.channel
+            table.benefit[rows] = fresh.benefit
+            table.current_benefit[rows] = fresh.current_benefit
+            dirty[rows] = False
+        return BatchBestResponse(
+            users=eligible,
+            server=table.server[eligible],
+            channel=table.channel[eligible],
+            benefit=table.benefit[eligible],
+            current_benefit=table.current_benefit[eligible],
+        )
 
     def _improving_mask(
         self, engine: SinrEngine, batch: BatchBestResponse, eps: float

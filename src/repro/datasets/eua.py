@@ -116,7 +116,8 @@ def synthetic_metro(
     the default ``gap`` well above twice the maximum coverage radius, no
     coverage circle spans two districts, so the interference graph of any
     sampled scenario decomposes into per-district components — the
-    city-scale regime :mod:`repro.sharding` targets.  Deterministic in
+    city-scale regime of the ``XL`` benchmark fixture, where each move
+    dirties only its own district's best-response rows.  Deterministic in
     ``seed``.
     """
     if districts < 1:

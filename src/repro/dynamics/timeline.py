@@ -4,8 +4,8 @@ Each epoch consumes one :class:`~repro.workload.EpochBatch` of events
 (user joins/leaves, moves, popularity shifts — see
 :mod:`repro.workload`), folds it into the scenario state, and re-solves
 through the :func:`repro.api.solve` façade — so every epoch composes with
-tracing (spans ``timeline.epoch`` / ``workload.batch``), sharding, and
-yields a full schema-versioned
+tracing (spans ``timeline.epoch`` / ``workload.batch``) and yields a full
+schema-versioned
 :class:`~repro.api.Solution` on its :class:`EpochRecord`.
 
 Mobility models enter through the same loop:
@@ -50,7 +50,6 @@ from .migration import MigrationPlan, plan_migration
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..api import Solution
-    from ..sharding import ShardConfig
 
 __all__ = ["DynamicSimulation", "EpochRecord"]
 
@@ -110,7 +109,6 @@ class DynamicSimulation:
         active: np.ndarray | None = None,
         game: GameConfig | None = None,
         delivery: DeliveryConfig | None = None,
-        sharding: "ShardConfig | None" = None,
         tracer: Tracer | None = None,
     ) -> None:
         if policy not in _POLICIES:
@@ -127,7 +125,6 @@ class DynamicSimulation:
         self.active = active
         self.game_cfg = game or GameConfig()
         self.delivery_cfg = delivery or DeliveryConfig()
-        self.sharding = sharding
         self.tracer = ensure_tracer(tracer)
 
     # ------------------------------------------------------------------
@@ -155,7 +152,6 @@ class DynamicSimulation:
             solver="idde-g",
             game_config=self.game_cfg,
             delivery_config=self.delivery_cfg,
-            sharding=self.sharding,
         )
         records: list[EpochRecord] = []
         base = self.instance.scenario

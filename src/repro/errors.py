@@ -21,7 +21,6 @@ __all__ = [
     "ExperimentError",
     "DatasetError",
     "BenchError",
-    "ShardingError",
     "TraceError",
     "SolverLookupError",
     "ServeError",
@@ -83,11 +82,6 @@ class DatasetError(ReproError, ValueError):
 class BenchError(ReproError, ValueError):
     """The IDDE-Bench harness was driven with inconsistent parameters, or
     a benchmark document failed schema validation."""
-
-
-class ShardingError(ReproError, ValueError):
-    """The interference-domain decomposition layer was driven with an
-    inconsistent plan (mismatched shard/user maps, an unsolvable split)."""
 
 
 class TraceError(ReproError, ValueError):

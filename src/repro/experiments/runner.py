@@ -20,7 +20,6 @@ from ..errors import ExperimentError
 from ..obs.tracer import Tracer, ensure_tracer
 from ..request import SolveRequest
 from ..rng import spawn_rng
-from ..sharding import ShardConfig, ShardedIddeG
 
 __all__ = ["SOLVER_NAMES", "TrialSpec", "TrialResult", "run_trial", "build_solver"]
 
@@ -43,9 +42,6 @@ class TrialSpec:
     pool_seed: int = 0
     ip_time_budget_s: float = 3.0
     solver_names: tuple[str, ...] = SOLVER_NAMES
-    #: Interference-domain decomposition for the IDDE-G runs: ``None`` (off),
-    #: ``"auto"`` (natural coverage domains), or a target shard count.
-    shards: int | str | None = None
 
     def __post_init__(self) -> None:
         if self.n <= 0 or self.m < 0 or self.k <= 0:
@@ -55,27 +51,6 @@ class TrialSpec:
         unknown = set(self.solver_names) - set(SOLVER_NAMES)
         if unknown:
             raise ExperimentError(f"unknown solvers {sorted(unknown)}")
-        if not (
-            self.shards is None
-            or self.shards == "auto"
-            or (isinstance(self.shards, int) and self.shards >= 1)
-        ):
-            raise ExperimentError(
-                f"shards must be None, 'auto' or a positive int, got {self.shards!r}"
-            )
-
-    def shard_config(self) -> ShardConfig | None:
-        """The :class:`ShardConfig` this spec asks for (``None`` = unsharded).
-
-        Trials inside a sweep may already run in worker processes, so the
-        shard fan-out itself is pinned serial (``n_workers=0``) — nested
-        process pools would oversubscribe the host.
-        """
-        if self.shards is None:
-            return None
-        if self.shards == "auto":
-            return ShardConfig(n_workers=0)
-        return ShardConfig(n_shards=int(self.shards), n_workers=0)
 
     def request_for(self, name: str) -> SolveRequest:
         """The :class:`~repro.request.SolveRequest` for one of this trial's
@@ -83,7 +58,6 @@ class TrialSpec:
         (the per-solver RNG stream is stamped in at run time)."""
         return SolveRequest(
             solver=name.lower(),
-            sharding=self.shard_config() if name == "IDDE-G" else None,
             ip_time_budget_s=self.ip_time_budget_s,
         )
 
@@ -114,9 +88,6 @@ def build_solver(name: str, spec: TrialSpec) -> Solver:
     if name == "IDDE-IP":
         return IddeIP(time_budget_s=spec.ip_time_budget_s)
     if name == "IDDE-G":
-        shard_cfg = spec.shard_config()
-        if shard_cfg is not None:
-            return ShardedIddeG(sharding=shard_cfg)
         return IddeG()
     if name == "SAA":
         return SAA()

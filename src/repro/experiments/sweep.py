@@ -118,16 +118,13 @@ def run_sweep(
     solver_names: tuple[str, ...] = SOLVER_NAMES,
     parallel: ParallelConfig | None = None,
     keep_raw: bool = False,
-    shards: int | str | None = None,
     tracer: Tracer | None = None,
 ) -> SweepResult:
     """Run one Table 2 sweep and aggregate it.
 
     Trials at different points and repetitions are independent; the trial
     seed is spawned from ``(seed, set name, value, rep)`` so adding points
-    or repetitions never perturbs existing trials.  ``shards`` routes the
-    IDDE-G trials through the interference-domain decomposition solver
-    (``"auto"`` or a target count; ``None`` = off).
+    or repetitions never perturbs existing trials.
 
     When a recording ``tracer`` is attached, trials run serially in this
     process — a tracer cannot aggregate across worker processes — so
@@ -152,7 +149,6 @@ def run_sweep(
                     pool_seed=seed,
                     ip_time_budget_s=ip_time_budget_s,
                     solver_names=solver_names,
-                    shards=shards,
                 )
             )
             layout.append((value, rep))

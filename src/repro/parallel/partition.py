@@ -25,7 +25,7 @@ def chunk_evenly(
     chunks are *dropped*, so fewer than ``n_chunks`` lists may be returned
     when there are fewer items than chunks — a silent-shrink hazard for
     callers that zip the chunks against a fixed-size resource list (e.g. a
-    per-shard worker table).  Pass ``exact=True`` to always get exactly
+    per-worker table).  Pass ``exact=True`` to always get exactly
     ``n_chunks`` lists, padding with empty ones.
     """
     if n_chunks < 1:

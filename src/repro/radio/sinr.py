@@ -478,6 +478,7 @@ class SinrEngine:
         u = users.shape[0]
         if self.tracer.enabled:
             self.tracer.count("sinr.batch_rounds")
+            self.tracer.count("sinr.batch_rows", int(u))
             if not self._batch_kernel_seen:
                 self._batch_kernel_seen = True
                 self.tracer.event("sinr.kernel", kernel="batched", batch_size=int(u))
@@ -650,47 +651,6 @@ class SinrEngine:
                 continue
             out[j] = float(shannon_rate(self.bandwidth, np.asarray(self.user_sinr(j))))
         return out
-
-    # ------------------------------------------------------------------
-    # structure
-    # ------------------------------------------------------------------
-    def overlap_components(self) -> np.ndarray:
-        """Connected components of the coverage-overlap graph (``(N,)`` labels).
-
-        Two servers are adjacent iff some user's covering set ``V_j``
-        contains both — exactly the coupling structure of the IDDE-U game:
-        a user's benefit (Eq. 12) depends only on the channel powers of its
-        covering servers, so users whose covering sets fall in different
-        components never interact and the game decomposes into independent
-        sub-games (the basis of :mod:`repro.sharding`).
-
-        Labels are dense, start at 0, and are ordered by each component's
-        smallest server index (deterministic for a fixed scenario).
-        """
-        n = self.scenario.n_servers
-        parent = np.arange(n, dtype=np.int64)
-
-        def find(a: int) -> int:
-            root = a
-            while parent[root] != root:
-                root = int(parent[root])
-            while parent[a] != root:  # path compression
-                parent[a], a = root, int(parent[a])
-            return root
-
-        for servers in self.scenario.covering_servers:
-            if len(servers) < 2:
-                continue
-            first = find(int(servers[0]))
-            for s in servers[1:]:
-                parent[find(int(s))] = first
-                first = find(first)
-        labels = np.empty(n, dtype=np.int64)
-        seen: dict[int, int] = {}
-        for i in range(n):
-            root = find(i)
-            labels[i] = seen.setdefault(root, len(seen))
-        return labels
 
     # ------------------------------------------------------------------
     def users_on(self, server: int, channel: int) -> np.ndarray:

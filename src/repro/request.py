@@ -1,16 +1,18 @@
 """The schema-versioned :class:`SolveRequest`: one object describing a run.
 
 :class:`SolveRequest` holds the whole run description — solver name, two
-phase configs, sharding, warm start, churn mask, RNG, an IP time budget,
+phase configs, warm start, churn mask, RNG, an IP time budget,
 a validation switch and the solver's constructor options — in a single
 frozen dataclass that is *also* the daemon's wire format: the
-``idde-request/2`` JSON document round-trips through
+``idde-request/3`` JSON document round-trips through
 :meth:`SolveRequest.to_dict` / :meth:`SolveRequest.from_dict` with strict
-validation — unknown keys are errors, nested configs reconstruct through
-their own ``__post_init__`` checks — so a malformed request fails loudly
-at the boundary, never deep inside a kernel.  Version 2 dropped the
-``kernel`` key of ``game`` and ``delivery``: each phase has one kernel, so
-a request still carrying it fails as an unknown key.
+validation — unknown keys are errors, every value must have its field's
+JSON type, nested configs reconstruct through their own ``__post_init__``
+checks — so a malformed request fails loudly at the boundary, never deep
+inside a kernel.  Version 2 dropped the ``kernel`` key of ``game`` and
+``delivery`` (each phase has one kernel); version 3 dropped ``sharding``
+(the global game is the only IDDE-U path).  A request still carrying
+either fails as an unknown key.
 
 Two request fields are *runtime state*, not wire data:
 
@@ -29,6 +31,7 @@ execution-context concern, threaded separately through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -36,7 +39,6 @@ import numpy as np
 
 from .config import DeliveryConfig, GameConfig
 from .errors import ConfigurationError
-from .sharding import ShardConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .api import Solution
@@ -44,15 +46,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 
 __all__ = ["REQUEST_SCHEMA", "SolveRequest", "json_scalarish"]
 
-REQUEST_SCHEMA = "idde-request/2"
+REQUEST_SCHEMA = "idde-request/3"
 
-#: Wire keys of the ``idde-request/2`` document, in canonical order.
+#: Wire keys of the ``idde-request/3`` document, in canonical order.
 _WIRE_KEYS = (
     "schema",
     "solver",
     "game",
     "delivery",
-    "sharding",
     "warm_start",
     "active",
     "rng",
@@ -86,8 +87,32 @@ def _config_to_doc(cfg: Any) -> dict[str, Any] | None:
     return doc
 
 
+def _finite_number(value: Any) -> bool:
+    """True for a JSON number (not a bool) with a finite float value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+#: Wire type checks for the scalar field types of the nested configs.
+_TYPE_CHECKS = {
+    "bool": lambda v: isinstance(v, bool),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": _finite_number,
+    "str": lambda v: isinstance(v, str),
+}
+
+
 def _config_from_doc(cls: type, doc: Any, what: str) -> Any:
-    """Rebuild a nested config, rejecting unknown keys loudly."""
+    """Rebuild a nested config, rejecting unknown keys and mistyped values.
+
+    Each value must have its dataclass field's declared type: a bool is a
+    JSON bool, an int is an int (not a bool), a float is a finite int or
+    float (not a bool), a str is a str.
+    """
     if doc is None:
         return None
     if not isinstance(doc, Mapping):
@@ -100,6 +125,11 @@ def _config_from_doc(cls: type, doc: Any, what: str) -> Any:
         raise ConfigurationError(
             f"unknown {what} key(s) {unknown}; known keys: {sorted(allowed)}"
         )
+    for f in fields(cls):
+        if f.name in doc and not _TYPE_CHECKS[str(f.type)](doc[f.name]):
+            raise ConfigurationError(
+                f"{what}.{f.name} must be a JSON {f.type}, got {doc[f.name]!r}"
+            )
     return cls(**doc)
 
 
@@ -120,11 +150,6 @@ class SolveRequest:
         raises :class:`~repro.errors.ConfigurationError` — baselines have
         no such phases, and silently ignoring the configs would mislabel
         the run.
-    sharding:
-        Optional :class:`~repro.sharding.ShardConfig`: phase 1 then runs
-        through the interference-domain decomposition solver
-        (:class:`~repro.sharding.ShardedIddeG`), with the certificate on
-        the whole instance.  ``"idde-g"`` only.
     warm_start:
         A prior :class:`~repro.api.Solution` (or bare
         :class:`~repro.core.profiles.AllocationProfile`) to re-enter the
@@ -155,7 +180,6 @@ class SolveRequest:
     solver: str = "idde-g"
     game_config: GameConfig | None = None
     delivery_config: DeliveryConfig | None = None
-    sharding: ShardConfig | None = None
     warm_start: "Solution | AllocationProfile | bool | None" = None
     active: np.ndarray | None = None
     rng: Any = None
@@ -198,7 +222,7 @@ class SolveRequest:
     # wire format
     # ------------------------------------------------------------------
     def to_dict(self, *, lenient: bool = False) -> dict[str, Any]:
-        """The ``idde-request/2`` JSON document for this request.
+        """The ``idde-request/3`` JSON document for this request.
 
         Strict by default: a live ``warm_start`` object or a non-integer
         ``rng`` cannot go on the wire and raise
@@ -241,7 +265,6 @@ class SolveRequest:
             "solver": self.solver,
             "game": _config_to_doc(self.game_config),
             "delivery": _config_to_doc(self.delivery_config),
-            "sharding": _config_to_doc(self.sharding),
             "warm_start": warm,
             "active": (
                 None if self.active is None else [int(b) for b in self.active]
@@ -254,11 +277,13 @@ class SolveRequest:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "SolveRequest":
-        """Rebuild a request from an ``idde-request/2`` document.
+        """Rebuild a request from an ``idde-request/3`` document.
 
         Validation is strict: the schema tag must match, unknown keys are
-        errors (no silent typo-tolerance on a wire format), and nested
-        configs re-run their own ``__post_init__`` range checks.
+        errors (no silent typo-tolerance on a wire format), every value
+        must have its field's JSON type, and nested configs re-run their
+        own ``__post_init__`` range checks.  Anything malformed raises
+        :class:`~repro.errors.ConfigurationError`.
         """
         if not isinstance(doc, Mapping):
             raise ConfigurationError(
@@ -280,9 +305,11 @@ class SolveRequest:
                 f"warm_start must be a boolean on the wire, got {warm!r}"
             )
         rng = doc.get("rng")
-        if rng is not None and (isinstance(rng, bool) or not isinstance(rng, int)):
+        if rng is not None and (
+            isinstance(rng, bool) or not isinstance(rng, int) or rng < 0
+        ):
             raise ConfigurationError(
-                f"rng must be an integer seed or null, got {rng!r}"
+                f"rng must be a non-negative integer seed or null, got {rng!r}"
             )
         validate = doc.get("validate", True)
         if not isinstance(validate, bool):
@@ -290,11 +317,23 @@ class SolveRequest:
                 f"validate must be a boolean, got {validate!r}"
             )
         active = doc.get("active")
-        if active is not None and not isinstance(active, (list, tuple)):
+        if active is not None and (
+            not isinstance(active, (list, tuple))
+            or not all(isinstance(b, int) and b in (0, 1) for b in active)
+        ):
             raise ConfigurationError(
-                f"active must be a 0/1 list or null, got {type(active).__name__}"
+                f"active must be a flat 0/1 mask: a 0/1 list (entries 0, 1, "
+                f"true or false) or null, got {active!r}"
             )
-        options = doc.get("solver_options") or {}
+        budget = doc.get("ip_time_budget_s")
+        if budget is not None and not (_finite_number(budget) and budget > 0):
+            raise ConfigurationError(
+                f"ip_time_budget_s must be a finite positive number or null, "
+                f"got {budget!r}"
+            )
+        options = doc.get("solver_options")
+        if options is None:
+            options = {}
         if not isinstance(options, Mapping):
             raise ConfigurationError(
                 f"solver_options must be a JSON object, got {type(options).__name__}"
@@ -305,13 +344,11 @@ class SolveRequest:
             delivery_config=_config_from_doc(
                 DeliveryConfig, doc.get("delivery"), "delivery"
             ),
-            sharding=_config_from_doc(ShardConfig, doc.get("sharding"), "sharding"),
             warm_start=warm or None,
-            # __post_init__ coerces and validates the mask (a ragged or
-            # nested list is a ConfigurationError, not a numpy traceback).
+            # __post_init__ coerces the checked 0/1 list to a bool array.
             active=active,
             rng=rng,
-            ip_time_budget_s=doc.get("ip_time_budget_s"),
+            ip_time_budget_s=budget,
             validate=validate,
             solver_options=dict(options),
         )
@@ -339,8 +376,6 @@ class SolveRequest:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         bits = [f"solver={self.solver!r}"]
-        if self.sharding is not None:
-            bits.append("sharded")
         if self.warm_start is not None:
             bits.append("warm")
         return f"SolveRequest({', '.join(bits)})"

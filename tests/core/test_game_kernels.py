@@ -156,6 +156,62 @@ class TestFusedBestResponse:
         assert calls and result.converged and result.is_nash
 
 
+class TestResidentTable:
+    """The runners' best-response table is refreshed only where moves
+    dirtied it, yet every round reads exactly what a full batch gives."""
+
+    @pytest.mark.parametrize("cap", [25, 1])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_every_round_equals_a_full_batch(self, schedule, masked, cap, monkeypatch):
+        from repro.bench.fixtures import instance_for
+
+        refresh = IddeUGame._refresh
+        rounds = []
+
+        def checked(self, engine, table, dirty, eligible):
+            view = refresh(self, engine, table, dirty, eligible)
+            full = engine.batch_best_responses(eligible)
+            for name in ("users", "server", "channel", "benefit", "current_benefit"):
+                assert getattr(view, name).tobytes() == getattr(full, name).tobytes()
+            rounds.append(int(eligible.size))
+            return view
+
+        monkeypatch.setattr(IddeUGame, "_refresh", checked)
+        instance = instance_for("S", 1)
+        active = None
+        if masked:
+            active = np.random.default_rng(1).random(instance.n_users) < 0.7
+        cfg = GameConfig(schedule=schedule, max_moves_per_user=cap)
+        result = IddeUGame(instance, cfg).run(rng=1, active=active)
+        assert result.is_nash and len(rounds) == result.rounds
+
+    def test_winner_evaluates_only_dirty_rows(self):
+        """At M a move dirties a small neighbourhood, so the winner schedule
+        evaluates far fewer rows than one full batch per round."""
+        from repro.bench.fixtures import instance_for
+        from repro.obs.tracer import RecordingTracer
+
+        instance = instance_for("M", 0)
+        tracer = RecordingTracer()
+        cfg = GameConfig(schedule="best-gain-winner")
+        result = IddeUGame(instance, cfg, tracer=tracer).run(rng=0)
+        assert result.is_nash
+        rows = tracer.counters["sinr.batch_rows"]
+        assert instance.n_users <= rows < 0.25 * result.rounds * instance.n_users
+
+    def test_batch_rows_counts_evaluated_rows(self, tiny_instance):
+        from repro.obs.tracer import RecordingTracer
+
+        tracer = RecordingTracer()
+        engine = tiny_instance.new_engine()
+        engine.set_tracer(tracer)
+        engine.batch_best_responses(np.arange(3))
+        engine.batch_best_responses(np.arange(0))
+        assert tracer.counters["sinr.batch_rounds"] == 2
+        assert tracer.counters["sinr.batch_rows"] == 3
+
+
 class TestBatchedKernel:
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_converges_to_nash(self, tiny_instance, schedule):

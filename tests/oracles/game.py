@@ -2,9 +2,10 @@
 
 Each round visits the players one at a time and asks the SINR engine for
 that user's full candidate grid (:meth:`~repro.radio.sinr.SinrEngine.candidates`).
-The production runners evaluate every user in one batched pass instead; on
-every instance, schedule and seed they must apply the identical move
-sequence, reach the identical profile and issue the identical certificate.
+The production runners instead read a resident best-response table whose
+dirty rows are refreshed in one batched pass; on every instance, schedule
+and seed they must apply the identical move sequence, reach the identical
+profile and issue the identical certificate.
 
 :class:`OracleGame` swaps the single-user best response, the two schedule
 runners and the certificate of :class:`~repro.core.game.IddeUGame`, so the

@@ -1,5 +1,4 @@
-"""The bit-identity proof: both production kernels replay their oracles,
-and the sharded solver certifies and stitches like the global game.
+"""The bit-identity proof: both production kernels replay their oracles.
 
 One case per ``(phase, seed)`` over the shared bench fixtures at the scale
 named by ``IDDE_ORACLE_SCALE`` (default ``S``; CI also runs ``M``)::
@@ -16,11 +15,11 @@ import pytest
 from repro.radio.sinr import SinrEngine
 
 from .game import OracleGame
-from .parity import SEEDS, delivery_cases, game_cases, render, shard_cases
+from .parity import SEEDS, delivery_cases, game_cases, render
 
 SCALE = os.environ.get("IDDE_ORACLE_SCALE", "S")
 
-PHASES = {"game": game_cases, "delivery": delivery_cases, "shard": shard_cases}
+PHASES = {"game": game_cases, "delivery": delivery_cases}
 
 
 @pytest.fixture

@@ -150,7 +150,7 @@ class TestEndpoints:
         served = json.loads(body)
         # the document embeds the producing request (lenient wire form:
         # the per-epoch generator degrades to a null seed)
-        assert served["request"]["schema"] == "idde-request/2"
+        assert served["request"]["schema"] == "idde-request/3"
         assert served["request"]["solver"] == "idde-g"
         assert served["session"]["epoch"] == 0
 
@@ -239,6 +239,30 @@ class TestErrorPaths:
         request = json.loads(after[1])["request"]
         assert request["solver"] == "idde-g"
         assert request["solver_options"] == {}
+
+    def test_mistyped_config_value_is_structured_400(self, instance):
+        """A non-integer ``max_rounds`` is refused at the boundary, never
+        deep inside the game as a 500, and the session's base request
+        survives for the next request."""
+        daemon = ServeDaemon(_session(instance))
+        doc = SolveRequest(solver="idde-g").to_dict()
+        doc["game"] = {"max_rounds": 1.5}
+
+        async def scenario(d):
+            return (
+                await _http(d.port, "POST", "/v1/solve", doc),
+                await _http(d.port, "POST", "/v1/solve"),
+            )
+
+        (rejected, after), _ = _drive(daemon, scenario)
+        assert rejected[0] == 400
+        error = json.loads(rejected[1])["error"]
+        assert error["type"] == "ConfigurationError"
+        assert "game.max_rounds" in error["message"]
+        assert after[0] == 200
+        request = json.loads(after[1])["request"]
+        assert request["solver"] == "idde-g"
+        assert request["game"] is None
 
     def test_unknown_endpoint_and_wrong_method(self, instance):
         daemon = ServeDaemon(_session(instance))

@@ -10,7 +10,7 @@ from repro.config import GameConfig
 from repro.core.instance import IDDEInstance
 from repro.errors import ConfigurationError, SolverError
 from repro.obs import RecordingTracer
-from repro.request import SolveRequest
+from repro.request import REQUEST_SCHEMA, SolveRequest
 from repro.rng import spawn_rng
 from repro.serve import SolverSession
 from repro.workload import Move, UserJoin, UserLeave
@@ -168,7 +168,7 @@ class TestRequestValidation:
         session.solve()
         mask_before = session.state.active.copy()
         bad = SolveRequest.from_dict(
-            {"schema": "idde-request/2", "solver": "ide-g", "warm_start": True,
+            {"schema": REQUEST_SCHEMA, "solver": "ide-g", "warm_start": True,
              "active": [0] * instance.scenario.n_users}
         )
         with pytest.raises(SolverLookupError):

@@ -122,6 +122,18 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="tracer"):
             solve(instance, "idde-g", solver_options={"tracer": None}, rng=3)
 
+    def test_sharding_keyword_rejected(self, instance):
+        """Sharding is gone: the global game is the only IDDE-U path."""
+        from repro.request import REQUEST_SCHEMA, SolveRequest
+
+        with pytest.raises(TypeError, match="sharding"):
+            solve(instance, "idde-g", sharding={}, rng=3)
+        doc = {"schema": REQUEST_SCHEMA, "sharding": None}
+        with pytest.raises(ConfigurationError, match="sharding"):
+            SolveRequest.from_dict(doc)
+        with pytest.raises(ConfigurationError, match="sharding"):
+            solve(instance, "idde-g", solver_options={"sharding": {}}, rng=3)
+
     def test_accepted_kwargs_pass_through(self):
         solver = build_solver("idde-ip", time_budget_s=0.5)
         assert solver.time_budget_s == 0.5
@@ -164,20 +176,6 @@ class TestWarmStart:
         )
         assert warm.game.is_nash
 
-    def test_warm_composes_with_sharding(self, instance):
-        from repro.sharding import ShardConfig
-
-        cold = solve(instance, "idde-g", rng=0)
-        warm = solve(
-            instance,
-            "idde-g",
-            warm_start=cold,
-            sharding=ShardConfig(n_workers=0),
-            rng=1,
-        )
-        assert warm.game.is_nash
-        assert warm.config["warm_start"] is True
-
     def test_warm_start_traced(self, instance):
         cold = solve(instance, "idde-g", rng=0)
         tracer = RecordingTracer()
@@ -219,7 +217,7 @@ class TestSolutionSchemaVersions:
         assert doc["schema"] == "idde-solution/3"
         loaded = load_solution_document(json.loads(json.dumps(doc)))
         assert loaded == doc
-        assert loaded["request"]["schema"] == "idde-request/2"
+        assert loaded["request"]["schema"] == "idde-request/3"
 
     @pytest.mark.parametrize("schema", ["idde-solution/1", "idde-solution/2"])
     def test_loader_rejects_retired_schemas(self, instance, schema):
@@ -248,17 +246,9 @@ class TestSolutionSchemaVersions:
             load_solution_document([1])
 
     def test_typed_extras_accessors(self, instance):
-        from repro.sharding import ShardConfig
-
         cold = solve(instance, "idde-g", rng=0)
         assert cold.warm_detached is None
-        assert cold.sharding_stats is None
+        assert not hasattr(cold, "sharding_stats")
 
         warm = solve(instance, "idde-g", warm_start=cold, rng=1)
         assert warm.warm_detached == 0
-
-        sharded = solve(
-            instance, "idde-g", sharding=ShardConfig(n_workers=0), rng=0
-        )
-        stats = sharded.sharding_stats
-        assert stats is not None and stats["n_shards"] >= 1

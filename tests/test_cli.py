@@ -23,20 +23,18 @@ class TestParser:
         args = build_parser().parse_args(["fig1", "--days", "3"])
         assert args.days == 3
 
-    def test_shards_accepts_auto_and_counts(self):
-        assert build_parser().parse_args(["solve"]).shards is None
-        assert build_parser().parse_args(["solve", "--shards", "auto"]).shards == "auto"
-        assert build_parser().parse_args(["solve", "--shards", "4"]).shards == 4
-        assert build_parser().parse_args(["sweep", "1", "--shards", "2"]).shards == 2
-
-    def test_shards_rejects_garbage(self):
-        for bad in ("0", "-1", "many"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(["solve", "--shards", bad])
+    def test_shards_flag_removed(self, capsys):
+        """The global game is the only IDDE-U path: no subcommand takes
+        ``--shards`` any more."""
+        for argv in (["solve"], ["sweep", "1"], ["replay"], ["serve"]):
+            assert not hasattr(build_parser().parse_args(argv), "shards")
+            for value in ("auto", "2"):
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args([*argv, "--shards", value])
+                assert "unrecognized arguments: --shards" in capsys.readouterr().err
 
     def test_bench_shard_parity_flag(self):
-        """The sharded-vs-global check is the shard phase of
-        tests/oracles/test_parity.py, not a bench flag."""
+        """Sharding and its parity check are gone; the flag stays refused."""
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "--verify-shard-parity"])
 
@@ -48,14 +46,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "IDDE-G" in out
         assert "R_avg" in out
-
-    def test_solve_sharded(self, capsys):
-        rc = main(
-            ["solve", "--n", "6", "--m", "15", "--k", "2",
-             "--solver", "idde-g", "--shards", "auto"]
-        )
-        assert rc == 0
-        assert "IDDE-G" in capsys.readouterr().out
 
     def test_solve_all(self, capsys):
         rc = main(

@@ -3,25 +3,26 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import solve
 from repro.config import DeliveryConfig, GameConfig
 from repro.core.instance import IDDEInstance
 from repro.errors import ConfigurationError
-from repro.request import REQUEST_SCHEMA, SolveRequest
-from repro.sharding import ShardConfig
+from repro.request import _WIRE_KEYS, REQUEST_SCHEMA, SolveRequest
 
-#: A fully-populated idde-request/2 document, exactly as it travels the
+#: A fully-populated idde-request/3 document, exactly as it travels the
 #: wire — golden bytes for cross-version compatibility.
 GOLDEN_DOC = {
-    "schema": "idde-request/2",
+    "schema": "idde-request/3",
     "solver": "idde-g",
     "game": None,
     "delivery": None,
-    "sharding": None,
     "warm_start": True,
     "active": [1, 1, 0, 1],
     "rng": 42,
@@ -60,12 +61,10 @@ class TestWireRoundTrip:
             solver="idde-g",
             game_config=GameConfig(schedule="best-gain-winner"),
             delivery_config=DeliveryConfig(ratio_rule=False),
-            sharding=ShardConfig(n_shards=2, n_workers=0),
         )
         back = SolveRequest.from_dict(req.to_dict())
         assert back.game_config == req.game_config
         assert back.delivery_config == req.delivery_config
-        assert back.sharding == req.sharding
 
     def test_defaults_round_trip(self):
         back = SolveRequest.from_dict(SolveRequest().to_dict())
@@ -76,7 +75,7 @@ class TestWireRoundTrip:
     def test_schema_tag_required(self):
         doc = dict(GOLDEN_DOC)
         doc["schema"] = "idde-request/9"
-        with pytest.raises(ConfigurationError, match="idde-request/2"):
+        with pytest.raises(ConfigurationError, match="idde-request/3"):
             SolveRequest.from_dict(doc)
         with pytest.raises(ConfigurationError, match="schema"):
             SolveRequest.from_dict({"solver": "idde-g"})
@@ -109,8 +108,63 @@ class TestWireRoundTrip:
 
     def test_v1_document_rejected(self):
         doc = dict(GOLDEN_DOC, schema="idde-request/1")
-        with pytest.raises(ConfigurationError, match="idde-request/2"):
+        with pytest.raises(ConfigurationError, match="idde-request/3"):
             SolveRequest.from_dict(doc)
+
+    @pytest.mark.parametrize("sharding", [None, {"n_shards": 2}])
+    def test_sharding_key_is_unknown(self, sharding):
+        """v3 dropped sharding: the global game is the only IDDE-U path."""
+        doc = dict(GOLDEN_DOC, sharding=sharding)
+        with pytest.raises(ConfigurationError, match=r"unknown request key.*sharding"):
+            SolveRequest.from_dict(doc)
+        with pytest.raises(ConfigurationError, match="idde-request/3"):
+            SolveRequest.from_dict(dict(doc, schema="idde-request/2"))
+
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ("game", {"max_rounds": 1.5}, "game.max_rounds"),
+            ("game", {"max_rounds": True}, "game.max_rounds"),
+            ("game", {"epsilon": "a"}, "game.epsilon"),
+            ("game", {"epsilon": float("nan")}, "game.epsilon"),
+            ("game", {"epsilon": 10**400}, "game.epsilon"),
+            ("game", {"allow_unallocated": "no"}, "game.allow_unallocated"),
+            ("game", {"schedule": 3}, "game.schedule"),
+            ("delivery", {"ratio_rule": 0}, "delivery.ratio_rule"),
+            ("delivery", {"min_gain_s": float("inf")}, "delivery.min_gain_s"),
+            ("ip_time_budget_s", "x", "ip_time_budget_s"),
+            ("ip_time_budget_s", True, "ip_time_budget_s"),
+            ("ip_time_budget_s", float("inf"), "ip_time_budget_s"),
+            ("ip_time_budget_s", 0, "ip_time_budget_s"),
+            ("active", ["a", 0, 2], "0/1 list"),
+            ("active", [1, 0, 2], "0/1 list"),
+            ("active", [1.0, 0], "0/1 list"),
+            ("rng", -1, "non-negative"),
+            ("solver_options", False, "JSON object"),
+        ],
+    )
+    def test_mistyped_values_rejected(self, key, value, match):
+        """Each value must have its field's JSON type: none of these may
+        parse and fail later (or solve as something else)."""
+        doc = dict(GOLDEN_DOC, **{key: value})
+        with pytest.raises(ConfigurationError, match=match):
+            SolveRequest.from_dict(doc)
+
+    def test_well_typed_values_accepted(self):
+        doc = dict(
+            GOLDEN_DOC,
+            game={"epsilon": 0, "max_rounds": 7, "allow_unallocated": True},
+            delivery={"min_gain_s": 1},
+            active=[True, 0, 1, False],
+            ip_time_budget_s=3,
+        )
+        req = SolveRequest.from_dict(doc)
+        assert req.game_config == GameConfig(
+            epsilon=0, max_rounds=7, allow_unallocated=True
+        )
+        assert req.delivery_config == DeliveryConfig(min_gain_s=1)
+        assert list(req.active) == [True, False, True, False]
+        assert req.ip_time_budget_s == 3
 
     @pytest.mark.parametrize(
         "key, value, match",
@@ -237,3 +291,47 @@ class TestFacadeParity:
         assert doc["request"]["schema"] == REQUEST_SCHEMA
         assert doc["request"]["solver"] == "idde-g"
         assert doc["request"]["rng"] == 3
+
+
+#: Arbitrary JSON values, NaN and infinities included (``json.loads``
+#: accepts them).
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def _config_docs(cls: type):
+    """A nested config object with known keys and arbitrary values."""
+    return st.fixed_dictionaries(
+        {}, optional={f.name: _JSON for f in fields(cls)}
+    ) | _JSON
+
+
+#: Request documents with the right tag, known keys and arbitrary values,
+#: so the fuzz reaches every field check rather than stopping at the tag.
+_DOCS = st.fixed_dictionaries(
+    {"schema": st.just(REQUEST_SCHEMA)},
+    optional={
+        **{key: _JSON for key in _WIRE_KEYS if key != "schema"},
+        "game": _config_docs(GameConfig),
+        "delivery": _config_docs(DeliveryConfig),
+        "active": st.lists(_JSON, max_size=5) | _JSON,
+    },
+)
+
+
+class TestWireFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_DOCS | _JSON)
+    def test_parser_raises_only_configuration_errors(self, doc):
+        """Whatever JSON arrives, the parser either builds a request or
+        raises the structured :class:`ConfigurationError` (a 400)."""
+        try:
+            req = SolveRequest.from_dict(doc)
+        except ConfigurationError:
+            return
+        # What parses re-serialises to a document that parses again.
+        assert SolveRequest.from_dict(req.to_dict()).to_dict() == req.to_dict()

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """CI smoke for IDDE-Serve: boot `idde serve`, drive the API, drain it.
 
-Stdlib-only, mirrors the lifecycle in docs/SERVING.md:
+Stdlib plus the installed ``repro`` package (for the request schema tag),
+mirrors the lifecycle in docs/SERVING.md:
 
 1. boot the daemon as a subprocess on an ephemeral port and parse the
    listen banner;
@@ -32,6 +33,8 @@ import threading
 import urllib.error
 import urllib.request
 from pathlib import Path
+
+from repro.request import REQUEST_SCHEMA
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -152,7 +155,7 @@ def main() -> int:
         print("serve_smoke: health/metrics/solution answered mid-solve")
 
         # -- 4. structured errors -----------------------------------------
-        bad = {"schema": "idde-request/2", "solver": "ide-g"}
+        bad = {"schema": REQUEST_SCHEMA, "solver": "ide-g"}
         status, doc = request(port, "POST", "/v1/solve", bad)
         check(status == 400, f"unknown solver -> {status}, want 400")
         check(
