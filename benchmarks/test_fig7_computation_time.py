@@ -13,14 +13,12 @@ from io import StringIO
 
 import pytest
 
+from repro.baselines import build_solver
 from repro.core.instance import IDDEInstance
 from repro.experiments.figures import PAPER
 from repro.experiments.report import render_timing_markdown
-from repro.experiments.runner import build_solver, TrialSpec
 
 from conftest import write_artifact, BENCH_IP_BUDGET
-
-DEFAULT = TrialSpec(ip_time_budget_s=BENCH_IP_BUDGET)
 
 
 def test_fig7_timing_table(benchmark, set1_sweep, set2_sweep, set3_sweep, set4_sweep):
@@ -58,7 +56,7 @@ def test_fig7_timing_table(benchmark, set1_sweep, set2_sweep, set3_sweep, set4_s
 def test_fig7_heuristic_benchmark(benchmark, name):
     """Direct timing of each heuristic on the default instance."""
     instance = IDDEInstance.generate(n=30, m=200, k=5, density=1.0, seed=0)
-    solver = build_solver(name, DEFAULT)
+    solver = build_solver(name)
     strategy = benchmark.pedantic(
         solver.solve, args=(instance,), kwargs={"rng": 0}, rounds=3, iterations=1
     )
@@ -68,7 +66,7 @@ def test_fig7_heuristic_benchmark(benchmark, name):
 def test_fig7_idde_ip_benchmark(benchmark):
     """IDDE-IP's cost is its budget by construction — one round suffices."""
     instance = IDDEInstance.generate(n=30, m=200, k=5, density=1.0, seed=0)
-    solver = build_solver("IDDE-IP", DEFAULT)
+    solver = build_solver("IDDE-IP", time_budget_s=BENCH_IP_BUDGET)
     strategy = benchmark.pedantic(
         solver.solve, args=(instance,), kwargs={"rng": 0}, rounds=1, iterations=1
     )

@@ -84,9 +84,8 @@ def main() -> None:
         i = strategy.allocation.server[j]
         x = strategy.allocation.channel[j]
         print(f"  u{j + 1} -> server v{i + 1}, channel {x + 1}")
-    print(f"  Nash equilibrium certified: {strategy.extras['is_nash']}")
-    print(f"  game rounds: {strategy.extras['game_rounds']}, "
-          f"moves: {strategy.extras['game_moves']}")
+    print(f"  Nash equilibrium certified: {strategy.game.is_nash}")
+    print(f"  game rounds: {strategy.game.rounds}, moves: {strategy.game.moves}")
     print()
 
     print("=== Phase 2: data delivery profile (greedy placement) ===")

@@ -34,7 +34,6 @@ from .core import (
     AllocationProfile,
     DeliveryProfile,
     IDDEInstance,
-    IDDEStrategy,
     IddeG,
     IddeUGame,
     average_data_rate,
@@ -78,7 +77,6 @@ __all__ = [
     "IDDEInstance",
     "AllocationProfile",
     "DeliveryProfile",
-    "IDDEStrategy",
     "Solver",
     "IddeG",
     "IddeUGame",

@@ -16,7 +16,8 @@ figure order.  Every solver, including the one the :func:`repro.api.solve`
 façade runs, is built by :func:`build_solver`: unknown names raise
 :class:`~repro.errors.SolverLookupError` with a did-you-mean suggestion
 (:func:`resolve_solver_name`), and keywords a solver's constructor does
-not accept raise :class:`~repro.errors.ConfigurationError` naming them.
+not accept or rejects raise :class:`~repro.errors.ConfigurationError`
+naming them.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Any
 from ..core.idde_g import IddeG
 from ..core.strategy import Solver
 from ..errors import ConfigurationError, SolverLookupError
+from ..request import json_scalarish
 from .cdp import CDP
 from .dup_g import DupG
 from .idde_ip import IddeIP
@@ -89,8 +91,10 @@ def build_solver(name: str, /, **kwargs: Any) -> Solver:
     """Construct the solver registered as ``name`` (case-insensitive).
 
     The keywords bind against the constructor's signature; any it does
-    not accept raise :class:`~repro.errors.ConfigurationError` naming
-    them and the solver.
+    not accept, or a value its constructor rejects with a
+    :class:`ValueError`/:class:`TypeError`, raise
+    :class:`~repro.errors.ConfigurationError` naming the solver and the
+    options.
     """
     key = resolve_solver_name(name)
     cls = _FACTORIES[key]
@@ -103,7 +107,11 @@ def build_solver(name: str, /, **kwargs: Any) -> Solver:
             f"solver {key!r} does not accept {unknown or exc}; "
             f"it takes {sorted(signature.parameters) or 'no options'}"
         ) from None
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except (ValueError, TypeError) as exc:
+        shown = {k: v if json_scalarish(v) else type(v).__name__ for k, v in kwargs.items()}
+        raise ConfigurationError(f"solver {key!r} rejects options {shown}: {exc}") from exc
 
 
 def default_solvers(*, ip_time_budget: float = 10.0) -> list[Solver]:

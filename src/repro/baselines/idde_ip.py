@@ -181,6 +181,5 @@ class IddeIP(Solver):
         return alloc, out, {
             "proposals": proposals,
             "accepted": accepted,
-            "time_budget_s": self.time_budget_s,
             "best_objective": best,
         }

@@ -310,7 +310,7 @@ def _replay_day(scale: str, seed: int) -> tuple[list, object]:
     steps: list[tuple[IDDEInstance, object]] = []
     for batch in batch_by_count(stream, per_epoch):
         state.apply(batch)
-        inst = IDDEInstance(state.scenario(base.scenario), base.topology, base.radio)
+        inst = base.project(state)
         # Touch the lazily-cached per-instance state outside the timed
         # region: the bench measures re-solving, not cache construction.
         assert inst.latency_model.path_cost is not None

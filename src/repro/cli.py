@@ -30,7 +30,7 @@ Subcommands
                ``idde-trace/1`` JSONL file (see docs/OBSERVABILITY.md).
 ``serve``      Boot IDDE-Serve, the long-lived async solver daemon: a
                stateful session behind a schema-versioned HTTP/JSON API
-               (``idde-request/3`` in, ``idde-solution/3`` out,
+               (``idde-request/4`` in, ``idde-solution/4`` out,
                ``idde-events/1`` deltas re-solved warm; see
                docs/SERVING.md).
 
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_arg(p_solve)
     p_solve.add_argument(
         "--format", choices=["text", "json"], default="text",
-        help="text table or the idde-solution/3 JSON document",
+        help="text table or the idde-solution/4 JSON document",
     )
 
     p_sweep = sub.add_parser("sweep", help="run one Table 2 experiment set")
@@ -339,11 +339,9 @@ def _request_for(args: argparse.Namespace, name: str):
     """
     from .request import SolveRequest
 
-    return SolveRequest(
-        solver=name,
-        ip_time_budget_s=getattr(args, "ip_budget", None),
-        rng=args.seed,
-    )
+    budget = getattr(args, "ip_budget", None)
+    options = {"time_budget_s": budget} if budget is not None and name == "idde-ip" else {}
+    return SolveRequest(solver=name, rng=args.seed, solver_options=options)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -551,9 +549,7 @@ def _replay_impl(args: argparse.Namespace) -> int:
             state = WorkloadState.from_scenario(instance.scenario)
             for batch in batch_by_count(_events(), args.epoch_events):
                 state.apply(batch)
-            final_instance = IDDEInstance(
-                state.scenario(instance.scenario), instance.topology, instance.radio
-            )
+            final_instance = instance.project(state)
             sol = records[-1].solution
             from .core.game import IddeUGame
 

@@ -113,7 +113,6 @@ class TopologyConfig:
 
     edge_speed_range: tuple[float, float] = (2000.0, 6000.0)
     cloud_speed: float = 600.0
-    allow_self_links: bool = False
 
     def __post_init__(self) -> None:
         lo, hi = self.edge_speed_range
@@ -165,18 +164,15 @@ class GameConfig:
         Hard cap on update rounds (Theorem 4 guarantees finite convergence
         under the paper's homogeneous-gain assumption; the cap is a safety
         net, not the expected exit path).
-    patience_moves:
+    epsilon_growth, epsilon_max:
         With fully heterogeneous gains the game is only *approximately* a
         potential game and best-response dynamics can cycle on rare
-        instances.  After this many moves without convergence the epsilon
-        threshold is escalated by ``epsilon_growth`` (up to
-        ``epsilon_max``), damping cycles early.  ``0`` selects the
-        automatic budget ``max(2·M, 200)`` — normal runs converge within
-        about two moves per user, so escalation only fires on genuine
-        cycles, and the first escalations are far below any physically
-        meaningful tolerance anyway.  ``epsilon_max`` bounds only this
-        patience-driven escalation; the cap-exhaustion escalation below
-        may exceed it when a cycle survives the ceiling.
+        instances.  After every :meth:`patience_for` moves without
+        convergence the epsilon threshold is escalated by
+        ``epsilon_growth`` (up to ``epsilon_max``), damping cycles early.
+        ``epsilon_max`` bounds only this patience-driven escalation; the
+        cap-exhaustion escalation below may exceed it when a cycle
+        survives the ceiling.
     max_moves_per_user:
         Cycle breaker: a user that has already moved this many times sits
         out until the sweep goes quiet.  At that point the run checks the
@@ -188,19 +184,16 @@ class GameConfig:
         ``converged=True`` therefore always carries an honest certificate
         at ``GameResult.effective_epsilon``.  Normal runs use ~2 moves per
         user, so the cap only binds on cycling instances.
-    allow_unallocated:
-        Whether users may remain unallocated when every candidate channel
-        offers no positive benefit (the paper's ``α_j = (0,0)`` state).
+
+    A user with no positive-benefit channel stays unallocated (``α_j = (0,0)``).
     """
 
     schedule: str = "round-robin"
     epsilon: float = 1e-9
     max_rounds: int = 10_000
-    patience_moves: int = 0
     epsilon_growth: float = 10.0
     epsilon_max: float = 1e-3
     max_moves_per_user: int = 25
-    allow_unallocated: bool = False
 
     _SCHEDULES = ("best-gain-winner", "random-winner", "round-robin")
 
@@ -211,7 +204,6 @@ class GameConfig:
         )
         _require(self.epsilon >= 0, f"epsilon must be >= 0, got {self.epsilon}")
         _require(self.max_rounds >= 1, f"max_rounds must be >= 1, got {self.max_rounds}")
-        _require(self.patience_moves >= 0, f"patience_moves must be >= 0, got {self.patience_moves}")
         _require(self.epsilon_growth > 1, f"epsilon_growth must be > 1, got {self.epsilon_growth}")
         _require(self.epsilon_max > 0, f"epsilon_max must be > 0, got {self.epsilon_max}")
         _require(
@@ -220,9 +212,8 @@ class GameConfig:
         )
 
     def patience_for(self, n_users: int) -> int:
-        """The move budget before epsilon escalation kicks in."""
-        if self.patience_moves > 0:
-            return self.patience_moves
+        """The move budget before epsilon escalation kicks in: ``max(2·M, 200)``
+        (normal runs need about two moves per user, so only cycles escalate)."""
         return max(2 * n_users, 200)
 
 

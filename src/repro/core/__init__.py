@@ -20,6 +20,9 @@ Modules
     Phase 2 — the greedy marginal-latency-per-byte placement (Eq. 17).
 ``idde_g``
     The composed IDDE-G solver.
+``strategy``
+    The :class:`~repro.core.strategy.Solver` interface and the
+    :class:`~repro.core.strategy.Solution` every solver returns.
 ``bounds``
     Theorems 4, 5 and 7: iteration bound, price of anarchy, approximation.
 ``brute_force``
@@ -32,7 +35,7 @@ from .objectives import average_data_rate, average_delivery_latency_ms, evaluate
 from .game import IddeUGame, GameResult
 from .delivery import greedy_delivery, DeliveryResult
 from .idde_g import IddeG
-from .strategy import IDDEStrategy
+from .strategy import Solution, Solver
 
 __all__ = [
     "IDDEInstance",
@@ -46,5 +49,6 @@ __all__ = [
     "greedy_delivery",
     "DeliveryResult",
     "IddeG",
-    "IDDEStrategy",
+    "Solution",
+    "Solver",
 ]

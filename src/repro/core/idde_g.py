@@ -13,10 +13,10 @@ import numpy as np
 
 from ..config import DeliveryConfig, GameConfig
 from ..obs.tracer import Tracer, ensure_tracer
-from .delivery import greedy_delivery
-from .game import IddeUGame
+from .delivery import DeliveryResult, greedy_delivery
+from .game import GameResult, IddeUGame
 from .instance import IDDEInstance
-from .profiles import AllocationProfile, DeliveryProfile
+from .profiles import AllocationProfile
 from .strategy import Solver
 
 __all__ = ["IddeG"]
@@ -49,7 +49,7 @@ class IddeG(Solver):
 
     def _solve(
         self, instance: IDDEInstance, rng: np.random.Generator
-    ) -> tuple[AllocationProfile, DeliveryProfile, dict[str, Any]]:
+    ) -> tuple[GameResult, DeliveryResult, dict[str, Any]]:
         game = IddeUGame(
             instance,
             self.game_cfg,
@@ -60,23 +60,7 @@ class IddeG(Solver):
         delivery = greedy_delivery(
             instance, result.profile, self.delivery_cfg, tracer=self.tracer
         )
-        extras = {
-            "game_rounds": result.rounds,
-            "game_moves": result.moves,
-            "game_converged": result.converged,
-            "is_nash": result.is_nash,
-            "effective_epsilon": result.effective_epsilon,
-            "capped_users": list(result.capped_users),
-            "schedule": self.game_cfg.schedule,
-            "delivery_iterations": delivery.iterations,
-            "replicas": delivery.profile.n_replicas,
-            "delivery_gain_s": delivery.total_gain_s,
-            # Full result objects so the repro.api façade can surface every
-            # field in Solution without re-running either phase; popped
-            # there, harmless (if bulky) for direct Solver users.
-            "game_result": result,
-            "delivery_result": delivery,
-        }
+        extras: dict[str, Any] = {}
         if self.track_potential:
             extras["potential_trace"] = result.potential_trace
-        return result.profile, delivery.profile, extras
+        return result, delivery, extras

@@ -22,6 +22,7 @@ from ..rng import ensure_rng, spawn_rng
 from ..topology.graph import EdgeTopology, build_topology
 from ..topology.latency import DeliveryLatencyModel
 from ..types import Scenario
+from ..workload.events import WorkloadState
 
 __all__ = ["IDDEInstance"]
 
@@ -86,6 +87,22 @@ class IDDEInstance:
             n, density, spawn_rng(seed, "topology"), config.topology
         )
         return cls(scenario, topology, config.radio)
+
+    def project(self, state: WorkloadState) -> "IDDEInstance":
+        """This instance with the users' positions, activity and requests of ``state``.
+
+        ``gain_override`` carries over.  It fixes every link's gain, so a state
+        that moved a user raises :class:`~repro.errors.ScenarioError` naming them.
+        """
+        if self.gain_override is not None:
+            moved = np.flatnonzero((state.positions != self.scenario.user_xy).any(axis=1))
+            if moved.size:
+                raise ScenarioError(
+                    f"users {moved.tolist()} moved, but gain_override fixes every link's gain"
+                )
+        return IDDEInstance(
+            state.scenario(self.scenario), self.topology, self.radio, gain_override=self.gain_override
+        )
 
     # ------------------------------------------------------------------
     # derived structure

@@ -154,13 +154,7 @@ class DynamicSimulation:
             delivery_config=self.delivery_cfg,
         )
         records: list[EpochRecord] = []
-        base = self.instance.scenario
-        state = WorkloadState.from_scenario(base, self.active)
-
-        def _instance_at() -> IDDEInstance:
-            return IDDEInstance(
-                state.scenario(base), self.instance.topology, self.instance.radio
-            )
+        state = WorkloadState.from_scenario(self.instance.scenario, self.active)
 
         def _active() -> np.ndarray:
             # Always thread the mask: it may start partial, and the event
@@ -169,7 +163,7 @@ class DynamicSimulation:
             return state.active.copy()
 
         # Epoch 0: the cold build-up, through the façade like every other.
-        instance = _instance_at()
+        instance = self.instance.project(state)
         with tracer.span("timeline.epoch", epoch=0, policy=self.policy) as span:
             sol = solve(
                 instance,
@@ -203,7 +197,7 @@ class DynamicSimulation:
                 with tracer.span("workload.batch", events=batch.n_events) as bspan:
                     state.apply(batch)
                     bspan.set(active_users=state.n_active)
-                instance = _instance_at()
+                instance = self.instance.project(state)
                 active = _active()
 
                 if self.policy == "static":

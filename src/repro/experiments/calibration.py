@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..baselines import build_solver
+from ..api import solve
 from ..core.instance import IDDEInstance
 from ..datasets.eua import sample_scenario, synthetic_eua
 from ..datasets.melbourne import CBD_REGION
@@ -91,8 +91,7 @@ def parameter_sensitivity(
                 (ours, r_ours, l_ours),
                 (baseline, r_base, l_base),
             ):
-                solver = build_solver(name)
-                s = solver.solve(instance, spawn_rng(seed, label, rep, name))
+                s = solve(instance, name, rng=spawn_rng(seed, label, rep, name))
                 rates.append(s.r_avg)
                 lats.append(s.l_avg_ms)
         points.append(

@@ -11,17 +11,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from ..api import solve
-from ..baselines import CDP, SAA, DupG, IddeIP
-from ..core.idde_g import IddeG
 from ..core.instance import IDDEInstance
-from ..core.strategy import Solver
 from ..datasets.eua import EuaPool, synthetic_eua
 from ..errors import ExperimentError
 from ..obs.tracer import Tracer, ensure_tracer
 from ..request import SolveRequest
 from ..rng import spawn_rng
 
-__all__ = ["SOLVER_NAMES", "TrialSpec", "TrialResult", "run_trial", "build_solver"]
+__all__ = ["SOLVER_NAMES", "TrialSpec", "TrialResult", "run_trial"]
 
 #: The paper's five approaches in figure order.
 SOLVER_NAMES: tuple[str, ...] = ("IDDE-IP", "IDDE-G", "SAA", "CDP", "DUP-G")
@@ -55,11 +52,10 @@ class TrialSpec:
     def request_for(self, name: str) -> SolveRequest:
         """The :class:`~repro.request.SolveRequest` for one of this trial's
         solvers — the single spec→request mapping :func:`run_trial` uses
-        (the per-solver RNG stream is stamped in at run time)."""
-        return SolveRequest(
-            solver=name.lower(),
-            ip_time_budget_s=self.ip_time_budget_s,
-        )
+        (the per-solver RNG stream is stamped in at run time).  Only
+        IDDE-IP takes the time budget."""
+        options = {"time_budget_s": self.ip_time_budget_s} if name == "IDDE-IP" else {}
+        return SolveRequest(solver=name.lower(), solver_options=options)
 
 
 @dataclass
@@ -77,25 +73,6 @@ class TrialResult:
 def _pool(pool_seed: int) -> EuaPool:
     """Per-process cache of the EUA-style pool (shared across trials)."""
     return synthetic_eua(pool_seed)
-
-
-def build_solver(name: str, spec: TrialSpec) -> Solver:
-    """Instantiate one of the paper's approaches for a trial.
-
-    Kept for direct construction; :func:`run_trial` itself routes through
-    :func:`repro.api.solve` so every front-end shares one code path.
-    """
-    if name == "IDDE-IP":
-        return IddeIP(time_budget_s=spec.ip_time_budget_s)
-    if name == "IDDE-G":
-        return IddeG()
-    if name == "SAA":
-        return SAA()
-    if name == "CDP":
-        return CDP()
-    if name == "DUP-G":
-        return DupG()
-    raise ExperimentError(f"unknown solver {name!r}")
 
 
 def build_instance(spec: TrialSpec) -> IDDEInstance:

@@ -17,7 +17,8 @@ import numpy as np
 from .config import RadioConfig
 from .core.instance import IDDEInstance
 from .core.profiles import AllocationProfile, DeliveryProfile
-from .core.strategy import IDDEStrategy
+from .core.objectives import evaluate
+from .core.strategy import Solution
 from .errors import DatasetError
 from .topology.graph import EdgeTopology
 from .types import Scenario
@@ -212,45 +213,43 @@ def load_jsonl(path: str | Path) -> list[dict]:
     return records
 
 
-def save_strategy(strategy: IDDEStrategy, path: str | Path) -> Path:
-    """Serialise a solver's output profiles and headline metrics."""
+def save_strategy(solution: Solution, path: str | Path) -> Path:
+    """Serialise a solution's profiles, solver name and wall time."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     header = {
         "format_version": _FORMAT_VERSION,
         "kind": "strategy",
-        "solver": strategy.solver,
-        "r_avg": strategy.r_avg,
-        "l_avg_ms": strategy.l_avg_ms,
-        "wall_time_s": strategy.wall_time_s,
+        "solver": solution.solver,
+        "wall_time_s": solution.wall_time_s,
     }
     np.savez_compressed(
         path,
         header=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
-        alloc_server=strategy.allocation.server,
-        alloc_channel=strategy.allocation.channel,
-        placed=strategy.delivery.placed,
+        alloc_server=solution.allocation.server,
+        alloc_channel=solution.allocation.channel,
+        placed=solution.delivery.placed,
     )
     return path
 
 
-def load_strategy(path: str | Path) -> IDDEStrategy:
-    """Reload a strategy saved by :func:`save_strategy`.
+def load_strategy(path: str | Path, instance: IDDEInstance) -> Solution:
+    """Reload the profiles :func:`save_strategy` wrote, evaluated on ``instance``.
 
-    ``extras`` are not persisted (they may hold arbitrary objects); the
-    loaded strategy carries an empty dictionary.
+    The :class:`~repro.core.objectives.Evaluation` is recomputed from the
+    profiles; phase results, ``extras`` and the request are not persisted.
     """
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"no such file: {path}")
     with np.load(path) as data:
         header = _read_header(data, "strategy")
-        return IDDEStrategy(
-            solver=str(header["solver"]),
-            allocation=AllocationProfile(data["alloc_server"], data["alloc_channel"]),
-            delivery=DeliveryProfile(data["placed"]),
-            r_avg=float(header["r_avg"]),
-            l_avg_ms=float(header["l_avg_ms"]),
-            wall_time_s=float(header["wall_time_s"]),
-            extras={},
-        )
+        allocation = AllocationProfile(data["alloc_server"], data["alloc_channel"])
+        delivery = DeliveryProfile(data["placed"])
+    return Solution(
+        solver=str(header["solver"]),
+        allocation=allocation,
+        delivery=delivery,
+        evaluation=evaluate(instance, allocation, delivery),
+        wall_time_s=float(header["wall_time_s"]),
+    )

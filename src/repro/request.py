@@ -1,18 +1,20 @@
 """The schema-versioned :class:`SolveRequest`: one object describing a run.
 
 :class:`SolveRequest` holds the whole run description — solver name, two
-phase configs, warm start, churn mask, RNG, an IP time budget,
-a validation switch and the solver's constructor options — in a single
-frozen dataclass that is *also* the daemon's wire format: the
-``idde-request/3`` JSON document round-trips through
+phase configs, warm start, churn mask, RNG, a validation switch and the
+solver's constructor options (the IDDE-IP time budget among them) — in a
+single frozen dataclass that is *also* the daemon's wire format: the
+``idde-request/4`` JSON document round-trips through
 :meth:`SolveRequest.to_dict` / :meth:`SolveRequest.from_dict` with strict
 validation — unknown keys are errors, every value must have its field's
 JSON type, nested configs reconstruct through their own ``__post_init__``
 checks — so a malformed request fails loudly at the boundary, never deep
 inside a kernel.  Version 2 dropped the ``kernel`` key of ``game`` and
 ``delivery`` (each phase has one kernel); version 3 dropped ``sharding``
-(the global game is the only IDDE-U path).  A request still carrying
-either fails as an unknown key.
+(the global game is the only IDDE-U path); version 4 dropped the
+top-level IDDE-IP budget field (the budget travels as ``solver_options``)
+and two ``game`` keys no solver read (docs/SERVING.md names all three).
+A request still carrying any dropped key fails as an unknown key.
 
 Two request fields are *runtime state*, not wire data:
 
@@ -41,14 +43,14 @@ from .config import DeliveryConfig, GameConfig
 from .errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from .api import Solution
+    from .core.strategy import Solution
     from .core.profiles import AllocationProfile
 
 __all__ = ["REQUEST_SCHEMA", "SolveRequest", "json_scalarish"]
 
-REQUEST_SCHEMA = "idde-request/3"
+REQUEST_SCHEMA = "idde-request/4"
 
-#: Wire keys of the ``idde-request/3`` document, in canonical order.
+#: Wire keys of the ``idde-request/4`` document, in canonical order.
 _WIRE_KEYS = (
     "schema",
     "solver",
@@ -57,7 +59,6 @@ _WIRE_KEYS = (
     "warm_start",
     "active",
     "rng",
-    "ip_time_budget_s",
     "validate",
     "solver_options",
 )
@@ -167,14 +168,13 @@ class SolveRequest:
     rng:
         Seed or generator for the solver's randomness (``repro.rng``
         discipline).
-    ip_time_budget_s:
-        Time cap for ``"idde-ip"``; ignored by every other solver (the
-        experiment harness passes one bundle to all five).
     validate:
         Check the returned strategy against the instance constraints.
     solver_options:
-        Extra keyword arguments for the solver's constructor; one it does
-        not accept raises :class:`~repro.errors.ConfigurationError`.
+        Extra keyword arguments for the solver's constructor (e.g.
+        ``{"time_budget_s": 3.0}`` for ``"idde-ip"``); one it does not
+        accept, or a value it rejects, raises
+        :class:`~repro.errors.ConfigurationError`.
     """
 
     solver: str = "idde-g"
@@ -183,7 +183,6 @@ class SolveRequest:
     warm_start: "Solution | AllocationProfile | bool | None" = None
     active: np.ndarray | None = None
     rng: Any = None
-    ip_time_budget_s: float | None = None
     validate: bool = True
     solver_options: dict[str, Any] = field(default_factory=dict)
 
@@ -213,21 +212,17 @@ class SolveRequest:
             raise ConfigurationError(
                 f"solver_options must be a dict, got {type(self.solver_options).__name__}"
             )
-        if self.ip_time_budget_s is not None and self.ip_time_budget_s <= 0:
-            raise ConfigurationError(
-                f"ip_time_budget_s must be > 0, got {self.ip_time_budget_s}"
-            )
 
     # ------------------------------------------------------------------
     # wire format
     # ------------------------------------------------------------------
     def to_dict(self, *, lenient: bool = False) -> dict[str, Any]:
-        """The ``idde-request/3`` JSON document for this request.
+        """The ``idde-request/4`` JSON document for this request.
 
         Strict by default: a live ``warm_start`` object or a non-integer
         ``rng`` cannot go on the wire and raise
         :class:`~repro.errors.ConfigurationError`.  ``lenient=True`` (used
-        when embedding the request in an ``idde-solution/3`` document)
+        when embedding the request in an ``idde-solution/4`` document)
         degrades them instead — ``warm_start`` to its boolean presence,
         ``rng`` to ``null``.
         """
@@ -270,14 +265,13 @@ class SolveRequest:
                 None if self.active is None else [int(b) for b in self.active]
             ),
             "rng": rng,
-            "ip_time_budget_s": self.ip_time_budget_s,
             "validate": self.validate,
             "solver_options": dict(self.solver_options),
         }
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "SolveRequest":
-        """Rebuild a request from an ``idde-request/3`` document.
+        """Rebuild a request from an ``idde-request/4`` document.
 
         Validation is strict: the schema tag must match, unknown keys are
         errors (no silent typo-tolerance on a wire format), every value
@@ -325,12 +319,6 @@ class SolveRequest:
                 f"active must be a flat 0/1 mask: a 0/1 list (entries 0, 1, "
                 f"true or false) or null, got {active!r}"
             )
-        budget = doc.get("ip_time_budget_s")
-        if budget is not None and not (_finite_number(budget) and budget > 0):
-            raise ConfigurationError(
-                f"ip_time_budget_s must be a finite positive number or null, "
-                f"got {budget!r}"
-            )
         options = doc.get("solver_options")
         if options is None:
             options = {}
@@ -348,7 +336,6 @@ class SolveRequest:
             # __post_init__ coerces the checked 0/1 list to a bool array.
             active=active,
             rng=rng,
-            ip_time_budget_s=budget,
             validate=validate,
             solver_options=dict(options),
         )

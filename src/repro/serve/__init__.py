@@ -3,7 +3,7 @@
 The serving layer the ROADMAP asks for: a stateful
 :class:`SolverSession` — resident instance, workload state, latest
 certified solution — behind a schema-versioned HTTP/JSON API
-(:class:`ServeDaemon`): ``idde-request/2`` in, ``idde-solution/3`` out,
+(:class:`ServeDaemon`): ``idde-request/4`` in, ``idde-solution/4`` out,
 ``idde-events/1`` deltas folded into warm-started re-solves, every
 response independently ε-Nash-certified.  Stdlib ``asyncio`` only — see
 docs/SERVING.md for the wire reference and operational model.

@@ -49,7 +49,7 @@ from ..baselines import resolve_solver_name
 from ..config import GameConfig
 from ..core.game import IddeUGame
 from ..core.instance import IDDEInstance
-from ..errors import ConfigurationError, SolverError
+from ..errors import ConfigurationError, ScenarioError, SolverError
 from ..obs.tracer import RecordingTracer, Tracer
 from ..request import SolveRequest
 from ..rng import spawn_rng
@@ -193,17 +193,25 @@ class SolverSession:
     def apply_events(self, events: Iterable[Event]) -> Solution:
         """Fold one delta batch into the state, then warm re-solve.
 
-        Returns the new certified solution.  If any event is invalid the
-        state is untouched (events are materialised and validated against
-        the universe before folding) and the resident solution survives.
+        Returns the new certified solution.  If any event is invalid — out
+        of the user universe, or a move the instance cannot follow (see
+        :meth:`~repro.core.instance.IDDEInstance.project`) — the batch is
+        rolled back and the resident solution survives.
         """
         with self._mutate_lock:
             batch = tuple(events)
             with self._lock:
-                applied = self.state.apply(batch)
-                self.events_applied += applied
+                state, count = self.state, self.events_applied
+                saved = WorkloadState(state.positions, state.active, state.requests)
                 warm = self.solution
-            return self._run(warm)
+            try:
+                with self._lock:
+                    self.events_applied += state.apply(batch)
+                return self._run(warm)
+            except ScenarioError:
+                with self._lock:
+                    self.state, self.events_applied = saved, count
+                raise
 
     def _run(self, warm: Solution | None) -> Solution:
         """One epoch: snapshot under the state lock, solve outside it,
@@ -211,11 +219,7 @@ class SolverSession:
         chain stays strictly sequential; reads never wait on the kernel.
         """
         with self._lock:
-            projected = IDDEInstance(
-                self.state.scenario(self.instance.scenario),
-                self.instance.topology,
-                self.instance.radio,
-            )
+            projected = self.instance.project(self.state)
             epoch = self.epoch + 1
             # Baselines have no game to re-enter or mask: they see churn
             # only through the projected scenario (inactive users request
@@ -292,7 +296,7 @@ class SolverSession:
             }
 
     def solution_document(self) -> dict[str, Any]:
-        """The resident solution as ``idde-solution/3`` + session context.
+        """The resident solution as ``idde-solution/4`` + session context.
 
         Raises :class:`~repro.errors.SolverError` when nothing has been
         solved yet (the daemon maps that to a structured 409).

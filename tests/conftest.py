@@ -137,3 +137,15 @@ def small_instance() -> IDDEInstance:
 def medium_instance() -> IDDEInstance:
     """A generated instance at a fifth of paper scale."""
     return IDDEInstance.generate(n=15, m=60, k=5, density=1.2, seed=2)
+
+
+@pytest.fixture(scope="session")
+def shadowed_instance() -> IDDEInstance:
+    """A generated instance whose gains a log-normal shadowing override fixes."""
+    from repro.radio.fading import lognormal_shadowing
+
+    base = IDDEInstance.generate(n=10, m=60, k=4, seed=0)
+    gain = lognormal_shadowing(
+        base.scenario.server_xy, base.scenario.user_xy, rng=1, sigma_db=8
+    )
+    return IDDEInstance(base.scenario, base.topology, base.radio, gain_override=gain)

@@ -16,10 +16,14 @@ class TestIddeG:
         assert strategy.wall_time_s > 0
 
     def test_extras(self, small_instance):
+        """The phase results ride as typed fields; extras copy none of them."""
         strategy = IddeG().solve(small_instance, rng=0)
-        assert strategy.extras["game_converged"]
-        assert strategy.extras["is_nash"]
-        assert strategy.extras["replicas"] == strategy.delivery.n_replicas
+        assert strategy.game.converged
+        assert strategy.game.is_nash
+        assert strategy.game.profile is strategy.allocation
+        assert strategy.delivery_result.profile is strategy.delivery
+        assert strategy.evaluation.replicas == strategy.delivery.n_replicas
+        assert strategy.extras == {}
 
     def test_objectives_consistent(self, small_instance):
         s = IddeG().solve(small_instance, rng=0)
@@ -42,13 +46,14 @@ class TestIddeG:
             delivery=DeliveryConfig(ratio_rule=False),
         )
         s = solver.solve(small_instance, rng=0)
-        assert s.extras["is_nash"]
+        assert s.game.is_nash
 
     def test_potential_trace_opt_in(self, small_instance):
         s = IddeG(track_potential=True).solve(small_instance, rng=0)
-        assert "potential_trace" in s.extras
-        assert len(s.extras["potential_trace"]) >= 1
+        assert s.extras["potential_trace"] is s.game.potential_trace
+        assert len(s.game.potential_trace) >= 1
 
     def test_no_trace_by_default(self, small_instance):
         s = IddeG().solve(small_instance, rng=0)
         assert "potential_trace" not in s.extras
+        assert s.game.potential_trace == []

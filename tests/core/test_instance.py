@@ -86,6 +86,38 @@ class TestSharedRadioTables:
         assert np.array_equal(engine.gain, gain) and engine.gain is not gain
 
 
+class TestProject:
+    def test_carries_the_gain_override(self, shadowed_instance):
+        from repro.workload import PopularityShift, UserLeave, WorkloadState
+
+        state = WorkloadState.from_scenario(shadowed_instance.scenario)
+        k = shadowed_instance.n_data
+        state.apply([PopularityShift(t=1.0, order=tuple(reversed(range(k)))),
+                     UserLeave(t=2.0, user=3)])
+        projected = shadowed_instance.project(state)
+        assert projected.gain_override is shadowed_instance.gain_override
+        assert projected.topology is shadowed_instance.topology
+        assert np.array_equal(projected.scenario.requests[:, 0], state.requests[:, 0])
+        assert not projected.scenario.requests[3].any()
+
+    def test_move_under_an_override_names_the_users(self, shadowed_instance):
+        from repro.workload import Move, WorkloadState
+
+        state = WorkloadState.from_scenario(shadowed_instance.scenario)
+        state.apply([Move(t=1.0, user=7, x=1.0, y=2.0), Move(t=2.0, user=2, x=3.0, y=4.0)])
+        with pytest.raises(ScenarioError, match=r"users \[2, 7\] moved"):
+            shadowed_instance.project(state)
+
+    def test_moves_follow_without_an_override(self, small_instance):
+        from repro.workload import Move, WorkloadState
+
+        state = WorkloadState.from_scenario(small_instance.scenario)
+        state.apply([Move(t=1.0, user=0, x=1.0, y=2.0)])
+        projected = small_instance.project(state)
+        assert projected.gain_override is None
+        assert tuple(projected.scenario.user_xy[0]) == (1.0, 2.0)
+
+
 class TestGenerate:
     def test_dimensions(self):
         inst = IDDEInstance.generate(n=12, m=40, k=3, density=1.5, seed=9)

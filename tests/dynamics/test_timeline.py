@@ -11,7 +11,7 @@ from repro.dynamics import (
     RandomWaypoint,
     mobility_batches,
 )
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, ScenarioError
 
 
 @pytest.fixture(scope="module")
@@ -216,3 +216,21 @@ class TestEventDriven:
         records = run(instance, waypoint(instance), epochs=2, dt=10.0, policy="cold")
         assert all(r.solution is not None for r in records)
         assert records[1].n_events >= instance.n_users  # a Move per user
+
+
+class TestGainOverride:
+    def test_epoch_zero_equals_direct_solve(self, shadowed_instance):
+        from repro.api import solve
+
+        [record] = DynamicSimulation(shadowed_instance).run_events([], rng=5)
+        direct = solve(shadowed_instance, "idde-g", rng=5)
+        assert np.array_equal(record.solution.allocation.server, direct.allocation.server)
+        assert np.array_equal(record.solution.delivery.placed, direct.delivery.placed)
+        assert (record.r_avg, record.l_avg_ms) == (direct.r_avg, direct.l_avg_ms)
+
+    def test_move_is_a_structured_error(self, shadowed_instance):
+        from repro.workload import EpochBatch, Move
+
+        batch = EpochBatch(0, 0.0, 1.0, (Move(t=0.5, user=1, x=0.0, y=0.0),))
+        with pytest.raises(ScenarioError, match="gain_override"):
+            DynamicSimulation(shadowed_instance).run_events([batch], rng=5)

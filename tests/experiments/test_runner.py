@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.errors import ExperimentError
+from repro.api import solve
+from repro.baselines import build_solver
+from repro.errors import ExperimentError, SolverLookupError
 from repro.experiments.runner import (
     SOLVER_NAMES,
     TrialSpec,
     build_instance,
-    build_solver,
     run_trial,
 )
 
@@ -52,16 +53,23 @@ class TestBuilders:
 
     @pytest.mark.parametrize("name", SOLVER_NAMES)
     def test_build_each_solver(self, name):
-        solver = build_solver(name, FAST)
+        request = FAST.request_for(name)
+        solver = build_solver(request.solver, **request.solver_options)
         assert solver.name == name
 
     def test_ip_budget_forwarded(self):
-        solver = build_solver("IDDE-IP", FAST)
-        assert solver.time_budget_s == 0.2
+        """Only IDDE-IP takes the budget, as one of its solver_options."""
+        assert FAST.request_for("IDDE-IP").solver_options == {"time_budget_s": 0.2}
+        for name in set(SOLVER_NAMES) - {"IDDE-IP"}:
+            assert FAST.request_for(name).solver_options == {}
+        sol = solve(build_instance(FAST), FAST.request_for("IDDE-IP").with_runtime(rng=0))
+        assert sol.config["time_budget_s"] == 0.2
 
     def test_unknown_solver(self):
         with pytest.raises(ExperimentError):
-            build_solver("Oracle", FAST)
+            TrialSpec(solver_names=("Oracle",))
+        with pytest.raises(SolverLookupError):
+            solve(build_instance(FAST), FAST.request_for("Oracle"))
 
 
 class TestRunTrial:

@@ -27,7 +27,7 @@ class TestFullSolve:
         from repro.core.idde_g import IddeG
 
         strategy = IddeG().solve(instance, rng=0)
-        assert strategy.extras["is_nash"]
+        assert strategy.game.is_nash
         assert IddeUGame(instance).is_nash(strategy.allocation)
 
 

@@ -108,7 +108,7 @@ class TestEndpoints:
         status, body = out["solve"]
         assert status == 200
         doc = json.loads(body)
-        assert doc["schema"] == "idde-solution/3"
+        assert doc["schema"] == "idde-solution/4"
         assert doc["session"] == {
             "epoch": 0, "events_applied": 0, "certified": True,
             "n_active": instance.scenario.n_users,
@@ -150,7 +150,7 @@ class TestEndpoints:
         served = json.loads(body)
         # the document embeds the producing request (lenient wire form:
         # the per-epoch generator degrades to a null seed)
-        assert served["request"]["schema"] == "idde-request/3"
+        assert served["request"]["schema"] == "idde-request/4"
         assert served["request"]["solver"] == "idde-g"
         assert served["session"]["epoch"] == 0
 
@@ -239,6 +239,27 @@ class TestErrorPaths:
         request = json.loads(after[1])["request"]
         assert request["solver"] == "idde-g"
         assert request["solver_options"] == {}
+
+    def test_rejected_solver_option_value_is_structured_400(self, instance):
+        """An option value the solver's constructor rejects (IDDE-IP's
+        ``time_budget_s: 0``) is a 400, not a 500, and the base request
+        survives for the next request."""
+        daemon = ServeDaemon(_session(instance))
+        doc = SolveRequest(solver="idde-ip", solver_options={"time_budget_s": 0}).to_dict()
+
+        async def scenario(d):
+            return (
+                await _http(d.port, "POST", "/v1/solve", doc),
+                await _http(d.port, "POST", "/v1/solve"),
+            )
+
+        (rejected, after), _ = _drive(daemon, scenario)
+        assert rejected[0] == 400
+        error = json.loads(rejected[1])["error"]
+        assert error["type"] == "ConfigurationError"
+        assert "idde-ip" in error["message"] and "time_budget_s" in error["message"]
+        assert after[0] == 200
+        assert json.loads(after[1])["request"]["solver"] == "idde-g"
 
     def test_mistyped_config_value_is_structured_400(self, instance):
         """A non-integer ``max_rounds`` is refused at the boundary, never

@@ -8,12 +8,12 @@ import pytest
 from repro.api import solve
 from repro.config import GameConfig
 from repro.core.instance import IDDEInstance
-from repro.errors import ConfigurationError, SolverError
+from repro.errors import ConfigurationError, ScenarioError, SolverError
 from repro.obs import RecordingTracer
 from repro.request import REQUEST_SCHEMA, SolveRequest
 from repro.rng import spawn_rng
 from repro.serve import SolverSession
-from repro.workload import Move, UserJoin, UserLeave
+from repro.workload import Move, PopularityShift, UserJoin, UserLeave
 
 
 @pytest.fixture(scope="module")
@@ -191,9 +191,44 @@ class TestSolutionDocument:
         session.solve()
         session.apply_events([UserLeave(t=1.0, user=0)])
         doc = session.solution_document()
-        assert doc["schema"] == "idde-solution/3"
+        assert doc["schema"] == "idde-solution/4"
         assert doc["session"]["epoch"] == 1
         assert doc["session"]["events_applied"] == 1
         assert doc["session"]["certified"] is True
         assert doc["session"]["n_active"] == instance.scenario.n_users - 1
         assert doc["request"]["warm_start"] is True
+
+
+class TestGainOverride:
+    """Every epoch projects through IDDEInstance.project, override included."""
+
+    def test_epoch_zero_equals_direct_solve(self, shadowed_instance):
+        sol = SolverSession(shadowed_instance, SolveRequest(solver="idde-g", rng=11)).solve()
+        direct = solve(
+            shadowed_instance,
+            SolveRequest(
+                solver="idde-g",
+                active=np.ones(shadowed_instance.n_users, dtype=bool),
+                rng=spawn_rng(11, "serve", 0),
+            ),
+        )
+        assert np.array_equal(sol.allocation.server, direct.allocation.server)
+        assert np.array_equal(sol.allocation.channel, direct.allocation.channel)
+        assert np.array_equal(sol.delivery.placed, direct.delivery.placed)
+        assert (sol.r_avg, sol.l_avg_ms) == (direct.r_avg, direct.l_avg_ms)
+
+    def test_move_is_structured_and_rolled_back(self, shadowed_instance):
+        session = SolverSession(shadowed_instance, _warm_request())
+        first = session.solve()
+        positions = session.state.positions.copy()
+        with pytest.raises(ScenarioError, match=r"users \[4\] moved"):
+            session.apply_events([UserLeave(t=1.0, user=2), Move(t=2.0, user=4, x=0.0, y=0.0)])
+        assert session.solution is first  # resident survives
+        assert session.epoch == 0 and session.events_applied == 0
+        assert np.array_equal(session.state.positions, positions)
+        assert session.state.n_active == shadowed_instance.n_users
+        # The session keeps serving, and a shift keeps the override.
+        k = shadowed_instance.n_data
+        after = session.apply_events([PopularityShift(t=3.0, order=tuple(reversed(range(k))))])
+        assert session.epoch == 1 and session.certified is True
+        assert after.game.is_nash

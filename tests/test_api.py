@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.api import SOLUTION_SCHEMA, Solution, solve
-from repro.baselines import CANONICAL_SOLVERS, build_solver, resolve_solver_name
+from repro.baselines import CANONICAL_SOLVERS, _FACTORIES, build_solver, resolve_solver_name
 from repro.config import DeliveryConfig, GameConfig
 from repro.core.idde_g import IddeG
 from repro.core.instance import IDDEInstance
@@ -138,6 +138,21 @@ class TestRegistry:
         solver = build_solver("idde-ip", time_budget_s=0.5)
         assert solver.time_budget_s == 0.5
 
+    @pytest.mark.parametrize("budget", [0, "x"])
+    def test_rejected_option_values_are_configuration_errors(self, instance, budget):
+        """A value the constructor rejects (ValueError/TypeError) is a
+        structured ConfigurationError naming the solver and the options."""
+        with pytest.raises(ConfigurationError, match=r"'idde-ip'.*time_budget_s"):
+            build_solver("idde-ip", time_budget_s=budget)
+        with pytest.raises(ConfigurationError, match=r"'idde-ip'.*time_budget_s"):
+            solve(instance, "idde-ip", solver_options={"time_budget_s": budget})
+
+    def test_ip_budget_config_reads_the_built_solver(self, instance):
+        default = solve(instance, "idde-ip", rng=3)
+        assert default.config["time_budget_s"] == build_solver("idde-ip").time_budget_s
+        capped = solve(instance, "idde-ip", solver_options={"time_budget_s": 0.05}, rng=3)
+        assert capped.config["time_budget_s"] == 0.05
+
 
 class TestSolutionConstruction:
     def test_frozen(self, instance):
@@ -203,28 +218,30 @@ class TestWarmStart:
 
 
 class TestSolutionSchemaVersions:
-    """The idde-solution/3 loader (older tags are rejected) and typed extras."""
+    """The idde-solution/4 loader (older tags are rejected) and typed extras."""
 
-    def _v3_doc(self, instance):
+    def _doc(self, instance):
         from repro.request import SolveRequest
 
         return solve(instance, SolveRequest(solver="idde-g", rng=3)).to_dict()
 
-    def test_loader_passes_v3_through(self, instance):
+    def test_loader_passes_v4_through(self, instance):
         from repro.api import load_solution_document
 
-        doc = self._v3_doc(instance)
-        assert doc["schema"] == "idde-solution/3"
+        doc = self._doc(instance)
+        assert doc["schema"] == "idde-solution/4"
         loaded = load_solution_document(json.loads(json.dumps(doc)))
         assert loaded == doc
-        assert loaded["request"]["schema"] == "idde-request/3"
+        assert loaded["request"]["schema"] == "idde-request/4"
 
-    @pytest.mark.parametrize("schema", ["idde-solution/1", "idde-solution/2"])
+    @pytest.mark.parametrize(
+        "schema", ["idde-solution/1", "idde-solution/2", "idde-solution/3"]
+    )
     def test_loader_rejects_retired_schemas(self, instance, schema):
-        """v1 and v2 are no longer read: they fail like any unknown tag."""
+        """v1 to v3 are no longer read: they fail like any unknown tag."""
         from repro.api import load_solution_document
 
-        doc = self._v3_doc(instance)
+        doc = self._doc(instance)
         doc["schema"] = schema
         with pytest.raises(ConfigurationError, match="unsupported solution schema"):
             load_solution_document(doc)
@@ -232,8 +249,8 @@ class TestSolutionSchemaVersions:
     def test_loader_rejects_unknown_schema(self, instance):
         from repro.api import load_solution_document
 
-        doc = self._v3_doc(instance)
-        doc["schema"] = "idde-solution/4"
+        doc = self._doc(instance)
+        doc["schema"] = "idde-solution/9"
         with pytest.raises(ConfigurationError, match="idde-solution"):
             load_solution_document(doc)
 
@@ -252,3 +269,27 @@ class TestSolutionSchemaVersions:
 
         warm = solve(instance, "idde-g", warm_start=cold, rng=1)
         assert warm.warm_detached == 0
+
+
+class TestSolutionStatesEachFactOnce:
+    """An ``idde-solution/4`` document repeats no fact under ``extras``."""
+
+    @pytest.mark.parametrize("name", sorted(_FACTORIES))
+    def test_extras_repeat_no_other_key(self, instance, name):
+        options = {"time_budget_s": 0.05} if name == "idde-ip" else {}
+        doc = solve(instance, name, solver_options=options, rng=3).to_dict()
+        taken = set(doc) | set(doc["config"])
+        for block in ("game", "delivery"):
+            taken |= set(doc[block] or ())
+        assert not set(doc["extras"]) & taken, doc["extras"]
+
+    def test_idde_g_extras_hold_only_what_no_field_carries(self, instance):
+        cold = solve(instance, "idde-g", rng=3)
+        assert cold.to_dict()["extras"] == {}
+        warm = solve(instance, "idde-g", warm_start=cold, rng=4)
+        assert warm.to_dict()["extras"] == {"warm_detached": 0}
+        traced = solve(
+            instance, "idde-g", solver_options={"track_potential": True}, rng=3
+        )
+        assert set(traced.extras) == {"potential_trace"}
+        assert traced.extras["potential_trace"] == traced.game.potential_trace

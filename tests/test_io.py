@@ -64,25 +64,27 @@ class TestStrategyRoundTrip:
     def test_profiles_bit_exact(self, small_instance, tmp_path):
         strategy = IddeG().solve(small_instance, rng=0)
         path = save_strategy(strategy, tmp_path / "s.npz")
-        loaded = load_strategy(path)
+        loaded = load_strategy(path, small_instance)
         assert loaded.solver == "IDDE-G"
         assert loaded.allocation == strategy.allocation
         assert loaded.delivery == strategy.delivery
-        assert loaded.r_avg == pytest.approx(strategy.r_avg)
-        assert loaded.l_avg_ms == pytest.approx(strategy.l_avg_ms)
-        assert loaded.extras == {}
+        assert loaded.wall_time_s == strategy.wall_time_s
+        # The evaluation is rebuilt from the profiles, bit for bit.
+        assert loaded.evaluation.r_avg == strategy.r_avg
+        assert loaded.evaluation.l_avg_ms == strategy.l_avg_ms
+        assert loaded.game is None and loaded.extras == {}
 
     def test_loaded_profiles_still_valid(self, small_instance, tmp_path):
         strategy = IddeG().solve(small_instance, rng=0)
         path = save_strategy(strategy, tmp_path / "s.npz")
-        loaded = load_strategy(path)
+        loaded = load_strategy(path, small_instance)
         loaded.allocation.validate(small_instance.scenario)
         loaded.delivery.validate(small_instance.scenario)
 
     def test_wrong_kind_rejected(self, small_instance, tmp_path):
         path = save_instance(small_instance, tmp_path / "inst.npz")
         with pytest.raises(DatasetError):
-            load_strategy(path)
+            load_strategy(path, small_instance)
 
 
 class TestJsonl:

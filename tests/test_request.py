@@ -16,17 +16,16 @@ from repro.core.instance import IDDEInstance
 from repro.errors import ConfigurationError
 from repro.request import _WIRE_KEYS, REQUEST_SCHEMA, SolveRequest
 
-#: A fully-populated idde-request/3 document, exactly as it travels the
+#: A fully-populated idde-request/4 document, exactly as it travels the
 #: wire — golden bytes for cross-version compatibility.
 GOLDEN_DOC = {
-    "schema": "idde-request/3",
+    "schema": "idde-request/4",
     "solver": "idde-g",
     "game": None,
     "delivery": None,
     "warm_start": True,
     "active": [1, 1, 0, 1],
     "rng": 42,
-    "ip_time_budget_s": 2.5,
     "validate": False,
     "solver_options": {"note": "golden"},
 }
@@ -45,7 +44,6 @@ class TestWireRoundTrip:
         assert req.active.dtype == bool
         assert list(req.active) == [True, True, False, True]
         assert req.rng == 42
-        assert req.ip_time_budget_s == 2.5
         assert req.validate is False
         assert req.solver_options == {"note": "golden"}
 
@@ -75,7 +73,7 @@ class TestWireRoundTrip:
     def test_schema_tag_required(self):
         doc = dict(GOLDEN_DOC)
         doc["schema"] = "idde-request/9"
-        with pytest.raises(ConfigurationError, match="idde-request/3"):
+        with pytest.raises(ConfigurationError, match="idde-request/4"):
             SolveRequest.from_dict(doc)
         with pytest.raises(ConfigurationError, match="schema"):
             SolveRequest.from_dict({"solver": "idde-g"})
@@ -108,7 +106,7 @@ class TestWireRoundTrip:
 
     def test_v1_document_rejected(self):
         doc = dict(GOLDEN_DOC, schema="idde-request/1")
-        with pytest.raises(ConfigurationError, match="idde-request/3"):
+        with pytest.raises(ConfigurationError, match="idde-request/4"):
             SolveRequest.from_dict(doc)
 
     @pytest.mark.parametrize("sharding", [None, {"n_shards": 2}])
@@ -117,8 +115,32 @@ class TestWireRoundTrip:
         doc = dict(GOLDEN_DOC, sharding=sharding)
         with pytest.raises(ConfigurationError, match=r"unknown request key.*sharding"):
             SolveRequest.from_dict(doc)
-        with pytest.raises(ConfigurationError, match="idde-request/3"):
+        with pytest.raises(ConfigurationError, match="idde-request/4"):
             SolveRequest.from_dict(dict(doc, schema="idde-request/2"))
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            (None, "ip_time_budget_s"),
+            ("game", "allow_unallocated"),
+            ("game", "patience_moves"),
+        ],
+    )
+    def test_dropped_keys_are_unknown(self, section, key):
+        """v4 dropped the IP budget field (it travels as solver_options)
+        and two game keys no solver read."""
+        value = 2.5 if key == "ip_time_budget_s" else 0
+        doc = (
+            dict(GOLDEN_DOC, **{key: value})
+            if section is None
+            else dict(GOLDEN_DOC, **{section: {key: value}})
+        )
+        where = "request" if section is None else section
+        with pytest.raises(ConfigurationError, match=rf"unknown {where} key.*{key}"):
+            SolveRequest.from_dict(doc)
+        # A v3 document fails on its tag, before any key is looked at.
+        with pytest.raises(ConfigurationError, match="idde-request/4"):
+            SolveRequest.from_dict(dict(doc, schema="idde-request/3"))
 
     @pytest.mark.parametrize(
         "key, value, match",
@@ -128,14 +150,14 @@ class TestWireRoundTrip:
             ("game", {"epsilon": "a"}, "game.epsilon"),
             ("game", {"epsilon": float("nan")}, "game.epsilon"),
             ("game", {"epsilon": 10**400}, "game.epsilon"),
-            ("game", {"allow_unallocated": "no"}, "game.allow_unallocated"),
+            ("game", {"max_moves_per_user": 2.5}, "game.max_moves_per_user"),
             ("game", {"schedule": 3}, "game.schedule"),
             ("delivery", {"ratio_rule": 0}, "delivery.ratio_rule"),
             ("delivery", {"min_gain_s": float("inf")}, "delivery.min_gain_s"),
-            ("ip_time_budget_s", "x", "ip_time_budget_s"),
-            ("ip_time_budget_s", True, "ip_time_budget_s"),
-            ("ip_time_budget_s", float("inf"), "ip_time_budget_s"),
-            ("ip_time_budget_s", 0, "ip_time_budget_s"),
+            ("game", {"epsilon_growth": True}, "game.epsilon_growth"),
+            ("game", {"epsilon_max": float("inf")}, "game.epsilon_max"),
+            ("delivery", {"min_gain_s_per_mb": "0"}, "delivery.min_gain_s_per_mb"),
+            ("validate", 0, "boolean"),
             ("active", ["a", 0, 2], "0/1 list"),
             ("active", [1, 0, 2], "0/1 list"),
             ("active", [1.0, 0], "0/1 list"),
@@ -153,18 +175,16 @@ class TestWireRoundTrip:
     def test_well_typed_values_accepted(self):
         doc = dict(
             GOLDEN_DOC,
-            game={"epsilon": 0, "max_rounds": 7, "allow_unallocated": True},
+            game={"epsilon": 0, "max_rounds": 7, "max_moves_per_user": 3},
             delivery={"min_gain_s": 1},
             active=[True, 0, 1, False],
-            ip_time_budget_s=3,
+            solver_options={"time_budget_s": 3},
         )
         req = SolveRequest.from_dict(doc)
-        assert req.game_config == GameConfig(
-            epsilon=0, max_rounds=7, allow_unallocated=True
-        )
+        assert req.game_config == GameConfig(epsilon=0, max_rounds=7, max_moves_per_user=3)
         assert req.delivery_config == DeliveryConfig(min_gain_s=1)
         assert list(req.active) == [True, False, True, False]
-        assert req.ip_time_budget_s == 3
+        assert req.solver_options == {"time_budget_s": 3}
 
     @pytest.mark.parametrize(
         "key, value, match",

@@ -7,7 +7,7 @@ mirrors the lifecycle in docs/SERVING.md:
 1. boot the daemon as a subprocess on an ephemeral port and parse the
    listen banner;
 2. POST /v1/solve (empty body = the session's base request) and check
-   the idde-solution/3 document certifies;
+   the idde-solution/4 document certifies;
 3. POST /v1/events delta batches and check each warm re-solve advances
    the epoch with a verified certificate;
 4. read /v1/health, /v1/metrics and /v1/solution concurrently with a
@@ -34,6 +34,7 @@ import urllib.error
 import urllib.request
 from pathlib import Path
 
+from repro.api import SOLUTION_SCHEMA
 from repro.request import REQUEST_SCHEMA
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -98,7 +99,7 @@ def main() -> int:
         # -- 1. base solve certifies --------------------------------------
         status, doc = request(port, "POST", "/v1/solve")
         check(status == 200, f"solve returned {status}: {doc}")
-        check(doc["schema"] == "idde-solution/3", f"bad schema {doc['schema']}")
+        check(doc["schema"] == SOLUTION_SCHEMA, f"bad schema {doc['schema']}")
         check(doc["session"]["certified"] is True, "epoch 0 not certified")
         check(doc["game"]["is_nash"], "epoch 0 solve is not an ε-Nash")
         print(f"serve_smoke: epoch 0 certified (eps={doc['game']['effective_epsilon']:.2e})")
