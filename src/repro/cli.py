@@ -545,7 +545,10 @@ def _replay_impl(args: argparse.Namespace) -> int:
             records = _run(policy)
             results[policy] = records
             # Re-derive the final instance/mask and certify the end-state
-            # at the tolerance its own run claims.
+            # at the tolerance its own run claims.  The final state projects
+            # from the base instance, not from the run's last epoch, so the
+            # re-check reads nothing the run's chain of projections carried
+            # forward.
             state = WorkloadState.from_scenario(instance.scenario)
             for batch in batch_by_count(_events(), args.epoch_events):
                 state.apply(batch)

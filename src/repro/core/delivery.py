@@ -34,7 +34,7 @@ import numpy as np
 from ..config import DeliveryConfig
 from ..obs.tracer import Tracer, ensure_tracer
 from .instance import IDDEInstance
-from .profiles import UNALLOCATED, AllocationProfile, DeliveryProfile
+from .profiles import AllocationProfile, DeliveryProfile
 
 __all__ = ["greedy_delivery", "DeliveryResult", "attached_request_counts"]
 
@@ -68,16 +68,15 @@ def attached_request_counts(
     to server ``i`` (whole numbers; float64 so callers feed it straight into
     the gain matvecs without a per-solve ``(K, N)`` cast).  Unallocated
     users are excluded (replicas cannot help them; they always fetch from
-    the cloud)."""
-    n, k = instance.n_servers, instance.n_data
-    counts = np.zeros((k, n), dtype=np.float64)
+    the cloud): their one-hot row is all zero.
+
+    One matmul of ζ against the users' one-hot attachment: every product
+    is 0 or 1, so the sums are exact integers whatever the summation order.
+    """
     attached = alloc.server
-    mask = attached != UNALLOCATED
-    if mask.any():
-        zeta = instance.scenario.requests[mask]  # (Ma, K)
-        servers = attached[mask]
-        np.add.at(counts.T, (servers,), zeta)
-    return counts
+    onehot = attached[:, None] == np.arange(instance.n_servers)  # (M, N)
+    zeta = instance.scenario.requests  # (M, K)
+    return zeta.T.astype(np.float64) @ onehot.astype(np.float64)
 
 
 #: Peak size in bytes of one ``(B, N, N)`` improvement-tensor tile in the
@@ -170,12 +169,12 @@ def _run_batched(
         top_gain = eff[rows, srv]
         top_score = scores[rows, srv]
         valid = (top_gain > 0.0) & (top_score > stop_threshold)
-        if tracer.enabled:
-            sweep_rejects = int(
-                np.count_nonzero((eff > 0.0) & (scores <= stop_threshold))
-            )
         if not valid.any():
             if tracer.enabled:
+                # Only the terminal sweep's rejections are reported.
+                sweep_rejects = int(
+                    np.count_nonzero((eff > 0.0) & (scores <= stop_threshold))
+                )
                 tracer.event(
                     "delivery.stop", rejected=sweep_rejects, iterations=len(placements)
                 )

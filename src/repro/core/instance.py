@@ -6,6 +6,10 @@ and owns the derived structure every solver needs: the radio tables (gain
 matrix and padded covering structure, built once and shared read-only by
 the fresh :class:`~repro.radio.SinrEngine` each solver gets), the delivery
 latency model, and the request aggregation used by the latency objective.
+
+:meth:`IDDEInstance.project` derives the next epoch's instance.  It builds
+only what the epoch's events changed: the path cost lives on the frozen
+topology, and the coverage and radio tables carry over unless a user moved.
 """
 
 from __future__ import annotations
@@ -91,24 +95,34 @@ class IDDEInstance:
     def project(self, state: WorkloadState) -> "IDDEInstance":
         """This instance with the users' positions, activity and requests of ``state``.
 
+        The topology, and with it the path cost, is shared.  When no user
+        moved, the coverage structure and :attr:`radio_tables` carry over
+        too: they depend only on the fixed servers, powers and radio and on
+        the users' positions.  A state that moved anyone rebuilds both.
+
         ``gain_override`` carries over.  It fixes every link's gain, so a state
         that moved a user raises :class:`~repro.errors.ScenarioError` naming them.
         """
-        if self.gain_override is not None:
-            moved = np.flatnonzero((state.positions != self.scenario.user_xy).any(axis=1))
-            if moved.size:
-                raise ScenarioError(
-                    f"users {moved.tolist()} moved, but gain_override fixes every link's gain"
-                )
-        return IDDEInstance(
-            state.scenario(self.scenario), self.topology, self.radio, gain_override=self.gain_override
+        scenario = state.scenario(self.scenario)
+        moved = np.flatnonzero((scenario.user_xy != self.scenario.user_xy).any(axis=1))
+        if moved.size and self.gain_override is not None:
+            raise ScenarioError(
+                f"users {moved.tolist()} moved, but gain_override fixes every link's gain"
+            )
+        projected = IDDEInstance(
+            scenario, self.topology, self.radio, gain_override=self.gain_override
         )
+        if not moved.size:
+            scenario.adopt_geometry(self.scenario)
+            projected.__dict__["radio_tables"] = self.radio_tables
+        return projected
 
     # ------------------------------------------------------------------
     # derived structure
     # ------------------------------------------------------------------
     @cached_property
     def latency_model(self) -> DeliveryLatencyModel:
+        """Eq. (8)'s model; its path cost is the topology's, computed once."""
         return DeliveryLatencyModel(self.topology)
 
     @cached_property

@@ -29,6 +29,9 @@ __all__ = [
     "evaluate",
 ]
 
+#: Peak size in bytes of one ``(N, N, B)`` tile of the retrieval-cost min.
+_TILE_BYTES = 32 << 20
+
 
 def retrieval_cost_table(
     instance: IDDEInstance, delivery: DeliveryProfile
@@ -37,21 +40,25 @@ def retrieval_cost_table(
     item ``k`` under profile ``σ`` (Eq. 8, cloud included).
 
     Entries never exceed the cloud latency (the latency constraint).
+
+    One masked min over origins: a server that does not hold item ``k``
+    offers the cloud's per-MB cost instead of its path cost.  Min is exact,
+    so the table equals the per-item sweep's bit for bit.  The
+    ``(N, N, B)`` tensor is tiled over K-blocks to stay memory-bounded.
     """
     lm = instance.latency_model
     pc = lm.path_cost  # (N, N) seconds/MB, already cloud-capped
     sizes = instance.scenario.sizes
     n, k = instance.n_servers, instance.n_data
-    cost = np.empty((n, k))
-    cloud = lm.cloud_cost
-    for kk in range(k):
-        origins = delivery.servers_holding(kk)
-        if len(origins):
-            per_mb = np.minimum(pc[origins, :].min(axis=0), cloud)
-        else:
-            per_mb = np.full(n, cloud)
-        cost[:, kk] = sizes[kk] * per_mb
-    return cost
+    placed = delivery.placed  # (N, K)
+    per_mb = np.empty((n, k))
+    block = max(1, _TILE_BYTES // max(n * n * 8, 1))
+    for lo in range(0, k, block):
+        blk = slice(lo, min(lo + block, k))
+        # offer[o, i, b]: per-MB cost of fetching item lo+b at i from origin o.
+        offer = np.where(placed[:, None, blk], pc[:, :, None], lm.cloud_cost)
+        per_mb[:, blk] = offer.min(axis=0)
+    return per_mb * sizes
 
 
 def per_user_latencies(

@@ -197,7 +197,9 @@ class DynamicSimulation:
                 with tracer.span("workload.batch", events=batch.n_events) as bspan:
                     state.apply(batch)
                     bspan.set(active_users=state.n_active)
-                instance = self.instance.project(state)
+                # Project from the previous epoch: only what the batch
+                # changed is rebuilt (see IDDEInstance.project).
+                instance = instance.project(state)
                 active = _active()
 
                 if self.policy == "static":

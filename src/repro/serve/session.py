@@ -1,8 +1,10 @@
 """The stateful heart of IDDE-Serve: one long-lived :class:`SolverSession`.
 
 A session owns everything a sequence of related solves can reuse — the
-base :class:`~repro.core.instance.IDDEInstance` (topology and SINR engine
-caches stay resident across requests), the mutable
+base :class:`~repro.core.instance.IDDEInstance`, the instance of the last
+committed epoch (each epoch projects from it, so the topology's path cost
+stays resident, and coverage and the radio tables stay resident until a
+user moves), the mutable
 :class:`~repro.workload.WorkloadState` that ``idde-events/1`` deltas fold
 into, the latest certified :class:`~repro.api.Solution`, and one
 :class:`~repro.obs.tracer.RecordingTracer` whose snapshots back the
@@ -97,6 +99,9 @@ class SolverSession:
         #: only — never held across a solver kernel.
         self._lock = threading.RLock()
         self.instance = instance
+        #: The instance the last committed solution was served on; the next
+        #: epoch projects from it, so only what its events changed is rebuilt.
+        self._served = instance
         self.tracer: Tracer = tracer if tracer is not None else RecordingTracer()
         self.state = WorkloadState.from_scenario(
             instance.scenario,
@@ -219,7 +224,7 @@ class SolverSession:
         chain stays strictly sequential; reads never wait on the kernel.
         """
         with self._lock:
-            projected = self.instance.project(self.state)
+            projected = self._served.project(self.state)
             epoch = self.epoch + 1
             # Baselines have no game to re-enter or mask: they see churn
             # only through the projected scenario (inactive users request
@@ -242,6 +247,7 @@ class SolverSession:
                 f"at tol={solution.game.effective_epsilon:.3e}"
             )
         with self._lock:
+            self._served = projected
             self.epoch = epoch
             self.solution = solution
             self.certified = certified

@@ -8,7 +8,7 @@ back to the cloud for data exchange (handled by the latency model).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -16,6 +16,7 @@ import numpy as np
 from ..config import TopologyConfig
 from ..errors import TopologyError
 from ..rng import ensure_rng
+from .shortest_path import all_pairs_path_cost
 
 __all__ = ["EdgeTopology", "build_topology"]
 
@@ -37,7 +38,6 @@ class EdgeTopology:
     links: np.ndarray
     speeds: np.ndarray
     cloud_speed: float = 600.0
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         links = np.asarray(self.links, dtype=np.int64).reshape(-1, 2)
@@ -81,6 +81,19 @@ class EdgeTopology:
             # Keep the fastest link if duplicates were ever admitted upstream.
             cost[a, b] = np.minimum(cost[a, b], w)
             cost[b, a] = cost[a, b]
+        return cost
+
+    @cached_property
+    def path_cost(self) -> np.ndarray:
+        """``(n, n)`` minimal seconds-per-MB path cost, capped at the cloud fetch.
+
+        The cap is Eq. (8)'s latency constraint: an unreachable pair costs
+        exactly ``1/cloud_speed``, so the matrix holds no infinities.  The
+        topology is frozen, so the all-pairs search runs once per topology
+        and every instance over it reads the same read-only matrix.
+        """
+        cost = np.minimum(all_pairs_path_cost(self.adjacency_cost), 1.0 / self.cloud_speed)
+        cost.setflags(write=False)
         return cost
 
     @cached_property

@@ -49,11 +49,13 @@ class DeliveryLatencyModel:
         """``(N, N)`` minimal seconds-per-MB cost between servers.
 
         With the latency constraint enforced, entries never exceed
-        :attr:`cloud_cost` and the matrix contains no infinities.
+        :attr:`cloud_cost`, the matrix contains no infinities, and it is the
+        topology's own :attr:`~repro.topology.EdgeTopology.path_cost`, shared
+        by every model over that topology.
         """
-        cost = all_pairs_path_cost(self.topology.adjacency_cost)
         if self.enforce_latency_constraint:
-            cost = np.minimum(cost, self.cloud_cost)
+            return self.topology.path_cost
+        cost = all_pairs_path_cost(self.topology.adjacency_cost)
         cost.setflags(write=False)
         return cost
 

@@ -198,6 +198,20 @@ class Scenario:
         out.setflags(write=False)
         return out
 
+    #: The cached structure that depends only on the servers and the users' positions.
+    _GEOMETRY = ("coverage", "covering_servers", "covered_users")
+
+    def adopt_geometry(self, source: "Scenario") -> None:
+        """Take over the coverage structure ``source`` has already computed.
+
+        The caller guarantees that ``source`` has this scenario's servers and
+        users at the same positions, so its coverage, covering sets and
+        covered mask are exactly what this scenario would compute.
+        """
+        for name in self._GEOMETRY:
+            if name in source.__dict__:
+                self.__dict__.setdefault(name, source.__dict__[name])
+
     @cached_property
     def total_storage(self) -> float:
         """``Σ_i A_i`` — the total reserved storage in MB."""

@@ -117,6 +117,21 @@ class TestProject:
         assert projected.gain_override is None
         assert tuple(projected.scenario.user_xy[0]) == (1.0, 2.0)
 
+    def test_static_structure_carries_unless_a_user_moved(self, small_instance):
+        from repro.workload import Move, UserLeave, WorkloadState
+
+        state = WorkloadState.from_scenario(small_instance.scenario)
+        state.apply([UserLeave(t=1.0, user=0)])
+        still = small_instance.project(state)
+        assert still.latency_model.path_cost is small_instance.latency_model.path_cost
+        assert still.scenario.coverage is small_instance.scenario.coverage
+        assert still.radio_tables is small_instance.radio_tables
+        state.apply([Move(t=2.0, user=1, x=1.0, y=2.0)])
+        moved = still.project(state)
+        assert moved.latency_model.path_cost is small_instance.latency_model.path_cost
+        assert moved.scenario.coverage is not still.scenario.coverage
+        assert moved.radio_tables is not still.radio_tables
+
 
 class TestGenerate:
     def test_dimensions(self):

@@ -14,10 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import DeliveryConfig
-from repro.core.delivery import DeliveryResult, attached_request_counts
+from repro.core.delivery import DeliveryResult
 from repro.core.instance import IDDEInstance
 from repro.core.profiles import AllocationProfile, DeliveryProfile
 from repro.obs.tracer import Tracer, ensure_tracer
+
+from .evaluation import oracle_attached_request_counts
 
 __all__ = ["oracle_delivery"]
 
@@ -35,7 +37,7 @@ def oracle_delivery(
     n, k = instance.n_servers, instance.n_data
     sizes = instance.scenario.sizes
     pc = instance.latency_model.path_cost
-    counts = attached_request_counts(instance, alloc)
+    counts = oracle_attached_request_counts(instance, alloc)
     # best[k, i]: current cheapest retrieval (seconds) for item k at server i.
     best = np.tile(instance.latency_model.cloud_cost * sizes[:, None], (1, n))
     residual = instance.scenario.storage.astype(float).copy()

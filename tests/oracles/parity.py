@@ -12,7 +12,10 @@ exact equality:
 * delivery: the ordered placements, the bitwise total gain, the final
   placement matrix, and — in the traced replays — every
   ``delivery.place`` / ``delivery.stop`` event and the
-  ``delivery.threshold_rejects`` count.
+  ``delivery.threshold_rejects`` count;
+* evaluation: the bytes, dtype and shape of the retrieval-cost table and
+  of the attached request counts, under empty, greedy and random
+  placements.
 
 A parity break is a correctness bug in whichever side changed last —
 never relax a comparison to a tolerance to make it pass.
@@ -23,13 +26,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from repro.bench.fixtures import equilibrium_profile, instance_for
 from repro.config import DeliveryConfig, GameConfig
-from repro.core.delivery import DeliveryResult, greedy_delivery
+from repro.core.delivery import DeliveryResult, attached_request_counts, greedy_delivery
 from repro.core.game import GameResult, IddeUGame
+from repro.core.objectives import retrieval_cost_table
+from repro.core.profiles import UNALLOCATED, AllocationProfile, DeliveryProfile
 from repro.obs.tracer import RecordingTracer, Tracer
+from repro.rng import spawn_rng
 
 from .delivery import oracle_delivery
+from .evaluation import oracle_attached_request_counts, oracle_retrieval_cost_table
 from .game import OracleGame
 
 __all__ = [
@@ -39,6 +48,7 @@ __all__ = [
     "PairCase",
     "compare",
     "delivery_cases",
+    "evaluation_cases",
     "game_cases",
     "render",
 ]
@@ -191,3 +201,48 @@ def delivery_cases(
             )
     return cases
 
+
+def _bits(array: np.ndarray) -> tuple[str, tuple[int, ...], bytes]:
+    """An array's dtype, shape and bytes: equal only if bitwise equal."""
+    return array.dtype.str, array.shape, np.ascontiguousarray(array).tobytes()
+
+
+def evaluation_cases(scale: str, seed: int) -> list[PairCase]:
+    """Production server-space evaluation vs
+    :mod:`~tests.oracles.evaluation`, under three strategies.
+
+    * ``empty``: no replica and nobody allocated;
+    * ``greedy``: the equilibrium and its greedy placement;
+    * ``random``: the equilibrium with a random third of the users
+      detached, and a random placement (storage is not checked here).
+    """
+    instance = instance_for(scale, seed)
+    alloc = equilibrium_profile(scale, seed)
+    n, m, k = instance.n_servers, instance.n_users, instance.n_data
+    rng = spawn_rng(seed, "oracle", "evaluation")
+    detached = rng.random(m) < 1 / 3
+    server, channel = alloc.server.copy(), alloc.channel.copy()
+    server[detached] = UNALLOCATED
+    channel[detached] = UNALLOCATED
+    strategies = {
+        "empty": (AllocationProfile.empty(m), DeliveryProfile.empty(n, k)),
+        "greedy": (alloc, greedy_delivery(instance, alloc).profile),
+        "random": (AllocationProfile(server, channel), DeliveryProfile(rng.random((n, k)) < 0.2)),
+    }
+    cases = []
+    for name, (profile, delivery) in strategies.items():
+        cases.append(
+            compare(
+                f"evaluation {scale} seed={seed} {name}",
+                delivery.n_replicas,
+                {
+                    "table": _bits(retrieval_cost_table(instance, delivery)),
+                    "counts": _bits(attached_request_counts(instance, profile)),
+                },
+                {
+                    "table": _bits(oracle_retrieval_cost_table(instance, delivery)),
+                    "counts": _bits(oracle_attached_request_counts(instance, profile)),
+                },
+            )
+        )
+    return cases

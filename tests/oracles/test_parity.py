@@ -1,4 +1,4 @@
-"""The bit-identity proof: both production kernels replay their oracles.
+"""The bit-identity proof: the production kernels replay their oracles.
 
 One case per ``(phase, seed)`` over the shared bench fixtures at the scale
 named by ``IDDE_ORACLE_SCALE`` (default ``S``; CI also runs ``M``)::
@@ -15,11 +15,11 @@ import pytest
 from repro.radio.sinr import SinrEngine
 
 from .game import OracleGame
-from .parity import SEEDS, delivery_cases, game_cases, render
+from .parity import SEEDS, delivery_cases, evaluation_cases, game_cases, render
 
 SCALE = os.environ.get("IDDE_ORACLE_SCALE", "S")
 
-PHASES = {"game": game_cases, "delivery": delivery_cases}
+PHASES = {"game": game_cases, "delivery": delivery_cases, "evaluation": evaluation_cases}
 
 
 @pytest.fixture

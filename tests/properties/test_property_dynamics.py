@@ -1,14 +1,20 @@
 """Property-based tests for the dynamics extension."""
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.instance import IDDEInstance
 from repro.core.profiles import DeliveryProfile
 from repro.datasets.melbourne import CBD_REGION
 from repro.dynamics.churn import PoissonChurn, apply_churn
 from repro.dynamics.migration import plan_migration
 from repro.dynamics.mobility import ConfinedRandomWalk, RandomWaypoint
+from repro.radio.fading import lognormal_shadowing
+from repro.topology.graph import EdgeTopology
+from repro.workload import Move, PopularityShift, UserJoin, UserLeave, WorkloadState
 
 from .strategies import instances
 
@@ -173,3 +179,83 @@ class TestMobilityProperties:
         for _ in range(10):
             out = model.step(dt)
             assert CBD_REGION.contains(out).all()
+
+
+@st.composite
+def event_days(draw):
+    """An instance (shadowed by a gain override one time in three) and a
+    few epochs of random ``idde-events/1`` events over it.
+
+    Under an override a real move is refused, so its moves only re-state a
+    user's current position; otherwise a move goes anywhere in or around
+    the server field, covered or not.
+    """
+    instance = draw(instances())
+    if draw(st.integers(0, 2)) == 0:
+        scenario = instance.scenario
+        gain = lognormal_shadowing(
+            scenario.server_xy, scenario.user_xy, rng=draw(st.integers(0, 2**16)), sigma_db=8
+        )
+        instance = IDDEInstance(
+            scenario, instance.topology, instance.radio, gain_override=gain
+        )
+    m, k = instance.n_users, instance.n_data
+    positions = instance.scenario.user_xy.copy()
+    users = st.integers(0, m - 1)
+    days = []
+    for _ in range(draw(st.integers(1, 4))):
+        events = []
+        for _ in range(draw(st.integers(0, 5))):
+            kind = draw(st.sampled_from(("move", "join", "leave", "shift")))
+            if kind == "move":
+                j = draw(users)
+                if instance.gain_override is None and draw(st.booleans()):
+                    positions[j] = draw(st.tuples(*[st.floats(-400.0, 1200.0)] * 2))
+                events.append(Move(0.0, j, float(positions[j, 0]), float(positions[j, 1])))
+            elif kind == "join":
+                events.append(UserJoin(0.0, draw(users)))
+            elif kind == "leave":
+                events.append(UserLeave(0.0, draw(users)))
+            else:
+                events.append(PopularityShift(0.0, tuple(draw(st.permutations(range(k))))))
+        days.append(tuple(events))
+    return instance, days
+
+
+def _bits(array):
+    array = np.asarray(array)
+    return array.dtype.str, array.shape, array.tobytes()
+
+
+class TestChainedProjection:
+    """Projecting each epoch from the last one equals a fresh build."""
+
+    @FAST
+    @given(event_days())
+    def test_chain_equals_fresh_instance(self, day):
+        base, epochs = day
+        state = WorkloadState.from_scenario(base.scenario)
+        chained = base
+        for events in epochs:
+            state.apply(events)
+            chained = chained.project(state)
+            # A fresh topology recomputes the path cost on its own.
+            topology = EdgeTopology(
+                base.topology.n, base.topology.links, base.topology.speeds,
+                base.topology.cloud_speed,
+            )
+            fresh = IDDEInstance(
+                state.scenario(base.scenario), topology, base.radio,
+                gain_override=base.gain_override,
+            )
+            assert _bits(chained.latency_model.path_cost) == _bits(fresh.latency_model.path_cost)
+            assert _bits(chained.scenario.requests) == _bits(fresh.scenario.requests)
+            assert _bits(chained.scenario.coverage) == _bits(fresh.scenario.coverage)
+            assert _bits(chained.scenario.covered_users) == _bits(fresh.scenario.covered_users)
+            assert [_bits(v) for v in chained.scenario.covering_servers] == [
+                _bits(v) for v in fresh.scenario.covering_servers
+            ]
+            for field in dataclasses.fields(chained.radio_tables):
+                assert _bits(getattr(chained.radio_tables, field.name)) == _bits(
+                    getattr(fresh.radio_tables, field.name)
+                ), field.name

@@ -13,6 +13,7 @@ from repro.obs import RecordingTracer
 from repro.request import REQUEST_SCHEMA, SolveRequest
 from repro.rng import spawn_rng
 from repro.serve import SolverSession
+from repro.serve import session as session_module
 from repro.workload import Move, PopularityShift, UserJoin, UserLeave
 
 
@@ -232,3 +233,87 @@ class TestGainOverride:
         after = session.apply_events([PopularityShift(t=3.0, order=tuple(reversed(range(k))))])
         assert session.epoch == 1 and session.certified is True
         assert after.game.is_nash
+
+
+@pytest.fixture
+def projections(monkeypatch) -> list[tuple[IDDEInstance, IDDEInstance]]:
+    """Every ``IDDEInstance.project`` call that returned, as (parent, child)."""
+    calls = []
+    project = IDDEInstance.project
+
+    def recording(self, state):
+        child = project(self, state)
+        calls.append((self, child))
+        return child
+
+    monkeypatch.setattr(IDDEInstance, "project", recording)
+    return calls
+
+
+class TestResidentProjection:
+    """Each epoch projects from the instance of the last committed one."""
+
+    @pytest.mark.parametrize(
+        "base, rejected",
+        [
+            # The batch folds a move, then names a user outside the universe.
+            (
+                "instance",
+                lambda m: [Move(t=3.0, user=2, x=0.0, y=0.0), UserLeave(t=3.0, user=m)],
+            ),
+            # The projection itself refuses the move.
+            (
+                "shadowed_instance",
+                lambda m: [UserLeave(t=3.0, user=2), Move(t=3.0, user=4, x=0.0, y=0.0)],
+            ),
+        ],
+    )
+    def test_rejected_batch_leaves_the_committed_instance(
+        self, base, rejected, request, projections
+    ):
+        instance = request.getfixturevalue(base)
+        k = instance.n_data
+        accepted = [
+            (UserLeave(t=1.0, user=1),),
+            (PopularityShift(t=4.0, order=tuple(reversed(range(k)))),),
+        ]
+        session = SolverSession(instance, _warm_request())
+        session.solve()
+        session.apply_events(accepted[0])
+        committed = projections[-1][1]
+        with pytest.raises(ScenarioError):
+            session.apply_events(rejected(instance.n_users))
+        served = session.apply_events(accepted[1])
+        parent, child = projections[-1]
+        assert parent is committed
+        # Nobody moved in the epochs that committed, so the tables carried over.
+        assert child.radio_tables is committed.radio_tables
+
+        fresh = SolverSession(instance, _warm_request())
+        fresh.solve()
+        for batch in accepted:
+            expected = fresh.apply_events(batch)
+        assert session.epoch == fresh.epoch == 2
+        assert np.array_equal(served.allocation.server, expected.allocation.server)
+        assert np.array_equal(served.allocation.channel, expected.allocation.channel)
+        assert np.array_equal(served.delivery.placed, expected.delivery.placed)
+        assert (served.r_avg, served.l_avg_ms) == (expected.r_avg, expected.l_avg_ms)
+        assert served.game.effective_epsilon == expected.game.effective_epsilon
+
+    def test_batch_the_solve_rejects_leaves_the_committed_instance(
+        self, instance, projections, monkeypatch
+    ):
+        session = SolverSession(instance, _warm_request())
+        session.solve()
+        committed = projections[-1][1]
+
+        def refuse(*args, **kwargs):
+            raise ScenarioError("refused")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(session_module, "solve", refuse)
+            with pytest.raises(ScenarioError, match="refused"):
+                session.apply_events([Move(t=1.0, user=2, x=0.0, y=0.0)])
+        session.apply_events([UserLeave(t=2.0, user=1)])
+        assert projections[-1][0] is committed
+
