@@ -544,11 +544,11 @@ def _replay_impl(args: argparse.Namespace) -> int:
         for policy in ("warm", "cold"):
             records = _run(policy)
             results[policy] = records
-            # Re-derive the final instance/mask and certify the end-state
-            # at the tolerance its own run claims.  The final state projects
-            # from the base instance, not from the run's last epoch, so the
-            # re-check reads nothing the run's chain of projections carried
-            # forward.
+            # The session certified every epoch on its own projected
+            # instance; re-certify the end state at the tolerance the run
+            # claims, projected from the base instance rather than the
+            # run's last epoch, so the re-check reads nothing the chain of
+            # projections carried forward.
             state = WorkloadState.from_scenario(instance.scenario)
             for batch in batch_by_count(_events(), args.epoch_events):
                 state.apply(batch)
@@ -865,7 +865,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         n=args.n, m=args.m, k=args.k, density=args.density, seed=args.seed
     )
     # warm_start=True: once a resident solution exists, bare POST
-    # /v1/solve re-solves warm from it (events always re-solve warm).
+    # /v1/solve and every POST /v1/events re-solve warm from it.
     request = replace(_request_for(args, name), warm_start=True)
     try:
         daemon = ServeDaemon(

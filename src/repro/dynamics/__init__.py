@@ -14,13 +14,14 @@ subpackage builds that extension on the static substrate:
 * :mod:`~repro.dynamics.migration` — plans and costs for moving the
   delivery profile between epochs (which replicas to add/drop, where the
   bytes come from, how long the migration occupies the edge links);
-* :mod:`~repro.dynamics.timeline` — the epoch loop: move users, repair
-  invalidated allocations, re-run IDDE-G under one of three re-solve
-  policies (``warm`` / ``cold`` / ``static``), migrate replicas, and
-  record per-epoch metrics.
+* :mod:`~repro.dynamics.timeline` — the epoch loop under one of three
+  re-solve policies: ``warm`` / ``cold`` re-solve and certify each epoch
+  on an IDDE-Serve :class:`~repro.serve.SolverSession`, ``static`` only
+  repairs invalidated allocations; it plans the replica migration and
+  records per-epoch metrics.
 """
 
-from .churn import PoissonChurn, apply_churn
+from .churn import PoissonChurn
 from .migration import MigrationPlan, plan_migration
 from .mobility import ConfinedRandomWalk, MobilityModel, RandomWaypoint, mobility_batches
 from .timeline import DynamicSimulation, EpochRecord
@@ -31,7 +32,6 @@ __all__ = [
     "ConfinedRandomWalk",
     "mobility_batches",
     "PoissonChurn",
-    "apply_churn",
     "MigrationPlan",
     "plan_migration",
     "DynamicSimulation",

@@ -7,10 +7,12 @@ departs with probability ``p_depart`` and every inactive user (re)arrives
 with probability ``p_arrive``.  The stationary active fraction is
 ``p_arrive / (p_arrive + p_depart)``.
 
-:func:`apply_churn` projects a scenario onto an active mask: inactive
-users keep their slots (array shapes never change, so profiles stay
-aligned) but lose their requests — and the timeline unallocates them —
-so they contribute zero rate and no demand, exactly like the paper's
+The mask enters the epoch loop as join/leave events
+(:func:`~repro.dynamics.mobility.mobility_batches`);
+:meth:`~repro.workload.WorkloadState.scenario` then keeps inactive users'
+slots (array shapes never change, so profiles stay aligned) but zeroes
+their requests — and the game leaves them unallocated — so they
+contribute zero rate and no demand, exactly like the paper's
 ``α_j = (0,0)`` users.
 """
 
@@ -20,9 +22,8 @@ import numpy as np
 
 from ..errors import ScenarioError
 from ..rng import ensure_rng
-from ..types import Scenario
 
-__all__ = ["PoissonChurn", "apply_churn"]
+__all__ = ["PoissonChurn"]
 
 
 class PoissonChurn:
@@ -72,28 +73,3 @@ class PoissonChurn:
             return float(self.active.mean()) if self.n_users else 1.0
         return self.p_arrive / total
 
-
-def apply_churn(scenario: Scenario, active: np.ndarray) -> Scenario:
-    """A scenario copy whose inactive users request nothing.
-
-    Array shapes are preserved (user indices stay stable across epochs);
-    only the request matrix changes — inactive rows are zeroed.
-    """
-    active = np.asarray(active, dtype=bool)
-    if active.shape != (scenario.n_users,):
-        raise ScenarioError(
-            f"active mask shape {active.shape} mismatches {scenario.n_users} users"
-        )
-    requests = scenario.requests.copy()
-    requests[~active] = False
-    return Scenario(
-        server_xy=scenario.server_xy,
-        radius=scenario.radius,
-        storage=scenario.storage,
-        channels=scenario.channels,
-        user_xy=scenario.user_xy,
-        power=scenario.power,
-        rmax=scenario.rmax,
-        sizes=scenario.sizes,
-        requests=requests,
-    )

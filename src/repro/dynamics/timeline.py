@@ -2,11 +2,13 @@
 
 Each epoch consumes one :class:`~repro.workload.EpochBatch` of events
 (user joins/leaves, moves, popularity shifts — see
-:mod:`repro.workload`), folds it into the scenario state, and re-solves
-through the :func:`repro.api.solve` façade — so every epoch composes with
-tracing (spans ``timeline.epoch`` / ``workload.batch``) and yields a full
-schema-versioned
-:class:`~repro.api.Solution` on its :class:`EpochRecord`.
+:mod:`repro.workload`).  The solving policies run on an IDDE-Serve
+:class:`~repro.serve.SolverSession`, the same loop ``idde serve`` runs:
+it folds the batch, projects from the last committed instance, re-solves
+through the :func:`repro.api.solve` façade and certifies the answer, so
+every solving epoch is ε-Nash-certified, composes with tracing (spans
+``timeline.epoch`` / ``workload.batch``) and yields a full
+schema-versioned :class:`~repro.api.Solution` on its :class:`EpochRecord`.
 
 Mobility models enter through the same loop:
 :func:`~repro.dynamics.mobility.mobility_batches` adapts a
@@ -16,13 +18,14 @@ Mobility models enter through the same loop:
 Re-solve policies
 -----------------
 ``"warm"``
-    Re-enter the IDDE-U game from the previous equilibrium
-    (``api.solve(..., warm_start=prev)``; the façade repairs the profile
-    first).  The expected production mode: churn-proportional effort,
-    certificate still proven on the full instance.
+    Re-enter the IDDE-U game from the previous equilibrium (a session
+    whose request says ``warm_start=True``; the façade repairs the
+    profile first).  The expected production mode: churn-proportional
+    effort, certificate still proven on the full instance.
 ``"cold"``
-    Re-solve from scratch every epoch (the static algorithm replayed —
-    the paper's implicit baseline for dynamic scenarios).
+    Re-solve from scratch every epoch (a session without ``warm_start``:
+    the static algorithm replayed — the paper's implicit baseline for
+    dynamic scenarios).
 ``"static"``
     Never re-solve: keep the initial strategy, only repairing allocations
     that became infeasible (uncovered users detach and fall back to the
@@ -44,8 +47,7 @@ from ..core.profiles import DeliveryProfile
 from ..core.repair import repair_allocation
 from ..errors import ExperimentError
 from ..obs.tracer import Tracer, ensure_tracer
-from ..rng import ensure_rng
-from ..workload.events import EpochBatch, WorkloadState
+from ..workload.events import EpochBatch
 from .migration import MigrationPlan, plan_migration
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -72,9 +74,10 @@ class EpochRecord:
     :meth:`DynamicSimulation.summarize` excludes epoch 0 from the churn
     statistics.
 
-    ``solution`` carries the full façade :class:`~repro.api.Solution` for
-    ``warm``/``cold`` epochs (certificate, config, trace-ready document)
-    and is ``None`` for ``static`` epochs, which never re-solve.
+    ``solution`` carries the session's certified
+    :class:`~repro.api.Solution` for epoch 0 and every ``warm``/``cold``
+    epoch (certificate, config, trace-ready document) and is ``None`` for
+    ``static`` epochs, which never re-solve.
     """
 
     epoch: int
@@ -131,54 +134,48 @@ class DynamicSimulation:
     def run_events(
         self,
         batches: Iterable[EpochBatch],
-        rng: np.random.Generator | int | None = None,
+        rng: int | None = None,
     ) -> list[EpochRecord]:
         """Run the epoch loop over an event-batch stream.
 
         Epoch 0 is the initial cold solve on the starting state; epoch
         ``i >= 1`` applies batch ``i - 1`` and re-solves under the policy.
-        The batch iterable is consumed lazily — a generator of a million
-        events runs in bounded memory (records accumulate, events do not).
+        ``rng`` is the integer seed (``None`` means 0) rooting the
+        per-epoch streams ``spawn_rng(rng, "serve", epoch)``.  The batch
+        iterable is consumed lazily — a generator of a million events runs
+        in bounded memory (records accumulate, events do not).
         """
-        from ..api import solve  # local import: repro.api ↔ dynamics layering
         from ..request import SolveRequest
+        from ..serve.session import SolverSession  # serve sits above dynamics
 
-        rng = ensure_rng(rng)
         tracer = self.tracer
-        # One base request describes the run; each epoch stamps its own
-        # runtime state (warm profile, churn mask, RNG) through
-        # with_runtime — the same shape the IDDE-Serve session uses.
-        base_request = SolveRequest(
-            solver="idde-g",
-            game_config=self.game_cfg,
-            delivery_config=self.delivery_cfg,
+        # The IDDE-Serve session runs every solving epoch: it folds the
+        # batch, projects from the last committed instance, re-solves
+        # (warm only under warm_start=True) and certifies the answer.
+        session = SolverSession(
+            self.instance,
+            SolveRequest(
+                solver="idde-g",
+                game_config=self.game_cfg,
+                delivery_config=self.delivery_cfg,
+                warm_start=True if self.policy == "warm" else None,
+                active=self.active,
+                rng=rng,
+            ),
+            tracer=tracer,
         )
-        records: list[EpochRecord] = []
-        state = WorkloadState.from_scenario(self.instance.scenario, self.active)
-
-        def _active() -> np.ndarray:
-            # Always thread the mask: it may start partial, and the event
-            # stream can flip it via UserJoin/UserLeave; an all-True mask is
-            # identical to "everyone plays".
-            return state.active.copy()
-
-        # Epoch 0: the cold build-up, through the façade like every other.
-        instance = self.instance.project(state)
         with tracer.span("timeline.epoch", epoch=0, policy=self.policy) as span:
-            sol = solve(
-                instance,
-                base_request.with_runtime(active=_active(), rng=rng),
-                tracer=tracer,
-            )
-            span.set(moves=sol.game.moves if sol.game else 0, r_avg=sol.r_avg)
+            sol = session.solve()
+            span.set(moves=sol.game.moves, r_avg=sol.r_avg)
+        instance, state = session.served, session.state
         alloc, delivery = sol.allocation, sol.delivery
         empty = DeliveryProfile.empty(instance.n_servers, instance.n_data)
-        records.append(
+        records = [
             EpochRecord(
                 epoch=0,
                 r_avg=sol.r_avg,
                 l_avg_ms=sol.l_avg_ms,
-                game_moves=sol.game.moves if sol.game else 0,
+                game_moves=sol.game.moves,
                 reallocated_users=alloc.n_allocated,
                 uncovered_users=int((~instance.scenario.covered_users).sum()),
                 migration=plan_migration(instance, empty, delivery),
@@ -187,42 +184,30 @@ class DynamicSimulation:
                 n_events=0,
                 solution=sol,
             )
-        )
+        ]
 
         for batch in batches:
             epoch = batch.index + 1
             with tracer.span(
                 "timeline.epoch", epoch=epoch, policy=self.policy
             ) as span:
-                with tracer.span("workload.batch", events=batch.n_events) as bspan:
-                    state.apply(batch)
-                    bspan.set(active_users=state.n_active)
-                # Project from the previous epoch: only what the batch
-                # changed is rebuilt (see IDDEInstance.project).
-                instance = instance.project(state)
-                active = _active()
-
                 if self.policy == "static":
+                    # Never re-solve, only repair.  The session is done
+                    # after epoch 0, so its state is ours to fold.
+                    with tracer.span("workload.batch", events=batch.n_events) as bspan:
+                        state.apply(batch)
+                        bspan.set(active_users=state.n_active)
+                    instance = instance.project(state)
                     t0 = time.perf_counter()
-                    new_alloc, _detached = repair_allocation(instance, alloc, active)
+                    new_alloc, _detached = repair_allocation(instance, alloc, state.active)
                     solve_time = time.perf_counter() - t0
-                    moves = 0
-                    new_delivery = delivery
-                    new_sol = None
+                    new_sol, new_delivery, moves = None, delivery, 0
                     ev = evaluate(instance, new_alloc, new_delivery)
                 else:
-                    new_sol = solve(
-                        instance,
-                        base_request.with_runtime(
-                            warm_start=alloc if self.policy == "warm" else None,
-                            active=active,
-                            rng=rng,
-                        ),
-                        tracer=tracer,
-                    )
-                    new_alloc = new_sol.allocation
-                    new_delivery = new_sol.delivery
-                    moves = new_sol.game.moves if new_sol.game else 0
+                    new_sol = session.apply_events(batch)
+                    instance = session.served
+                    new_alloc, new_delivery = new_sol.allocation, new_sol.delivery
+                    moves = new_sol.game.moves
                     solve_time = new_sol.wall_time_s
                     ev = new_sol.evaluation
 

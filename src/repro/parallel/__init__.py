@@ -7,14 +7,11 @@ deterministic per-trial seed spawning (see :mod:`repro.rng`).  The helpers
 here keep ordering, chunking and graceful serial fallback in one place.
 """
 
-from .partition import chunk_evenly, chunk_sized
 from .pool import ParallelConfig, force_serial, parallel_map, serial_forced
 
 __all__ = [
     "parallel_map",
     "ParallelConfig",
-    "chunk_evenly",
-    "chunk_sized",
     "force_serial",
     "serial_forced",
 ]

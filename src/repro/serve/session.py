@@ -6,20 +6,27 @@ committed epoch (each epoch projects from it, so the topology's path cost
 stays resident, and coverage and the radio tables stay resident until a
 user moves), the mutable
 :class:`~repro.workload.WorkloadState` that ``idde-events/1`` deltas fold
-into, the latest certified :class:`~repro.api.Solution`, and one
-:class:`~repro.obs.tracer.RecordingTracer` whose snapshots back the
-daemon's ``/v1/metrics`` and ``/v1/trace`` endpoints.
+into, the latest certified :class:`~repro.api.Solution`, and one tracer
+(a :class:`~repro.obs.tracer.RecordingTracer` by default) whose snapshots
+back the daemon's ``/v1/metrics`` and ``/v1/trace`` endpoints.
 
-The lifecycle mirrors the streaming engine (PR 8), lifted behind an API:
+The lifecycle:
 
 * :meth:`solve` — run the session's base :class:`~repro.request.SolveRequest`
   on the *current* workload state.  A request whose ``warm_start`` is the
   wire sentinel ``True`` re-enters the game from the session's resident
   solution (this is the only place the sentinel resolves; a direct
   :func:`repro.api.solve` on it raises).
-* :meth:`apply_events` — fold a delta batch into the workload state and
-  warm re-solve from the resident solution, exactly the
-  ``warm_start=prev`` + :func:`~repro.core.repair.repair_allocation` path.
+* :meth:`apply_events` — fold a delta batch into the workload state (in a
+  ``workload.batch`` span) and re-solve; under ``warm_start=True`` the
+  re-solve re-enters from the resident solution, exactly the
+  ``warm_start=prev`` + :func:`~repro.core.repair.repair_allocation` path,
+  otherwise it is cold.  A batch commits with its certified solution or
+  not at all.
+
+The same chain backs ``idde serve`` and
+:meth:`~repro.dynamics.DynamicSimulation.run_events` (``idde replay`` /
+``idde dynamics``), so every solving epoch of either is certified.
 
 Every IDDE-G response is **independently certified**: the session rebuilds
 an :class:`~repro.core.game.IddeUGame` on the post-delta instance and
@@ -51,7 +58,7 @@ from ..baselines import resolve_solver_name
 from ..config import GameConfig
 from ..core.game import IddeUGame
 from ..core.instance import IDDEInstance
-from ..errors import ConfigurationError, ScenarioError, SolverError
+from ..errors import ConfigurationError, SolverError
 from ..obs.tracer import RecordingTracer, Tracer
 from ..request import SolveRequest
 from ..rng import spawn_rng
@@ -76,8 +83,10 @@ class SolverSession:
         (``spawn_rng(seed, "serve", epoch)``); its ``active`` mask seeds
         the initial workload state.
     tracer:
-        Recording tracer shared with the daemon's observability endpoints;
-        a private one is created when omitted.
+        The tracer every epoch reports to: the daemon shares a
+        :class:`~repro.obs.tracer.RecordingTracer` with its observability
+        endpoints, a replay passes its own.  A private recording tracer is
+        created when omitted.
     resident:
         Optional prior :class:`~repro.api.Solution` to install as the
         resident solution before any request arrives — the warm-boot path
@@ -90,7 +99,7 @@ class SolverSession:
         instance: IDDEInstance,
         request: SolveRequest | None = None,
         *,
-        tracer: RecordingTracer | None = None,
+        tracer: Tracer | None = None,
         resident: Solution | None = None,
     ) -> None:
         #: Serializes mutators (solve/apply_events) end-to-end.
@@ -146,6 +155,12 @@ class SolverSession:
         )
 
     @property
+    def served(self) -> IDDEInstance:
+        """The instance the last committed solution was served on (the
+        base instance before the first commit)."""
+        return self._served
+
+    @property
     def seed(self) -> int:
         """Root seed for the session's per-epoch RNG streams."""
         return int(self.request.rng or 0)
@@ -196,24 +211,30 @@ class SolverSession:
                 raise
 
     def apply_events(self, events: Iterable[Event]) -> Solution:
-        """Fold one delta batch into the state, then warm re-solve.
+        """Fold one delta batch into the state, then re-solve.
 
-        Returns the new certified solution.  If any event is invalid — out
-        of the user universe, or a move the instance cannot follow (see
-        :meth:`~repro.core.instance.IDDEInstance.project`) — the batch is
-        rolled back and the resident solution survives.
+        The re-solve warms from the resident solution when the base
+        request says ``warm_start=True`` (the rule :meth:`solve` follows)
+        and is cold otherwise.  Returns the new certified solution.  The
+        batch commits whole or not at all: if anything fails — an event
+        out of the user universe, a move the instance cannot follow (see
+        :meth:`~repro.core.instance.IDDEInstance.project`), the solve, or
+        its certificate — the state and ``events_applied`` are restored
+        and the resident solution survives.
         """
         with self._mutate_lock:
             batch = tuple(events)
             with self._lock:
                 state, count = self.state, self.events_applied
                 saved = WorkloadState(state.positions, state.active, state.requests)
-                warm = self.solution
+                warm = self.solution if self.request.warm_start is True else None
             try:
-                with self._lock:
-                    self.events_applied += state.apply(batch)
+                with self.tracer.span("workload.batch", events=len(batch)) as span:
+                    with self._lock:
+                        self.events_applied += state.apply(batch)
+                        span.set(active_users=state.n_active)
                 return self._run(warm)
-            except ScenarioError:
+            except Exception:
                 with self._lock:
                     self.state, self.events_applied = saved, count
                 raise

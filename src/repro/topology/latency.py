@@ -17,7 +17,6 @@ import numpy as np
 from ..errors import TopologyError
 from ..units import seconds_to_ms
 from .graph import EdgeTopology
-from .shortest_path import all_pairs_path_cost
 
 __all__ = ["DeliveryLatencyModel"]
 
@@ -28,36 +27,29 @@ class DeliveryLatencyModel:
     Parameters
     ----------
     topology:
-        The edge-server graph.
-    enforce_latency_constraint:
-        When True (default, per Eq. 8), edge-to-edge path costs are capped
-        at the cloud cost; an unreachable pair therefore costs exactly the
+        The edge-server graph.  Per Eq. (8), edge-to-edge path costs are
+        capped at the cloud cost, so an unreachable pair costs exactly the
         cloud fetch.
     """
 
-    def __init__(self, topology: EdgeTopology, *, enforce_latency_constraint: bool = True):
+    def __init__(self, topology: EdgeTopology):
         self.topology = topology
-        self.enforce_latency_constraint = enforce_latency_constraint
 
     @cached_property
     def cloud_cost(self) -> float:
         """Seconds per MB for a cloud fetch."""
         return 1.0 / self.topology.cloud_speed
 
-    @cached_property
+    @property
     def path_cost(self) -> np.ndarray:
         """``(N, N)`` minimal seconds-per-MB cost between servers.
 
-        With the latency constraint enforced, entries never exceed
-        :attr:`cloud_cost`, the matrix contains no infinities, and it is the
-        topology's own :attr:`~repro.topology.EdgeTopology.path_cost`, shared
-        by every model over that topology.
+        Entries never exceed :attr:`cloud_cost` and the matrix contains no
+        infinities: it is the topology's own
+        :attr:`~repro.topology.EdgeTopology.path_cost`, shared by every
+        model over that topology.
         """
-        if self.enforce_latency_constraint:
-            return self.topology.path_cost
-        cost = all_pairs_path_cost(self.topology.adjacency_cost)
-        cost.setflags(write=False)
-        return cost
+        return self.topology.path_cost
 
     # ------------------------------------------------------------------
     # latencies (seconds)

@@ -3,7 +3,7 @@
 The event vocabulary covers the paper's closing future-work scenario —
 "the dynamics of user movements and data migrations" — over a *fixed user
 universe* (array shapes never change, so profiles stay index-aligned
-across epochs, exactly like :mod:`repro.dynamics.churn`):
+across epochs):
 
 * :class:`UserJoin` / :class:`UserLeave` — a user (re)enters or leaves the
   system (the active mask flips; an absent user requests nothing and
@@ -129,8 +129,8 @@ class WorkloadState:
 
     Holds the *pristine* request matrix (inactive users keep their demand
     rows so a re-arrival restores them); :meth:`scenario` projects the
-    solver-facing snapshot with inactive rows zeroed, the
-    :func:`~repro.dynamics.churn.apply_churn` convention.
+    solver-facing snapshot with inactive rows zeroed (the paper's
+    ``α_j = (0,0)`` users request nothing).
     """
 
     __slots__ = ("positions", "active", "requests")
@@ -195,7 +195,10 @@ class WorkloadState:
             self.positions[ev.user, 1] = ev.y
         elif isinstance(ev, PopularityShift):
             k = self.requests.shape[1]
-            order = np.asarray(ev.order, dtype=np.int64)
+            try:
+                order = np.asarray(ev.order, dtype=np.int64)
+            except (OverflowError, TypeError, ValueError):
+                order = np.empty(0, dtype=np.int64)  # rejected just below
             if order.shape != (k,) or not np.array_equal(
                 np.sort(order), np.arange(k)
             ):

@@ -7,8 +7,9 @@ from repro.core.game import IddeUGame
 from repro.core.instance import IDDEInstance
 from repro.datasets.melbourne import CBD_REGION
 from repro.dynamics import DynamicSimulation, RandomWaypoint, mobility_batches
-from repro.dynamics.churn import PoissonChurn, apply_churn
+from repro.dynamics.churn import PoissonChurn
 from repro.errors import ScenarioError
+from repro.workload import WorkloadState
 
 
 class TestPoissonChurn:
@@ -55,23 +56,28 @@ class TestPoissonChurn:
             PoissonChurn(5, rng=0, **kwargs)
 
 
-class TestApplyChurn:
+class TestMaskedScenario:
+    """The churn mask reaches the solver through ``WorkloadState.scenario``."""
+
     def test_inactive_requests_zeroed(self, tiny_scenario):
         active = np.array([True, False, True, False, True, True])
-        out = apply_churn(tiny_scenario, active)
+        out = WorkloadState.from_scenario(tiny_scenario, active).scenario(tiny_scenario)
         assert out.requests[1].sum() == 0
         assert out.requests[3].sum() == 0
         assert np.array_equal(out.requests[0], tiny_scenario.requests[0])
 
-    def test_shapes_preserved(self, tiny_scenario):
+    def test_shapes_and_dtypes_preserved(self, tiny_scenario):
         active = np.zeros(6, dtype=bool)
-        out = apply_churn(tiny_scenario, active)
+        out = WorkloadState.from_scenario(tiny_scenario, active).scenario(tiny_scenario)
         assert out.n_users == tiny_scenario.n_users
+        assert out.requests.shape == tiny_scenario.requests.shape
+        assert out.requests.dtype == tiny_scenario.requests.dtype
+        assert out.user_xy.dtype == tiny_scenario.user_xy.dtype
         assert out.total_requests == 0
 
     def test_mask_shape_checked(self, tiny_scenario):
         with pytest.raises(ScenarioError):
-            apply_churn(tiny_scenario, np.array([True]))
+            WorkloadState.from_scenario(tiny_scenario, np.array([True]))
 
 
 class TestGameWithMask:

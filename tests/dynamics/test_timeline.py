@@ -218,6 +218,78 @@ class TestEventDriven:
         assert records[1].n_events >= instance.n_users  # a Move per user
 
 
+class TestSessionLoop:
+    """warm/cold replays run the IDDE-Serve session's epoch loop."""
+
+    @staticmethod
+    def _batches(instance, seed):
+        from repro.dynamics import PoissonChurn
+
+        churn = PoissonChurn(instance.n_users, rng=seed, p_depart=0.1, p_arrive=0.3)
+        mobility = waypoint(instance, seed=seed)
+        return churn.active.copy(), list(mobility_batches(mobility, 4, 20.0, churn))
+
+    @pytest.mark.parametrize("schedule", ["round-robin", "best-gain-winner"])
+    @pytest.mark.parametrize("policy", ["warm", "cold"])
+    def test_run_equals_a_session_fed_the_same_batches(self, instance, policy, schedule):
+        from repro.config import GameConfig
+        from repro.request import SolveRequest
+        from repro.serve import SolverSession
+
+        active, batches = self._batches(instance, seed=3)
+        game = GameConfig(schedule=schedule)
+        records = DynamicSimulation(
+            instance, policy=policy, active=active, game=game
+        ).run_events(batches, rng=3)
+        session = SolverSession(
+            instance,
+            SolveRequest(
+                solver="idde-g",
+                game_config=game,
+                warm_start=True if policy == "warm" else None,
+                active=active,
+                rng=3,
+            ),
+        )
+        expected = [session.solve()] + [session.apply_events(b) for b in batches]
+        assert session.warm_solves == (len(batches) if policy == "warm" else 0)
+        assert len(records) == len(expected)
+        for record, sol in zip(records, expected):
+            got = record.solution
+            assert np.array_equal(got.allocation.server, sol.allocation.server)
+            assert np.array_equal(got.allocation.channel, sol.allocation.channel)
+            assert np.array_equal(got.delivery.placed, sol.delivery.placed)
+            assert got.game.move_log == sol.game.move_log
+            assert got.game.effective_epsilon == sol.game.effective_epsilon
+            assert (record.r_avg, record.l_avg_ms) == (sol.r_avg, sol.l_avg_ms)
+            assert record.game_moves == sol.game.moves
+
+    def test_session_reports_to_the_simulation_tracer(self, instance, monkeypatch):
+        from repro.serve import session as session_module
+
+        def no_private_tracer():
+            raise AssertionError("the session built its own RecordingTracer")
+
+        monkeypatch.setattr(session_module, "RecordingTracer", no_private_tracer)
+        records = run(instance, waypoint(instance), epochs=2, dt=10.0)
+        assert all(r.solution is not None for r in records)
+
+    @pytest.mark.parametrize("policy", ["warm", "cold", "static"])
+    def test_every_solving_epoch_is_certified(self, instance, policy):
+        from repro.obs import RecordingTracer
+
+        tracer = RecordingTracer()
+        records = DynamicSimulation(instance, policy=policy, tracer=tracer).run_events(
+            mobility_batches(waypoint(instance), 4, 20.0), rng=0
+        )
+        names = [s.name for s in tracer.spans]
+        solved = sum(r.solution is not None for r in records)
+        assert solved == (1 if policy == "static" else len(records))
+        assert names.count("serve.certify") == solved
+        assert names.count("workload.batch") == len(records) - 1
+        assert names.count("timeline.epoch") == len(records)
+
+
 class TestGainOverride:
     def test_epoch_zero_equals_direct_solve(self, shadowed_instance):
         from repro.api import solve

@@ -371,6 +371,26 @@ class TestErrorPaths:
         assert status == 400
         assert "events[0]" in json.loads(body)["error"]["message"]
 
+    def test_mistyped_event_field_is_400_and_folds_nothing(self, instance):
+        daemon = ServeDaemon(_session(instance))
+        events = [
+            {"kind": "leave", "t": 0.0, "user": 3},
+            {"kind": "move", "t": 0.5, "user": 1.5, "x": 0.0, "y": 0.0},
+        ]
+
+        async def scenario(d):
+            await _http(d.port, "POST", "/v1/solve")
+            return await _http(d.port, "POST", "/v1/events", {"events": events})
+
+        (status, body), _ = _drive(daemon, scenario)
+        assert status == 400
+        error = json.loads(body)["error"]
+        assert error["type"] == "DatasetError"
+        assert "events[1]" in error["message"] and "'user'" in error["message"]
+        assert daemon.session.state.active[3]
+        assert daemon.session.events_applied == 0
+        assert daemon.session.epoch == 0
+
 
 class TestReadsDuringSolve:
     def test_health_answers_during_real_session_solve(self, instance, monkeypatch):

@@ -56,6 +56,36 @@ class TestLifecycle:
         assert session.state.n_active == m
         assert rejoin.game.is_nash
 
+    def test_events_resolve_cold_without_warm_start(self, instance):
+        session = SolverSession(instance, SolveRequest(solver="idde-g", rng=7))
+        session.solve()
+        sol = session.apply_events([UserLeave(t=1.0, user=0)])
+        assert session.epoch == 1 and session.certified is True
+        assert session.warm_solves == 0
+        assert sol.config["warm_start"] is False
+        assert sol.warm_detached is None
+
+    def test_fold_runs_under_batch_span(self, instance):
+        tracer = RecordingTracer()
+        session = SolverSession(instance, _warm_request(), tracer=tracer)
+        session.solve()
+        session.apply_events([UserLeave(t=1.0, user=0), UserLeave(t=1.0, user=1)])
+        [span] = [s for s in tracer.spans if s.name == "workload.batch"]
+        m = instance.scenario.n_users
+        assert (span.attrs["events"], span.attrs["active_users"]) == (2, m - 2)
+
+    def test_served_is_the_committed_instance(self, instance):
+        session = SolverSession(instance, _warm_request())
+        assert session.served is instance
+        session.solve()
+        served = session.served
+        with pytest.raises(ScenarioError):
+            session.apply_events([UserLeave(t=1.0, user=instance.n_users)])
+        assert session.served is served
+        session.apply_events([UserLeave(t=1.0, user=0)])
+        assert session.served is not served
+        assert not session.served.scenario.requests[0].any()
+
     def test_each_resolve_gets_fresh_epoch_stream(self, instance):
         session = SolverSession(instance, _warm_request(seed=7))
         session.solve()
@@ -317,3 +347,68 @@ class TestResidentProjection:
         session.apply_events([UserLeave(t=2.0, user=1)])
         assert projections[-1][0] is committed
 
+
+
+def _same_answer(a, b) -> None:
+    assert np.array_equal(a.allocation.server, b.allocation.server)
+    assert np.array_equal(a.allocation.channel, b.allocation.channel)
+    assert np.array_equal(a.delivery.placed, b.delivery.placed)
+    assert (a.r_avg, a.l_avg_ms) == (b.r_avg, b.l_avg_ms)
+    assert a.game.effective_epsilon == b.game.effective_epsilon
+    assert a.game.move_log == b.game.move_log
+
+
+class TestBatchAtomicity:
+    """A batch commits with its certified solution or not at all."""
+
+    GOOD = (
+        (UserLeave(t=1.0, user=1), Move(t=1.5, user=4, x=30.0, y=40.0)),
+        (UserJoin(t=4.0, user=1), UserLeave(t=4.5, user=5)),
+    )
+
+    def _check_rolled_back(self, session, first, positions, active) -> None:
+        assert session.solution is first  # resident survives
+        assert session.epoch == 1 and session.events_applied == 2
+        assert np.array_equal(session.state.positions, positions)
+        assert np.array_equal(session.state.active, active)
+
+    def _check_next_batch_is_fresh(self, instance, session) -> None:
+        served = session.apply_events(self.GOOD[1])
+        fresh = SolverSession(instance, _warm_request())
+        fresh.solve()
+        for batch in self.GOOD:
+            expected = fresh.apply_events(batch)
+        assert session.epoch == fresh.epoch == 2
+        assert session.events_applied == fresh.events_applied == 4
+        _same_answer(served, expected)
+
+    def _open(self, instance):
+        session = SolverSession(instance, _warm_request())
+        session.solve()
+        first = session.apply_events(self.GOOD[0])
+        return session, first, session.state.positions.copy(), session.state.active.copy()
+
+    def test_bare_error_mid_batch_rolls_back(self, instance):
+        # A non-integer user passes the range check and fails on indexing,
+        # after the batch's first event already folded.
+        session, first, positions, active = self._open(instance)
+        with pytest.raises(IndexError):
+            session.apply_events(
+                [UserLeave(t=5.0, user=3), Move(t=5.5, user=1.5, x=0.0, y=0.0)]
+            )
+        assert session.state.active[3]
+        self._check_rolled_back(session, first, positions, active)
+        self._check_next_batch_is_fresh(instance, session)
+
+    def test_failed_certificate_rolls_back(self, instance, monkeypatch):
+        from repro.core.game import IddeUGame
+
+        session, first, positions, active = self._open(instance)
+        with monkeypatch.context() as patch:
+            patch.setattr(IddeUGame, "is_nash", lambda self, *a, **kw: False)
+            with pytest.raises(SolverError, match="certificate failed"):
+                session.apply_events(
+                    [UserLeave(t=5.0, user=3), Move(t=5.5, user=2, x=0.0, y=0.0)]
+                )
+        self._check_rolled_back(session, first, positions, active)
+        self._check_next_batch_is_fresh(instance, session)

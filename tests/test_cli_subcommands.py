@@ -174,6 +174,15 @@ class TestReplay:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("text", ["not json\n", "[]\n"])
+    def test_malformed_input_exits_2(self, capsys, tmp_path, text):
+        trace = tmp_path / "bad.events"
+        trace.write_text(text)
+        code, _, err = _run(capsys, [*self.ARGS, "--input", str(trace)])
+        assert code == 2
+        assert f"{trace}: line 1" in err
+        assert "Traceback" not in err
+
     def test_trace_document(self, capsys, tmp_path):
         trace = tmp_path / "run.jsonl"
         code, _, err = _run(capsys, [*self.ARGS, "--trace", str(trace)])

@@ -34,15 +34,6 @@ class TestPathCost:
         model = DeliveryLatencyModel(topo)
         assert model.path_cost[0, 2] == pytest.approx(1 / 600.0)
 
-    def test_unenforced_keeps_inf(self):
-        from repro.topology.graph import EdgeTopology
-
-        topo = EdgeTopology(
-            n=2, links=np.empty((0, 2)), speeds=np.empty(0), cloud_speed=600.0
-        )
-        model = DeliveryLatencyModel(topo, enforce_latency_constraint=False)
-        assert np.isinf(model.path_cost[0, 1])
-
 
 class TestLatencies:
     @pytest.fixture

@@ -73,6 +73,17 @@ class TestAllPairs:
                 via = d[i, :] + d[:, j]
                 assert d[i, j] <= np.nanmin(via) + 1e-12
 
+    def test_disconnected_pair_is_inf(self):
+        # The raw search leaves an unreachable pair infinite; only the
+        # topology's path cost caps it at the cloud fetch (Eq. 8).
+        cost = path_graph([1.0])
+        cost = np.pad(cost, ((0, 1), (0, 1)), constant_values=np.inf)
+        cost[2, 2] = 0.0
+        for method in ("scipy", "dijkstra-py"):
+            d = all_pairs_path_cost(cost, method=method)
+            assert d[0, 1] == 1.0
+            assert np.isinf(d[0, 2]) and np.isinf(d[2, 1])
+
     def test_unknown_method(self):
         with pytest.raises(TopologyError):
             all_pairs_path_cost(np.zeros((2, 2)), method="bellman")

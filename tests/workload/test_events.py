@@ -73,6 +73,11 @@ class TestWorkloadState:
         with pytest.raises(ScenarioError, match="permutation"):
             state.apply((PopularityShift(t=1.0, order=(0, 0)),))
 
+    def test_shift_rejects_overflowing_order(self, tiny_scenario):
+        state = WorkloadState.from_scenario(tiny_scenario)
+        with pytest.raises(ScenarioError, match="permutation"):
+            state.apply((PopularityShift(t=1.0, order=(2**70, 0)),))
+
     def test_user_out_of_range(self, tiny_scenario):
         state = WorkloadState.from_scenario(tiny_scenario)
         with pytest.raises(ScenarioError, match="out of range"):

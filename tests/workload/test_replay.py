@@ -3,8 +3,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import DatasetError
+from repro.errors import DatasetError, ReproError
 from repro.workload import (
     EVENTS_SCHEMA,
     Move,
@@ -12,9 +14,12 @@ from repro.workload import (
     UserJoin,
     UserLeave,
     load_events,
+    parse_event,
     poisson_zipf_stream,
     save_events,
 )
+
+HEADER = json.dumps({"schema": EVENTS_SCHEMA, "n_users": 6, "n_data": 2})
 
 
 @pytest.fixture
@@ -98,3 +103,127 @@ class TestGuards:
         )
         with pytest.raises(DatasetError, match="malformed"):
             list(load_events(path))
+
+    @pytest.mark.parametrize(
+        "first, match",
+        [
+            ("not json\n", "line 1: not JSON"),
+            ("[1, 2]\n", "line 1: header must be a JSON object"),
+            ('"idde-events/1"\n', "line 1: header must be a JSON object"),
+        ],
+    )
+    def test_bad_header_names_path_and_line(self, tmp_path, first, match):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(first)
+        with pytest.raises(DatasetError, match=match) as info:
+            list(load_events(path))
+        assert str(path) in str(info.value)
+
+    def test_bad_line_names_path_and_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        good = json.dumps(UserJoin(t=1.0, user=0).to_dict())
+        path.write_text(f"{HEADER}\n{good}\n\n{{oops\n")
+        events = load_events(path)
+        assert next(events) == UserJoin(t=1.0, user=0)
+        with pytest.raises(DatasetError, match="line 4: not JSON") as info:
+            next(events)
+        assert str(path) in str(info.value)
+
+    def test_bad_event_names_path_and_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f'{HEADER}\n{{"kind": "leave", "t": 1.0, "user": 1.5}}\n')
+        with pytest.raises(DatasetError, match="line 2: 'leave' event field 'user'") as info:
+            list(load_events(path))
+        assert str(path) in str(info.value)
+
+    def test_too_deeply_nested_line(self, tmp_path):
+        path = tmp_path / "deep.jsonl"
+        path.write_text(f"{HEADER}\n{'[' * 200_000}\n")
+        with pytest.raises(DatasetError, match="line 2: not JSON"):
+            list(load_events(path))
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DatasetError, match="cannot read"):
+            list(load_events(tmp_path / "absent.jsonl"))
+
+
+class TestParseEvent:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "leave", "t": 1.0, "user": 1.5},
+            {"kind": "leave", "t": 1.0, "user": "x"},
+            {"kind": "leave", "t": 1.0, "user": True},
+            {"kind": "join", "t": 1.0, "user": None},
+            {"kind": "move", "t": 1.0, "user": 1, "x": "a", "y": 0.0},
+            {"kind": "move", "t": 1.0, "user": 1, "x": 0.0, "y": float("nan")},
+            {"kind": "move", "t": 1.0, "user": 1, "x": float("inf"), "y": 0.0},
+            {"kind": "move", "t": 1.0, "user": 1, "x": 10**400, "y": 0.0},
+            {"kind": "join", "t": "now", "user": 1},
+            {"kind": "join", "t": False, "user": 1},
+            {"kind": "shift", "t": 1.0, "order": "ab"},
+            {"kind": "shift", "t": 1.0, "order": 5},
+            {"kind": "shift", "t": 1.0, "order": [0, 1.0]},
+            {"kind": "shift", "t": 1.0, "order": [True, False]},
+            {"kind": ["move"], "t": 1.0},
+        ],
+    )
+    def test_wrong_field_types_are_dataset_errors(self, doc):
+        with pytest.raises(DatasetError):
+            parse_event(doc)
+
+    def test_integral_numbers_are_accepted(self):
+        assert parse_event({"kind": "move", "t": 2, "user": 1, "x": 3, "y": -4}) == Move(
+            t=2, user=1, x=3, y=-4
+        )
+        assert parse_event({"kind": "shift", "t": 0.5, "order": [1, 0]}) == (
+            PopularityShift(t=0.5, order=(1, 0))
+        )
+
+
+#: Arbitrary JSON values, NaN and infinities included (``json.loads``
+#: accepts them).
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+#: Event documents with a real kind and the known field names, so the fuzz
+#: reaches every field check rather than stopping at the kind.
+_EVENT_DOCS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["join", "leave", "move", "shift"]) | _JSON},
+    optional={
+        name: _JSON | st.lists(st.integers() | _JSON, max_size=3)
+        for name in ("t", "user", "x", "y", "order")
+    },
+)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_EVENT_DOCS | _JSON)
+    def test_parse_event_raises_only_repro_errors(self, doc):
+        try:
+            event = parse_event(doc)
+        except ReproError:
+            return
+        # What parses re-serialises to a document that parses again.
+        assert parse_event(json.loads(json.dumps(event.to_dict()))) == event
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        header=st.sampled_from([HEADER]) | st.text(max_size=20),
+        lines=st.lists(
+            st.builds(json.dumps, _EVENT_DOCS | _JSON) | st.text(max_size=20),
+            max_size=4,
+        ),
+    )
+    def test_load_events_raises_only_repro_errors(self, tmp_path_factory, header, lines):
+        path = tmp_path_factory.mktemp("fuzz") / "events.jsonl"
+        path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        try:
+            list(load_events(path, expect_users=6, expect_data=2))
+        except ReproError:
+            pass
