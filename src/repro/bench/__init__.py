@@ -12,8 +12,8 @@ Pieces:
   across benches;
 * :mod:`~repro.bench.registry` / :mod:`~repro.bench.suite` — the named
   benchmarks covering the IDDE-G hot paths;
-* :mod:`~repro.bench.runner` — orchestration with serial pinning
-  (timed regions never measure process-pool startup);
+* :mod:`~repro.bench.runner` — orchestration: untimed setup, then the
+  timed repeats;
 * :mod:`~repro.bench.document` — the schema-versioned JSON trajectory
   point (``BENCH_<rev>.json``);
 * :mod:`~repro.bench.compare` — the noise-aware regression gate

@@ -1,11 +1,7 @@
-"""The benchmark runner: setup/measure orchestration with serial pinning.
+"""The benchmark runner: setup outside the timer, then measure.
 
-Every timed region executes inside :func:`repro.parallel.force_serial`,
-so a benchmarked kernel that (today or after a refactor) reaches a
-``parallel_map`` can never measure process-pool startup or depend on
-``default_workers()`` of the host — benches measure the kernel, serially,
-or they measure nothing.  Setup (``make(scale, seed)``) runs *outside*
-the pin: fixtures may parallelise if they ever want to.
+``make(scale, seed)`` builds a benchmark's fixtures untimed; only the
+callable it returns is timed.
 """
 
 from __future__ import annotations
@@ -15,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import BenchError
-from ..parallel import force_serial
 from .registry import Benchmark, select_benchmarks
 from .timer import BenchStats, time_callable
 
@@ -47,8 +42,7 @@ def run_one(
 ) -> BenchStats:
     """Set up and measure a single benchmark under ``config``."""
     fn = bench.make(config.scale, config.seed)
-    with force_serial():
-        return time_callable(fn, repeats=config.repeats, warmup=config.warmup, clock=clock)
+    return time_callable(fn, repeats=config.repeats, warmup=config.warmup, clock=clock)
 
 
 def run_benchmarks(

@@ -23,25 +23,17 @@ The hot paths, mapped to the paper:
   ``M_k64``, where delivery dominates the solve, for the trajectory
   point;
 * ``workload.replay.warm`` / ``workload.replay.cold`` — the day-in-the-
-  life streaming pair: a Poisson/Zipf event stream batched into epochs,
-  re-solved through the :func:`repro.api.solve` façade either warm
-  (``warm_start=`` the previous epoch's equilibrium) or cold (from
-  scratch) on the *identical* pre-built epoch instances; every epoch
-  asserts the ε-Nash certificate, so their ratio IS the incremental
-  re-solve speed-up with certificates intact.  Run at ``M`` (10k events)
-  for the trajectory point; ``S`` is the CI smoke size;
-* ``serve.request.warm`` — the IDDE-Serve hot path end to end: a
-  warm-booted :class:`~repro.serve.SolverSession` services the same
-  day-in-the-life delta batches — fold events, project the instance,
-  warm re-solve, *independently* re-check the ε-Nash certificate —
-  exactly what one ``POST /v1/events`` costs the daemon per request
-  (run at ``M`` for the trajectory point);
-* ``topology.all-pairs-dijkstra`` — the pure-Python fallback Dijkstra
-  over all sources, paired with ``topology.all-pairs-dijkstra.scipy``,
-  the compiled csgraph *production* path (the default everywhere) at a
-  higher inner-loop count: the compiled kernel's per-call cost shrinks
-  with scale while the Python one grows, so the twin needs more calls to
-  clear clock resolution;
+  life streaming pair: a Poisson/Zipf event stream batched into epochs
+  and replayed through :meth:`~repro.dynamics.DynamicSimulation.run_events`,
+  the production epoch loop: an IDDE-Serve session folds each batch,
+  projects the instance, re-solves and re-checks the ε-Nash certificate,
+  the chain the daemon runs per ``POST /v1/events``.  The
+  warm twin re-enters the game from the previous equilibrium, the cold
+  twin solves every epoch from scratch, so their ratio is the
+  incremental re-solve speed-up with certificates intact.  Run at ``M``
+  (10k events) for the trajectory point; ``S`` is the CI smoke size;
+* ``topology.all-pairs-dijkstra.scipy`` — the all-pairs path costs behind
+  every delivery latency, on the compiled csgraph kernel;
 * ``datasets.eua-sample`` — EUA-style per-trial scenario generation;
 * ``analysis.selflint.*`` — the IDDE-Lint self-lint of ``src/repro`` as a
   cold/warm cache pair: ``cold`` times the full semantic analysis,
@@ -57,9 +49,11 @@ from ..config import DeliveryConfig, GameConfig
 from ..core.delivery import greedy_delivery
 from ..core.game import IddeUGame
 from ..datasets.eua import sample_scenario
+from ..dynamics.timeline import DynamicSimulation
 from ..radio.sinr import UNALLOCATED, SinrEngine
 from ..rng import spawn_rng
 from ..topology.shortest_path import all_pairs_path_cost
+from ..workload import EpochBatch, StreamConfig, batch_by_count, poisson_zipf_stream
 from .fixtures import equilibrium_profile, eua_pool, instance_for, scale_spec
 from .registry import benchmark
 
@@ -69,7 +63,6 @@ __all__: list[str] = []
 _CHURN_SWEEPS = 10
 _RATES_CALLS = 100
 _GREEDY_CALLS = 3
-_DIJKSTRA_CALLS = 3
 _DIJKSTRA_SCIPY_CALLS = 50
 
 
@@ -252,21 +245,20 @@ def _bench_delivery_greedy(scale: str, seed: int) -> Callable[[], object]:
 
 # --- the streaming day-in-the-life pair -------------------------------
 #
-# Both twins replay the identical epoch sequence: the event stream,
-# per-epoch instances, and participant masks are pre-built (and their
-# lazily-cached state — path costs, coverage, covering sets — pre-touched)
-# in a shared memoised setup, so the timed region is exactly the façade
-# re-solves.  The warm twin threads each epoch's Solution into the next
-# ``warm_start=``; the cold twin solves every epoch from scratch.  Both
-# assert the ε-Nash certificate every epoch — the speed-up is *with
-# certificates intact*, which is the whole point.
+# Both twins time the production epoch loop,
+# :meth:`DynamicSimulation.run_events`, over the identical pre-built day
+# of event batches: the epoch-0 solve, then per batch the session's fold,
+# projection, re-solve and ε-Nash certificate, all inside the timed
+# region.  The warm twin re-enters the game from the previous epoch's
+# equilibrium; the cold twin solves every epoch from scratch.  A failed
+# certificate raises, so a timing exists only with certificates intact.
 #
 # The stream is deliberately gentle (small move sigma, low churn): the
 # regime where incremental re-solve should shine is "most users barely
 # moved", and a cold solve's move count floors at ~n_active regardless.
 
-#: Events per run and events per epoch, by scale.  ``M`` is the ISSUE's
-#: 10k-event day-in-the-life trajectory point; ``S`` the CI smoke size.
+#: Events per run and events per epoch, by scale.  ``M`` is the 10k-event
+#: day-in-the-life trajectory point; ``S`` the CI smoke size.
 _REPLAY_SPEC: dict[str, tuple[int, int]] = {
     "S": (600, 50),
     "M": (10_000, 25),
@@ -277,85 +269,40 @@ _REPLAY_SPEC: dict[str, tuple[int, int]] = {
 _REPLAY_GAME_CFG = GameConfig(schedule="best-gain-winner", epsilon=0.01)
 _REPLAY_DELIVERY_CFG = DeliveryConfig(min_gain_s_per_mb=0.05)
 
-#: (epoch instance, active mask) steps plus the epoch-0 solution, memoised.
-_REPLAY_CACHE: dict[tuple[str, int], tuple[list, object]] = {}
+#: The pre-built event batches of one day, memoised per (scale, seed).
+_REPLAY_BATCHES: dict[tuple[str, int], list[EpochBatch]] = {}
 
 
-def _replay_day(scale: str, seed: int) -> tuple[list, object]:
-    """Pre-built epoch steps + cold epoch-0 solution for ``(scale, seed)``."""
-    from ..api import solve
-    from ..core.instance import IDDEInstance
-    from ..workload import (
-        StreamConfig,
-        WorkloadState,
-        batch_by_count,
-        poisson_zipf_stream,
-    )
-
+def _replay_batches(scale: str, seed: int) -> list[EpochBatch]:
+    """The day's Poisson/Zipf event stream, batched into epochs."""
     key = (scale, seed)
-    if key in _REPLAY_CACHE:
-        return _REPLAY_CACHE[key]
-    base = instance_for(scale, seed)
-    n_events, per_epoch = _REPLAY_SPEC[scale]
-    stream_cfg = StreamConfig(
-        move_sigma=2.0, departure_rate=0.0005, arrival_rate=0.002
-    )
-    stream = poisson_zipf_stream(
-        base.scenario,
-        rng=spawn_rng(seed, "bench", "replay-stream"),
-        config=stream_cfg,
-        n_events=n_events,
-    )
-    state = WorkloadState.from_scenario(base.scenario)
-    steps: list[tuple[IDDEInstance, object]] = []
-    for batch in batch_by_count(stream, per_epoch):
-        state.apply(batch)
-        inst = base.project(state)
-        # Touch the lazily-cached per-instance state outside the timed
-        # region: the bench measures re-solving, not cache construction.
-        assert inst.latency_model.path_cost is not None
-        assert inst.scenario.coverage is not None
-        assert inst.scenario.covering_servers is not None
-        steps.append((inst, state.active.copy()))
-    sol0 = solve(
-        base,
-        "idde-g",
-        game_config=_REPLAY_GAME_CFG,
-        delivery_config=_REPLAY_DELIVERY_CFG,
-        rng=spawn_rng(seed, "bench", "replay-epoch0"),
-        validate=False,
-    )
-    _REPLAY_CACHE[key] = (steps, sol0)
-    return _REPLAY_CACHE[key]
+    if key not in _REPLAY_BATCHES:
+        n_events, per_epoch = _REPLAY_SPEC[scale]
+        stream = poisson_zipf_stream(
+            instance_for(scale, seed).scenario,
+            rng=spawn_rng(seed, "bench", "replay-stream"),
+            config=StreamConfig(
+                move_sigma=2.0, departure_rate=0.0005, arrival_rate=0.002
+            ),
+            n_events=n_events,
+        )
+        _REPLAY_BATCHES[key] = list(batch_by_count(stream, per_epoch))
+    return _REPLAY_BATCHES[key]
 
 
-def _replay_factory(warm: bool) -> Callable[[str, int], Callable[[], object]]:
+def _replay_factory(policy: str) -> Callable[[str, int], Callable[[], object]]:
     def make(scale: str, seed: int) -> Callable[[], object]:
-        from ..api import solve
+        base = instance_for(scale, seed)
+        batches = _replay_batches(scale, seed)
 
-        steps, sol0 = _replay_day(scale, seed)
-
-        def run(replay_seed: int = seed) -> object:
-            # Default-bound seed so every repeat replays the identical
-            # per-epoch streams (the eua-sample idiom).
-            prev = sol0
-            moves = 0
-            for i, (inst, active) in enumerate(steps):
-                sol = solve(
-                    inst,
-                    "idde-g",
-                    game_config=_REPLAY_GAME_CFG,
-                    delivery_config=_REPLAY_DELIVERY_CFG,
-                    warm_start=prev if warm else None,
-                    active=active,
-                    rng=spawn_rng(replay_seed, "replay", i),
-                    validate=False,
-                )
-                assert sol.game is not None and sol.game.is_nash
-                if warm:
-                    prev = sol
-                moves += sol.game.moves
-            return moves
+        def run() -> object:
+            sim = DynamicSimulation(
+                base,
+                policy=policy,
+                game=_REPLAY_GAME_CFG,
+                delivery=_REPLAY_DELIVERY_CFG,
+            )
+            return sim.run_events(batches, rng=seed)
 
         return run
 
@@ -364,109 +311,21 @@ def _replay_factory(warm: bool) -> Callable[[str, int], Callable[[], object]]:
 
 benchmark(
     "workload.replay.warm",
-    "streaming epoch replay, warm-started façade re-solve per epoch "
-    "(certificate asserted every epoch)",
-)(_replay_factory(warm=True))
+    "a streamed day through DynamicSimulation.run_events, warm re-solve "
+    "per epoch (fold, project, solve, certify timed)",
+)(_replay_factory("warm"))
 
 benchmark(
     "workload.replay.cold",
-    "the identical epoch replay re-solved from scratch every epoch "
-    "(pair twin; certificate asserted every epoch)",
-)(_replay_factory(warm=False))
-
-
-#: Pre-built event batches + the cold epoch-0 solution per (scale, seed).
-_SERVE_CACHE: dict[tuple[str, int], tuple[list, object]] = {}
-
-
-def _serve_day(scale: str, seed: int) -> tuple[list, object]:
-    """Event batches + warm-boot solution for the serve bench (memoised)."""
-    from ..api import solve
-    from ..request import SolveRequest
-    from ..workload import StreamConfig, batch_by_count, poisson_zipf_stream
-
-    key = (scale, seed)
-    if key in _SERVE_CACHE:
-        return _SERVE_CACHE[key]
-    base = instance_for(scale, seed)
-    n_events, per_epoch = _REPLAY_SPEC[scale]
-    stream = poisson_zipf_stream(
-        base.scenario,
-        rng=spawn_rng(seed, "bench", "serve-stream"),
-        config=StreamConfig(move_sigma=2.0, departure_rate=0.0005, arrival_rate=0.002),
-        n_events=n_events,
-    )
-    batches = [tuple(batch) for batch in batch_by_count(stream, per_epoch)]
-    sol0 = solve(
-        base,
-        SolveRequest(
-            solver="idde-g",
-            game_config=_REPLAY_GAME_CFG,
-            delivery_config=_REPLAY_DELIVERY_CFG,
-            rng=spawn_rng(seed, "bench", "serve-epoch0"),
-            validate=False,
-        ),
-    )
-    assert base.latency_model.path_cost is not None
-    _SERVE_CACHE[key] = (batches, sol0)
-    return _SERVE_CACHE[key]
-
-
-@benchmark(
-    "serve.request.warm",
-    "IDDE-Serve session servicing a day of delta batches: fold events, "
-    "warm re-solve, independent certificate check per response",
-)
-def _bench_serve_request_warm(scale: str, seed: int) -> Callable[[], object]:
-    from ..request import SolveRequest
-    from ..serve import SolverSession
-
-    base = instance_for(scale, seed)
-    batches, sol0 = _serve_day(scale, seed)
-    request = SolveRequest(
-        solver="idde-g",
-        game_config=_REPLAY_GAME_CFG,
-        delivery_config=_REPLAY_DELIVERY_CFG,
-        warm_start=True,
-        rng=seed,
-        validate=False,
-    )
-
-    def run() -> object:
-        # A fresh warm-booted session per repeat: every repeat services
-        # the identical batch sequence from the identical resident state
-        # (per-epoch RNG streams are keyed off the session epoch counter,
-        # so the replay is deterministic end to end).
-        session = SolverSession(base, request, resident=sol0)
-        for batch in batches:
-            session.apply_events(batch)
-            assert session.certified
-        return session.stats()["warm_solves"]
-
-    return run
-
-
-@benchmark(
-    "topology.all-pairs-dijkstra",
-    f"pure-Python all-pairs Dijkstra over the edge graph, {_DIJKSTRA_CALLS} calls",
-)
-def _bench_all_pairs_dijkstra(scale: str, seed: int) -> Callable[[], object]:
-    cost = instance_for(scale, seed).topology.adjacency_cost
-
-    def run() -> object:
-        out = None
-        for _ in range(_DIJKSTRA_CALLS):
-            out = all_pairs_path_cost(cost, method="dijkstra-py")
-        assert out is not None
-        return float(out[0, -1])
-
-    return run
+    "the identical day re-solved from scratch every epoch "
+    "(pair twin; certificate checked every epoch)",
+)(_replay_factory("cold"))
 
 
 @benchmark(
     "topology.all-pairs-dijkstra.scipy",
-    "the same all-pairs shortest paths on the compiled scipy production "
-    f"path, {_DIJKSTRA_SCIPY_CALLS} calls (pair twin)",
+    "all-pairs shortest path costs over the edge graph on the compiled "
+    f"scipy kernel, {_DIJKSTRA_SCIPY_CALLS} calls",
 )
 def _bench_all_pairs_dijkstra_scipy(scale: str, seed: int) -> Callable[[], object]:
     cost = instance_for(scale, seed).topology.adjacency_cost
@@ -474,7 +333,7 @@ def _bench_all_pairs_dijkstra_scipy(scale: str, seed: int) -> Callable[[], objec
     def run() -> object:
         out = None
         for _ in range(_DIJKSTRA_SCIPY_CALLS):
-            out = all_pairs_path_cost(cost, method="scipy")
+            out = all_pairs_path_cost(cost)
         assert out is not None
         return float(out[0, -1])
 

@@ -7,11 +7,9 @@ deterministic per-trial seed spawning (see :mod:`repro.rng`).  The helpers
 here keep ordering, chunking and graceful serial fallback in one place.
 """
 
-from .pool import ParallelConfig, force_serial, parallel_map, serial_forced
+from .pool import ParallelConfig, parallel_map
 
 __all__ = [
     "parallel_map",
     "ParallelConfig",
-    "force_serial",
-    "serial_forced",
 ]

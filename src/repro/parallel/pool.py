@@ -8,22 +8,14 @@ is always preserved — downstream aggregation indexes results by position.
 The serial path is taken when ``n_workers <= 1`` or the item count is tiny,
 avoiding pool startup costs dominating short sweeps; it is also the path
 used under pytest, keeping test failures debuggable.
-
-Timed regions (the IDDE-Bench harness) must never measure pool startup:
-:func:`force_serial` is a re-entrant context manager that pins every
-``parallel_map`` in the dynamic extent to the serial path regardless of the
-:class:`ParallelConfig` or :func:`default_workers` in play, so a benchmark
-measures the kernel, not executor forking.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -32,8 +24,6 @@ __all__ = [
     "ParallelConfig",
     "parallel_map",
     "default_workers",
-    "force_serial",
-    "serial_forced",
     "PARALLEL_ENTRY_POINTS",
 ]
 
@@ -42,29 +32,6 @@ __all__ = [
 #: of hard-coding knowledge of this module, so adding a new pool API here
 #: automatically extends the parallel-safety checks to it.
 PARALLEL_ENTRY_POINTS: dict[str, int] = {"parallel_map": 0}
-
-#: Per-thread depth counter for nested :func:`force_serial` regions.
-_serial_state = threading.local()
-
-
-@contextmanager
-def force_serial() -> Iterator[None]:
-    """Pin every ``parallel_map`` in this dynamic extent to serial execution.
-
-    Re-entrant and thread-local: nesting is counted, and other threads'
-    pools are unaffected.  Used by the benchmark runner so that timed
-    regions can never pay (or measure) process-pool startup.
-    """
-    _serial_state.depth = getattr(_serial_state, "depth", 0) + 1
-    try:
-        yield
-    finally:
-        _serial_state.depth -= 1
-
-
-def serial_forced() -> bool:
-    """Whether the calling thread is inside a :func:`force_serial` region."""
-    return getattr(_serial_state, "depth", 0) > 0
 
 
 def default_workers() -> int:
@@ -99,7 +66,7 @@ def parallel_map(
     """Apply ``fn`` to every item, optionally across processes, in order."""
     items = list(items)
     config = config or ParallelConfig()
-    workers = 1 if serial_forced() else config.resolved_workers()
+    workers = config.resolved_workers()
     if workers <= 1 or len(items) < config.min_parallel_items:
         return [fn(item) for item in items]
     workers = min(workers, len(items))

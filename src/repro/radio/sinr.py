@@ -25,7 +25,7 @@ negligible (it is, at −174 dBm) but is exactly the paper's driving function.
 
 Batched evaluation
 ------------------
-The engine also exposes a *batched* path (:meth:`SinrEngine.batch_candidates`
+The engine also exposes a *batched* path (:meth:`SinrEngine.batch_interference`
 / :meth:`SinrEngine.batch_best_responses`) that evaluates every user's
 candidate grid in one einsum pass over a padded covering-server tensor
 ``(M, Smax)``.  That tensor and the gain matrix live in :class:`RadioTables`,
@@ -56,13 +56,12 @@ from ..errors import AllocationError, CoverageError
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..types import Scenario
 from .channel import gain_matrix
-from .rate import capped_rate, shannon_rate
+from .rate import capped_rate
 
 __all__ = [
     "SinrEngine",
     "RadioTables",
     "CandidateView",
-    "BatchCandidateView",
     "BatchBestResponse",
 ]
 
@@ -103,34 +102,6 @@ class CandidateView:
         flat = int(np.argmax(masked))
         s, x = divmod(flat, masked.shape[1])
         return int(self.servers[s]), int(x), float(masked[s, x])
-
-
-@dataclass(frozen=True)
-class BatchCandidateView:
-    """Candidate grids for a batch of users, on the padded server axis.
-
-    Attributes
-    ----------
-    users : ``(U,)`` the user indices evaluated.
-    servers : ``(U, Smax)`` covering server indices, padded with 0.
-    server_mask : ``(U, Smax)`` True where the padded slot is a real
-        covering server (the paper's ``V_j``).
-    valid : ``(U, Smax, X)`` mask of real covering server × existing channel.
-    sinr : ``(U, Smax, X)`` SINR per candidate (garbage where invalid).
-    rate : ``(U, Smax, X)`` capped data rate per candidate (MB/s).
-    benefit : ``(U, Smax, X)`` Eq. (12) benefit per candidate.
-
-    For any user the valid entries are bit-for-bit identical to the
-    corresponding :class:`CandidateView` from :meth:`SinrEngine.candidates`.
-    """
-
-    users: np.ndarray
-    servers: np.ndarray
-    server_mask: np.ndarray
-    valid: np.ndarray
-    sinr: np.ndarray
-    rate: np.ndarray
-    benefit: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -430,36 +401,6 @@ class SinrEngine:
             w[own, ch] = np.maximum(w[own, ch] - sub, 0.0)
         return w
 
-    def batch_candidates(self, users: np.ndarray | None = None) -> BatchCandidateView:
-        """Evaluate every candidate ``(server, channel)`` for a user batch.
-
-        The padded-axis equivalent of calling :meth:`candidates` per user:
-        valid entries carry bit-identical SINR / rate / benefit values.
-        """
-        tables = self._tables
-        if users is None:
-            users = np.arange(self.scenario.n_users)
-        else:
-            users = np.asarray(users, dtype=np.int64)
-        w = self.batch_interference(users)  # (U, X)
-        signal = tables.signal[users][:, :, None]  # (U, Smax, 1)
-        den = w[:, None, :] + self.noise  # (U, 1, X)
-        sinr = signal / den
-        rate = capped_rate(self.bandwidth, sinr, self.scenario.rmax[users][:, None, None])
-        # Padded slots have signal exactly 0; with zero interference that is
-        # 0/0, which the valid mask hides — silence the hardware flag only.
-        with np.errstate(invalid="ignore"):
-            benefit = signal / (w[:, None, :] + signal)
-        return BatchCandidateView(
-            users=users,
-            servers=tables.cov[users],
-            server_mask=tables.mask[users],
-            valid=tables.valid[users],
-            sinr=sinr,
-            rate=rate,
-            benefit=benefit,
-        )
-
     def batch_best_responses(self, users: np.ndarray | None = None) -> BatchBestResponse:
         """Benefit-maximising moves for a user batch in one vectorised pass.
 
@@ -641,24 +582,7 @@ class SinrEngine:
             return 0.0
         return float(self.rates().sum() / m)
 
-    def uncapped_rates(self) -> np.ndarray:
-        """Shannon rates without the ``R_max`` cap (diagnostics)."""
-        m = self.scenario.n_users
-        out = np.zeros(m)
-        for j in range(m):
-            i = self.alloc_server[j]
-            if i == UNALLOCATED:
-                continue
-            out[j] = float(shannon_rate(self.bandwidth, np.asarray(self.user_sinr(j))))
-        return out
-
     # ------------------------------------------------------------------
-    def users_on(self, server: int, channel: int) -> np.ndarray:
-        """Indices of users allocated to ``(server, channel)``."""
-        return np.flatnonzero(
-            (self.alloc_server == server) & (self.alloc_channel == channel)
-        )
-
     def _check_user(self, j: int) -> None:
         if not (0 <= j < self.scenario.n_users):
             raise AllocationError(f"user index {j} out of range [0, {self.scenario.n_users})")

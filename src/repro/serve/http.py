@@ -123,13 +123,13 @@ class HttpRequest:
         """The body decoded as JSON; empty bodies decode to ``None``.
 
         Raises :class:`~repro.errors.ProtocolError` (→ 400) on anything
-        that is not UTF-8 JSON.
+        that is not UTF-8 JSON, too deeply nested bodies included.
         """
         if not self.body:
             return None
         try:
             return json.loads(self.body)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise ProtocolError(f"request body is not valid JSON: {exc}") from exc
 
 

@@ -9,12 +9,11 @@ path costs where each link's cost is its *seconds-per-MB* transfer rate.
 
 from .graph import EdgeTopology, build_topology
 from .latency import DeliveryLatencyModel
-from .shortest_path import all_pairs_path_cost, dijkstra
+from .shortest_path import all_pairs_path_cost
 
 __all__ = [
     "EdgeTopology",
     "build_topology",
     "DeliveryLatencyModel",
-    "dijkstra",
     "all_pairs_path_cost",
 ]

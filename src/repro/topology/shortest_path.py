@@ -1,86 +1,34 @@
-"""Shortest-path kernels for the edge graph.
+"""Shortest-path kernel for the edge graph.
 
 The delivery latency of a data item between two servers is its size times
 the cheapest path cost, where each link contributes ``1/speed`` seconds per
-MB.  Two implementations are provided:
-
-* :func:`dijkstra` — a self-contained binary-heap Dijkstra used as the
-  reference implementation and for single-source queries;
-* :func:`all_pairs_path_cost` — all-pairs costs via
-  :func:`scipy.sparse.csgraph.shortest_path` on the dense cost matrix,
-  which for the paper's N ≤ 125 is the fastest option, with the pure
-  Dijkstra as a verified fallback (``method="dijkstra-py"``).
+MB.  :func:`all_pairs_path_cost` computes every pair's cost with
+:func:`scipy.sparse.csgraph.shortest_path` on the dense cost matrix, which
+for the paper's N ≤ 125 is the fastest option.  The test suite
+cross-validates it against a self-contained binary-heap Dijkstra.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 from scipy.sparse.csgraph import shortest_path as _sp_shortest_path
 
 from ..errors import TopologyError
 
-__all__ = ["dijkstra", "all_pairs_path_cost"]
+__all__ = ["all_pairs_path_cost"]
 
 
-def dijkstra(adjacency_cost: np.ndarray, source: int) -> np.ndarray:
-    """Single-source shortest path costs over a dense cost matrix.
+def all_pairs_path_cost(adjacency_cost: np.ndarray) -> np.ndarray:
+    """All-pairs shortest path costs via the compiled csgraph kernel.
 
-    Parameters
-    ----------
-    adjacency_cost:
-        ``(n, n)`` symmetric matrix; ``inf`` marks non-edges, diagonal 0.
-    source:
-        Source vertex index.
-
-    Returns
-    -------
-    ``(n,)`` array of minimal path costs; unreachable vertices get ``inf``.
+    ``adjacency_cost`` is the ``(n, n)`` symmetric matrix with ``inf``
+    marking non-edges and a zero diagonal; unreachable pairs stay ``inf``.
     """
     cost = np.asarray(adjacency_cost, dtype=float)
     n = cost.shape[0]
     if cost.shape != (n, n):
         raise TopologyError(f"adjacency must be square, got {cost.shape}")
-    if not (0 <= source < n):
-        raise TopologyError(f"source {source} out of range [0, {n})")
-    dist = np.full(n, np.inf)
-    dist[source] = 0.0
-    done = np.zeros(n, dtype=bool)
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if done[v]:
-            continue
-        done[v] = True
-        # Relax all neighbours in one vectorised sweep; push improved ones.
-        nd = d + cost[v]
-        improved = np.flatnonzero((nd < dist) & ~done)
-        if len(improved):
-            dist[improved] = nd[improved]
-            for w in improved:
-                heapq.heappush(heap, (float(nd[w]), int(w)))
-    return dist
-
-
-def all_pairs_path_cost(
-    adjacency_cost: np.ndarray, *, method: str = "scipy"
-) -> np.ndarray:
-    """All-pairs shortest path costs.
-
-    ``method="scipy"`` delegates to the compiled csgraph kernel;
-    ``method="dijkstra-py"`` runs the pure-Python reference from every
-    source (used in tests to cross-validate the compiled path).
-    """
-    cost = np.asarray(adjacency_cost, dtype=float)
-    n = cost.shape[0]
-    if cost.shape != (n, n):
-        raise TopologyError(f"adjacency must be square, got {cost.shape}")
-    if method == "scipy":
-        # csgraph treats 0 as "no edge" in dense input unless inf-marked;
-        # our matrix already uses inf for non-edges and 0 diagonal.
-        out = _sp_shortest_path(cost, method="D", directed=False)
-        return np.asarray(out, dtype=float)
-    if method == "dijkstra-py":
-        return np.stack([dijkstra(cost, s) for s in range(n)])
-    raise TopologyError(f"unknown method {method!r}")
+    # csgraph treats 0 as "no edge" in dense input unless inf-marked;
+    # our matrix already uses inf for non-edges and 0 diagonal.
+    out = _sp_shortest_path(cost, method="D", directed=False)
+    return np.asarray(out, dtype=float)

@@ -175,24 +175,39 @@ class WorkloadState:
         return int(self.active.sum())
 
     def apply(self, events: "EpochBatch | Iterator[Event] | tuple[Event, ...]") -> int:
-        """Fold events into the state in order; returns how many applied."""
-        n = 0
-        for ev in events:
-            self._apply_one(ev)
-            n += 1
-        return n
+        """Fold events into the state in order; returns how many applied.
 
-    def _apply_one(self, ev: Event) -> None:
-        if isinstance(ev, UserJoin):
-            self._check_user(ev.user)
-            self.active[ev.user] = True
-        elif isinstance(ev, UserLeave):
-            self._check_user(ev.user)
-            self.active[ev.user] = False
-        elif isinstance(ev, Move):
-            self._check_user(ev.user)
-            self.positions[ev.user, 0] = ev.x
-            self.positions[ev.user, 1] = ev.y
+        Every event is checked before any is folded (the checks depend
+        only on ``n_users`` and ``K``), so a batch holding one bad event
+        raises :class:`~repro.errors.ScenarioError` and leaves the state
+        untouched.
+        """
+        batch = tuple(events)
+        for ev in batch:
+            self._check(ev)
+        for ev in batch:
+            if isinstance(ev, UserJoin):
+                self.active[ev.user] = True
+            elif isinstance(ev, UserLeave):
+                self.active[ev.user] = False
+            elif isinstance(ev, Move):
+                self.positions[ev.user, 0] = ev.x
+                self.positions[ev.user, 1] = ev.y
+            elif isinstance(ev, PopularityShift):
+                self.requests = self.requests[:, np.asarray(ev.order, dtype=np.int64)]
+        return len(batch)
+
+    def _check(self, ev: Event) -> None:
+        if isinstance(ev, (UserJoin, UserLeave, Move)):
+            user = ev.user
+            if isinstance(user, bool) or not isinstance(user, (int, np.integer)):
+                raise ScenarioError(
+                    f"event user must be an integer, got {type(user).__name__} {user!r}"
+                )
+            if not (0 <= user < self.n_users):
+                raise ScenarioError(
+                    f"event user {user} out of range [0, {self.n_users})"
+                )
         elif isinstance(ev, PopularityShift):
             k = self.requests.shape[1]
             try:
@@ -205,15 +220,8 @@ class WorkloadState:
                 raise ScenarioError(
                     f"shift order must be a permutation of range({k}), got {ev.order}"
                 )
-            self.requests = self.requests[:, order]
         else:
             raise ScenarioError(f"unknown event type {type(ev).__name__}")
-
-    def _check_user(self, user: int) -> None:
-        if not (0 <= user < self.n_users):
-            raise ScenarioError(
-                f"event user {user} out of range [0, {self.n_users})"
-            )
 
     def scenario(self, base: Scenario) -> Scenario:
         """Project the solver-facing snapshot onto ``base``'s fixed entities

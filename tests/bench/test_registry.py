@@ -19,7 +19,8 @@ EXPECTED = {
     "game.round.random-winner",
     "game.converge",
     "delivery.greedy",
-    "topology.all-pairs-dijkstra",
+    "workload.replay.warm",
+    "workload.replay.cold",
     "datasets.eua-sample",
     "analysis.selflint.cold",
     "analysis.selflint.warm",
@@ -68,6 +69,36 @@ class TestRegistry:
             stats = run_one(bench, config)
             assert stats.repeats == 1
             assert stats.min_s >= 0.0
+
+
+class TestReplayEntries:
+    """The streaming pair times the production epoch loop, certificate
+    included, on the same pre-built day."""
+
+    @pytest.mark.parametrize("policy", ["warm", "cold"])
+    def test_one_call_certifies_every_epoch(self, policy, monkeypatch):
+        from repro.serve.session import SolverSession
+
+        verdicts: list[bool | None] = []
+        certify = SolverSession._certify
+
+        def counting_certify(self, *args, **kwargs):
+            verdict = certify(self, *args, **kwargs)
+            verdicts.append(verdict)
+            return verdict
+
+        monkeypatch.setattr(SolverSession, "_certify", counting_certify)
+        records = get_benchmark(f"workload.replay.{policy}").make("S", 0)()
+        assert len(records) > 1
+        assert verdicts == [True] * len(records)
+        warm = [r.solution.config["warm_start"] for r in records]
+        assert warm == [False] + [policy == "warm"] * (len(records) - 1)
+
+    def test_pair_replays_the_same_day(self):
+        warm = get_benchmark("workload.replay.warm").make("S", 0)()
+        cold = get_benchmark("workload.replay.cold").make("S", 0)()
+        assert [r.n_events for r in warm] == [r.n_events for r in cold]
+        assert [r.active_users for r in warm] == [r.active_users for r in cold]
 
 
 class TestFixtures:

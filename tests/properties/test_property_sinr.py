@@ -160,23 +160,6 @@ class TestBatchScalarParity:
 
     @FAST
     @given(allocated_engines())
-    def test_batch_candidates_bitwise(self, pair):
-        instance, engine = pair
-        batch = engine.batch_candidates()
-        for pos in range(instance.n_users):
-            j = int(batch.users[pos])
-            view = engine.candidates(j)
-            s = view.servers.size
-            assert np.array_equal(batch.servers[pos, :s], view.servers)
-            assert not batch.server_mask[pos, s:].any()
-            assert np.array_equal(batch.valid[pos, :s], view.valid)
-            for name in ("sinr", "rate", "benefit"):
-                got = getattr(batch, name)[pos, :s][view.valid]
-                want = getattr(view, name)[view.valid]
-                assert np.array_equal(got, want)
-
-    @FAST
-    @given(allocated_engines())
     def test_batch_best_responses_bitwise(self, pair):
         instance, engine = pair
         batch = engine.batch_best_responses()

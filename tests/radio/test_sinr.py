@@ -7,6 +7,7 @@ from repro.config import RadioConfig
 from repro.errors import AllocationError, CoverageError
 from repro.core.instance import IDDEInstance
 from repro.radio.channel import gain_matrix
+from repro.radio.rate import shannon_rate
 from repro.radio.sinr import UNALLOCATED, RadioTables, SinrEngine
 
 from ..conftest import make_scenario, ragged_scenario, random_profile
@@ -209,7 +210,8 @@ class TestSinrMath:
 
     def test_uncapped_rates_exceed_cap_for_solo(self, engine):
         engine.assign(0, 0, 0)
-        assert engine.uncapped_rates()[0] > engine.scenario.rmax[0]
+        uncapped = shannon_rate(engine.bandwidth, np.asarray(engine.user_sinr(0)))
+        assert uncapped > engine.scenario.rmax[0]
 
 
 class TestCandidates:

@@ -391,6 +391,25 @@ class TestErrorPaths:
         assert daemon.session.events_applied == 0
         assert daemon.session.epoch == 0
 
+    def test_deeply_nested_body_is_400_and_session_answers(self, instance):
+        daemon = ServeDaemon(_session(instance))
+        leave = {"events": [{"kind": "leave", "t": 0.0, "user": 3}]}
+
+        async def scenario(d):
+            await _http(d.port, "POST", "/v1/solve")
+            nested = await _http(d.port, "POST", "/v1/events", raw=b"[" * 200_000)
+            after = await _http(d.port, "POST", "/v1/events", leave)
+            return nested, after
+
+        ((status, body), after), _ = _drive(daemon, scenario)
+        assert status == 400
+        error = json.loads(body)["error"]
+        assert error["type"] == "ProtocolError"
+        assert "not valid JSON" in error["message"]
+        assert after[0] == 200
+        assert not daemon.session.state.active[3]
+        assert daemon.session.events_applied == 1
+
 
 class TestReadsDuringSolve:
     def test_health_answers_during_real_session_solve(self, instance, monkeypatch):

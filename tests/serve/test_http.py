@@ -98,6 +98,11 @@ class TestReadRequest:
         with pytest.raises(ProtocolError, match="not valid JSON"):
             req.json()
 
+    def test_deeply_nested_body_is_protocol_error(self):
+        req = HttpRequest(method="POST", path="/v1/events", body=b"[" * 200_000)
+        with pytest.raises(ProtocolError, match="not valid JSON"):
+            req.json()
+
     def test_empty_body_decodes_to_none(self):
         assert HttpRequest(method="POST", path="/").json() is None
 

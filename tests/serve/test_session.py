@@ -388,14 +388,20 @@ class TestBatchAtomicity:
         first = session.apply_events(self.GOOD[0])
         return session, first, session.state.positions.copy(), session.state.active.copy()
 
-    def test_bare_error_mid_batch_rolls_back(self, instance):
-        # A non-integer user passes the range check and fails on indexing,
-        # after the batch's first event already folded.
+    def test_bare_error_mid_batch_rolls_back(self, instance, monkeypatch):
+        # The batch has folded when the solve raises a non-ReproError.
+        from repro.serve import session as session_mod
+
+        def broken_solve(*args, **kwargs):
+            raise RuntimeError("solver crashed")
+
         session, first, positions, active = self._open(instance)
-        with pytest.raises(IndexError):
-            session.apply_events(
-                [UserLeave(t=5.0, user=3), Move(t=5.5, user=1.5, x=0.0, y=0.0)]
-            )
+        with monkeypatch.context() as patch:
+            patch.setattr(session_mod, "solve", broken_solve)
+            with pytest.raises(RuntimeError, match="solver crashed"):
+                session.apply_events(
+                    [UserLeave(t=5.0, user=3), Move(t=5.5, user=2, x=0.0, y=0.0)]
+                )
         assert session.state.active[3]
         self._check_rolled_back(session, first, positions, active)
         self._check_next_batch_is_fresh(instance, session)

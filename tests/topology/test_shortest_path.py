@@ -1,11 +1,13 @@
-"""Shortest-path kernel tests: reference Dijkstra vs compiled csgraph."""
+"""Shortest-path tests: the compiled csgraph kernel vs the Dijkstra oracle."""
 
 import numpy as np
 import pytest
 
 from repro.errors import TopologyError
 from repro.topology.graph import build_topology
-from repro.topology.shortest_path import all_pairs_path_cost, dijkstra
+from repro.topology.shortest_path import all_pairs_path_cost
+
+from ..oracles.shortest_path import dijkstra, oracle_all_pairs_path_cost
 
 
 def path_graph(weights):
@@ -53,8 +55,8 @@ class TestAllPairs:
         for seed in range(5):
             topo = build_topology(15, 2.0, seed)
             cost = topo.adjacency_cost
-            fast = all_pairs_path_cost(cost, method="scipy")
-            ref = all_pairs_path_cost(cost, method="dijkstra-py")
+            fast = all_pairs_path_cost(cost)
+            ref = oracle_all_pairs_path_cost(cost)
             assert np.allclose(fast, ref, equal_nan=True)
 
     def test_symmetric(self):
@@ -79,14 +81,10 @@ class TestAllPairs:
         cost = path_graph([1.0])
         cost = np.pad(cost, ((0, 1), (0, 1)), constant_values=np.inf)
         cost[2, 2] = 0.0
-        for method in ("scipy", "dijkstra-py"):
-            d = all_pairs_path_cost(cost, method=method)
+        for search in (all_pairs_path_cost, oracle_all_pairs_path_cost):
+            d = search(cost)
             assert d[0, 1] == 1.0
             assert np.isinf(d[0, 2]) and np.isinf(d[2, 1])
-
-    def test_unknown_method(self):
-        with pytest.raises(TopologyError):
-            all_pairs_path_cost(np.zeros((2, 2)), method="bellman")
 
     def test_bad_shape(self):
         with pytest.raises(TopologyError):

@@ -83,6 +83,42 @@ class TestWorkloadState:
         with pytest.raises(ScenarioError, match="out of range"):
             state.apply((UserJoin(t=1.0, user=99),))
 
+    @pytest.mark.parametrize("user", [1.5, True, "1", None])
+    def test_non_integer_user_rejected(self, tiny_scenario, user):
+        state = WorkloadState.from_scenario(tiny_scenario)
+        with pytest.raises(ScenarioError, match="must be an integer"):
+            state.apply((Move(t=0.0, user=user, x=0.0, y=0.0),))
+
+    def test_numpy_integer_user_accepted(self, tiny_scenario):
+        state = WorkloadState.from_scenario(tiny_scenario)
+        state.apply((UserLeave(t=0.0, user=np.int64(4)),))
+        assert not state.active[4]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            Move(t=0.0, user=1.5, x=0.0, y=0.0),
+            UserJoin(t=0.0, user=99),
+            PopularityShift(t=0.0, order=(0, 0)),
+        ],
+    )
+    def test_bad_event_folds_nothing(self, tiny_scenario, bad):
+        """Every event is checked before any is folded: the valid events
+        ahead of a bad one leave no trace."""
+        state = WorkloadState.from_scenario(tiny_scenario)
+        before = (state.positions.copy(), state.active.copy(), state.requests.copy())
+        batch = (
+            UserLeave(t=0.0, user=3),
+            Move(t=0.0, user=0, x=1.0, y=2.0),
+            PopularityShift(t=0.0, order=(1, 0)),
+            bad,
+        )
+        with pytest.raises(ScenarioError):
+            state.apply(batch)
+        for got, want in zip((state.positions, state.active, state.requests), before):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
     def test_scenario_zeroes_inactive_rows_only(self, tiny_scenario):
         state = WorkloadState.from_scenario(tiny_scenario)
         state.apply((UserLeave(t=1.0, user=1),))
