@@ -3,7 +3,7 @@
 Every front-end — the ``idde`` CLI, the experiment harness, the streaming
 replay loop, the IDDE-Serve daemon, notebook users — reaches the solvers
 through one call, and one *object* describes the run everywhere: the
-schema-versioned :class:`~repro.request.SolveRequest` (``idde-request/4``,
+schema-versioned :class:`~repro.request.SolveRequest` (``idde-request/5``,
 also the daemon's wire format)::
 
     from repro.api import solve
@@ -11,7 +11,7 @@ also the daemon's wire format)::
 
     sol = solve(instance, SolveRequest(solver="idde-g",
                 game_config=GameConfig(schedule="best-gain-winner"), rng=0))
-    sol.to_dict()   # the schema-versioned ``idde-solution/4`` document
+    sol.to_dict()   # the schema-versioned ``idde-solution/5`` document
 
 A solver name plus request fields builds the same request::
 
@@ -24,7 +24,7 @@ to wire: the solver returns it with its typed
 :class:`~repro.core.objectives.Evaluation` attached, and this façade only
 stamps the request, the resolved config and the warm-start repair's
 detached count onto it.  :func:`load_solution_document` reads
-``idde-solution/4`` only (see docs/SERVING.md for the schema history).
+``idde-solution/5`` only (see docs/SERVING.md for the schema history).
 
 Solver names resolve through the :mod:`repro.baselines` registry, so
 unknown names fail with a did-you-mean
@@ -62,7 +62,7 @@ __all__ = [
 
 
 def load_solution_document(doc: Mapping[str, Any]) -> dict[str, Any]:
-    """Validate an ``idde-solution/4`` document and return a copy of it.
+    """Validate an ``idde-solution/5`` document and return a copy of it.
 
     Any other schema tag, a non-object, or a document missing a required
     key fails with :class:`~repro.errors.ConfigurationError`.
@@ -186,7 +186,7 @@ def solve(
 
     rng = ensure_rng(request.rng)
     with tracer.span("api.solve", solver=s.name) as span:
-        solution = s.solve(instance, rng, validate=request.validate, tracer=tracer)
+        solution = s.solve(instance, rng, tracer=tracer)
         span.set(r_avg=solution.r_avg, l_avg_ms=solution.l_avg_ms)
 
     extras = solution.extras

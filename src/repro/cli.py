@@ -30,7 +30,7 @@ Subcommands
                ``idde-trace/1`` JSONL file (see docs/OBSERVABILITY.md).
 ``serve``      Boot IDDE-Serve, the long-lived async solver daemon: a
                stateful session behind a schema-versioned HTTP/JSON API
-               (``idde-request/4`` in, ``idde-solution/4`` out,
+               (``idde-request/5`` in, ``idde-solution/5`` out,
                ``idde-events/1`` deltas re-solved warm; see
                docs/SERVING.md).
 
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_arg(p_solve)
     p_solve.add_argument(
         "--format", choices=["text", "json"], default="text",
-        help="text table or the idde-solution/4 JSON document",
+        help="text table or the idde-solution/5 JSON document",
     )
 
     p_sweep = sub.add_parser("sweep", help="run one Table 2 experiment set")

@@ -42,8 +42,10 @@ decomposition of the instance to stay cheap at city scale.  Within a
 round-robin sweep, a user that an earlier move of the same sweep made
 stale is re-evaluated by the fused single-user kernel
 :meth:`~repro.radio.sinr.SinrEngine.best_response`, which builds only the
-best move.  The certificate (:meth:`IddeUGame.is_nash`) never reads the
-table: it evaluates every player afresh on its own engine.  The literal
+best move.  The certificate (:meth:`IddeUGame.is_nash`, in the run's
+``game.certify`` span) never reads the table: it evaluates every player
+afresh on its own engine, and its verdict is the only certificate a
+served answer carries (``GameResult.is_nash``).  The literal
 per-user transcription of Algorithm 1 lives in the test suite
 (``tests/oracles/game.py``) as the readable oracle: the batched runners
 must replay it bit-for-bit — identical move sequences
@@ -245,7 +247,10 @@ class IddeUGame:
                 # If the dynamics truncated (max_rounds), the profile is
                 # returned without a certificate: callers doing sweeps prefer
                 # degraded output over an exception.
-                nash = self.is_nash(profile, tol=eps) if converged else False
+                nash = False
+                if converged:
+                    with self.tracer.span("game.certify"):
+                        nash = self.is_nash(profile, tol=eps)
                 capped = [
                     int(j)
                     for j in np.flatnonzero(moves_of >= self.cfg.max_moves_per_user)

@@ -4,7 +4,7 @@ Every approach in this package — IDDE-G and all baselines — implements
 :class:`Solver` and returns a :class:`Solution`: the pair ``(α, σ)``
 validated against the instance constraints, the joint evaluation of both
 objectives, timing and, for IDDE-G, the typed game and delivery results.
-:meth:`Solution.to_dict` is the ``idde-solution/4`` document, which states
+:meth:`Solution.to_dict` is the ``idde-solution/5`` document, which states
 each fact once.
 """
 
@@ -29,7 +29,7 @@ from .profiles import AllocationProfile, DeliveryProfile
 
 __all__ = ["SOLUTION_SCHEMA", "Solution", "Solver"]
 
-SOLUTION_SCHEMA = "idde-solution/4"
+SOLUTION_SCHEMA = "idde-solution/5"
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,11 @@ class Solution:
         return int(detached) if detached is not None else None
 
     def to_dict(self) -> dict[str, Any]:
-        """The JSON-ready ``idde-solution/4`` document.
+        """The JSON-ready ``idde-solution/5`` document.
 
         Surfaces every field of the typed results — including the ε-Nash
         certificate (``game.effective_epsilon``) and the move-capped
-        player list — plus the ``idde-request/4`` document of the request
+        player list — plus the ``idde-request/5`` document of the request
         that produced it (serialised leniently: a live warm-start object
         degrades to its boolean presence, a live generator to a null
         seed).
@@ -169,10 +169,10 @@ class Solver(abc.ABC):
         instance: IDDEInstance,
         rng: np.random.Generator | int | None = None,
         *,
-        validate: bool = True,
         tracer: Tracer | None = None,
     ) -> Solution:
-        """Run the solver, validate the result, and evaluate objectives.
+        """Run the solver, check the result against the instance
+        constraints, and evaluate objectives.
 
         ``tracer`` scopes the spans this wrapper records; the timed
         ``wall_time_s`` region is :meth:`_solve` alone (validation and
@@ -188,9 +188,8 @@ class Solver(abc.ABC):
         delivered, delivery = (
             (second, second.profile) if isinstance(second, DeliveryResult) else (None, second)
         )
-        if validate:
-            with tracer.span("solver.validate"):
-                check_strategy(instance, alloc, delivery)
+        with tracer.span("solver.validate"):
+            check_strategy(instance, alloc, delivery)
         with tracer.span("solver.evaluate"):
             ev = evaluate(instance, alloc, delivery)
         return Solution(

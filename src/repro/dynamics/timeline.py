@@ -5,9 +5,11 @@ Each epoch consumes one :class:`~repro.workload.EpochBatch` of events
 :mod:`repro.workload`).  The solving policies run on an IDDE-Serve
 :class:`~repro.serve.SolverSession`, the same loop ``idde serve`` runs:
 it folds the batch, projects from the last committed instance, re-solves
-through the :func:`repro.api.solve` façade and certifies the answer, so
-every solving epoch is ε-Nash-certified, composes with tracing (spans
-``timeline.epoch`` / ``workload.batch``) and yields a full
+through the :func:`repro.api.solve` façade and commits only an answer
+whose game certified ε-Nash (``Solution.game.is_nash``, one
+``game.certify`` span per solving epoch), so every solving epoch is
+certified, composes with tracing (spans ``timeline.epoch`` /
+``workload.batch``) and yields a full
 schema-versioned :class:`~repro.api.Solution` on its :class:`EpochRecord`.
 
 Mobility models enter through the same loop:
@@ -151,7 +153,8 @@ class DynamicSimulation:
         tracer = self.tracer
         # The IDDE-Serve session runs every solving epoch: it folds the
         # batch, projects from the last committed instance, re-solves
-        # (warm only under warm_start=True) and certifies the answer.
+        # (warm only under warm_start=True) and commits only an answer its
+        # game certified.
         session = SolverSession(
             self.instance,
             SolveRequest(

@@ -1,10 +1,10 @@
 """The schema-versioned :class:`SolveRequest`: one object describing a run.
 
 :class:`SolveRequest` holds the whole run description — solver name, two
-phase configs, warm start, churn mask, RNG, a validation switch and the
+phase configs, warm start, churn mask, RNG and the
 solver's constructor options (the IDDE-IP time budget among them) — in a
 single frozen dataclass that is *also* the daemon's wire format: the
-``idde-request/4`` JSON document round-trips through
+``idde-request/5`` JSON document round-trips through
 :meth:`SolveRequest.to_dict` / :meth:`SolveRequest.from_dict` with strict
 validation — unknown keys are errors, every value must have its field's
 JSON type, nested configs reconstruct through their own ``__post_init__``
@@ -13,8 +13,10 @@ inside a kernel.  Version 2 dropped the ``kernel`` key of ``game`` and
 ``delivery`` (each phase has one kernel); version 3 dropped ``sharding``
 (the global game is the only IDDE-U path); version 4 dropped the
 top-level IDDE-IP budget field (the budget travels as ``solver_options``)
-and two ``game`` keys no solver read (docs/SERVING.md names all three).
-A request still carrying any dropped key fails as an unknown key.
+and two ``game`` keys no solver read; version 5 dropped ``validate`` (every
+answer is checked against the instance constraints; docs/SERVING.md names
+every dropped key).  A request still carrying any dropped key fails as an
+unknown key.
 
 Two request fields are *runtime state*, not wire data:
 
@@ -48,9 +50,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 
 __all__ = ["REQUEST_SCHEMA", "SolveRequest", "json_scalarish"]
 
-REQUEST_SCHEMA = "idde-request/4"
+REQUEST_SCHEMA = "idde-request/5"
 
-#: Wire keys of the ``idde-request/4`` document, in canonical order.
+#: Wire keys of the ``idde-request/5`` document, in canonical order.
 _WIRE_KEYS = (
     "schema",
     "solver",
@@ -59,7 +61,6 @@ _WIRE_KEYS = (
     "warm_start",
     "active",
     "rng",
-    "validate",
     "solver_options",
 )
 
@@ -168,8 +169,6 @@ class SolveRequest:
     rng:
         Seed or generator for the solver's randomness (``repro.rng``
         discipline).
-    validate:
-        Check the returned strategy against the instance constraints.
     solver_options:
         Extra keyword arguments for the solver's constructor (e.g.
         ``{"time_budget_s": 3.0}`` for ``"idde-ip"``); one it does not
@@ -183,7 +182,6 @@ class SolveRequest:
     warm_start: "Solution | AllocationProfile | bool | None" = None
     active: np.ndarray | None = None
     rng: Any = None
-    validate: bool = True
     solver_options: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -217,12 +215,12 @@ class SolveRequest:
     # wire format
     # ------------------------------------------------------------------
     def to_dict(self, *, lenient: bool = False) -> dict[str, Any]:
-        """The ``idde-request/4`` JSON document for this request.
+        """The ``idde-request/5`` JSON document for this request.
 
         Strict by default: a live ``warm_start`` object or a non-integer
         ``rng`` cannot go on the wire and raise
         :class:`~repro.errors.ConfigurationError`.  ``lenient=True`` (used
-        when embedding the request in an ``idde-solution/4`` document)
+        when embedding the request in an ``idde-solution/5`` document)
         degrades them instead — ``warm_start`` to its boolean presence,
         ``rng`` to ``null``.
         """
@@ -265,13 +263,12 @@ class SolveRequest:
                 None if self.active is None else [int(b) for b in self.active]
             ),
             "rng": rng,
-            "validate": self.validate,
             "solver_options": dict(self.solver_options),
         }
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "SolveRequest":
-        """Rebuild a request from an ``idde-request/4`` document.
+        """Rebuild a request from an ``idde-request/5`` document.
 
         Validation is strict: the schema tag must match, unknown keys are
         errors (no silent typo-tolerance on a wire format), every value
@@ -305,11 +302,6 @@ class SolveRequest:
             raise ConfigurationError(
                 f"rng must be a non-negative integer seed or null, got {rng!r}"
             )
-        validate = doc.get("validate", True)
-        if not isinstance(validate, bool):
-            raise ConfigurationError(
-                f"validate must be a boolean, got {validate!r}"
-            )
         active = doc.get("active")
         if active is not None and (
             not isinstance(active, (list, tuple))
@@ -336,7 +328,6 @@ class SolveRequest:
             # __post_init__ coerces the checked 0/1 list to a bool array.
             active=active,
             rng=rng,
-            validate=validate,
             solver_options=dict(options),
         )
 

@@ -3,9 +3,9 @@
 The serving layer the ROADMAP asks for: a stateful
 :class:`SolverSession` — resident instance, workload state, latest
 certified solution — behind a schema-versioned HTTP/JSON API
-(:class:`ServeDaemon`): ``idde-request/4`` in, ``idde-solution/4`` out,
+(:class:`ServeDaemon`): ``idde-request/5`` in, ``idde-solution/5`` out,
 ``idde-events/1`` deltas folded into warm-started re-solves, every
-response independently ε-Nash-certified.  Stdlib ``asyncio`` only — see
+response carrying the ε-Nash verdict of the game that produced it.  Stdlib ``asyncio`` only — see
 docs/SERVING.md for the wire reference and operational model.
 """
 

@@ -30,9 +30,9 @@ Endpoints (all JSON; see docs/SERVING.md for the wire reference):
 =======  =============  ====================================================
 Method   Path           Semantics
 =======  =============  ====================================================
-POST     /v1/solve      Adopt an ``idde-request/4`` document (empty body =
+POST     /v1/solve      Adopt an ``idde-request/5`` document (empty body =
                         re-run the current base request) and solve on the
-                        current workload state; returns ``idde-solution/4``.
+                        current workload state; returns ``idde-solution/5``.
 POST     /v1/events     Fold ``idde-events/1`` delta events into the
                         workload state and warm re-solve from the resident
                         solution; returns the new certified solution.

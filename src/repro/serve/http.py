@@ -14,7 +14,10 @@ Scope (and non-goals) are explicit:
 * No chunked transfer encoding, no multipart, no compression.  Bodies are
   ``Content-Length``-framed JSON, capped at :data:`MAX_BODY_BYTES` —
   an oversized or unframed body is a :class:`~repro.errors.ProtocolError`
-  (400), never an OOM.
+  (400), never an OOM.  Framing is unambiguous or refused: a
+  ``Content-Length`` must be ``1*DIGIT`` (RFC 9110 §8.6), repeated ones
+  must agree, and any ``Transfer-Encoding`` is refused, with or without a
+  length.
 * Responses always carry ``Content-Length`` and close the socket, so a
   client can never hang on a response boundary.
 
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Any
 from urllib.parse import parse_qsl, urlsplit
@@ -67,6 +71,9 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: Hard cap on the request line + headers block.
 MAX_HEADER_BYTES = 16 * 1024
+
+#: The only ``Content-Length`` grammar RFC 9110 allows (no sign, no ``_``).
+_DIGITS = re.compile(r"[0-9]+")
 
 _REASONS = {
     200: "OK",
@@ -226,33 +233,37 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
         name, sep, value = line.partition(":")
         if not sep:
             raise ProtocolError(f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise ProtocolError(
+                f"conflicting Content-Length headers {headers[name]!r} and {value!r}"
+            )
+        headers[name] = value
 
-    split = urlsplit(target)
-    query = dict(parse_qsl(split.query))
+    try:
+        split = urlsplit(target)
+        query = dict(parse_qsl(split.query))
+    except ValueError as exc:
+        raise ProtocolError(f"malformed request target {target!r}: {exc}") from exc
 
+    if "transfer-encoding" in headers:
+        raise ProtocolError(
+            "Transfer-Encoding is not supported; frame the body with "
+            "Content-Length alone"
+        )
     body = b""
     length_header = headers.get("content-length")
     if length_header is not None:
+        if not _DIGITS.fullmatch(length_header):
+            raise ProtocolError(f"bad Content-Length {length_header!r}")
+        # Compare digit counts before int(), which refuses very long strings.
+        digits = length_header.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+            raise ProtocolError(f"Content-Length exceeds {MAX_BODY_BYTES} bytes")
         try:
-            length = int(length_header)
-        except ValueError as exc:
-            raise ProtocolError(
-                f"bad Content-Length {length_header!r}"
-            ) from exc
-        if length < 0 or length > MAX_BODY_BYTES:
-            raise ProtocolError(
-                f"Content-Length {length} outside [0, {MAX_BODY_BYTES}]"
-            )
-        try:
-            body = await reader.readexactly(length)
+            body = await reader.readexactly(int(digits))
         except asyncio.IncompleteReadError as exc:
             raise ProtocolError("connection closed mid-body") from exc
-    elif headers.get("transfer-encoding"):
-        raise ProtocolError(
-            "chunked transfer encoding is not supported; frame the body "
-            "with Content-Length"
-        )
 
     return HttpRequest(
         method=method.upper(),

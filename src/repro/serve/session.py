@@ -28,13 +28,14 @@ The same chain backs ``idde serve`` and
 :meth:`~repro.dynamics.DynamicSimulation.run_events` (``idde replay`` /
 ``idde dynamics``), so every solving epoch of either is certified.
 
-Every IDDE-G response is **independently certified**: the session rebuilds
-an :class:`~repro.core.game.IddeUGame` on the post-delta instance and
-re-checks ε-Nash at the tolerance the solve itself claims
-(``sol.game.effective_epsilon``) — the daemon never serves an allocation
-whose certificate it did not verify.  A failed certificate raises
-:class:`~repro.errors.SolverError` and the resident solution is *not*
-replaced.
+Every IDDE-G response carries one certificate: the game's own verdict
+(``sol.game.is_nash``), which :meth:`~repro.core.game.IddeUGame.run`
+decides on a fresh engine at the tolerance the solve reports
+(``sol.game.effective_epsilon``) in its ``game.certify`` span.  A truncated
+run (``converged=False``) is never certified.  The session serves no
+allocation whose verdict is not ``True``: a failed certificate raises
+:class:`~repro.errors.SolverError`, counts ``serve.certificate.failed``,
+and the resident solution is *not* replaced.
 
 Thread-safety: two locks with distinct jobs.  Mutators (:meth:`solve`,
 :meth:`apply_events`) serialize end-to-end on a private mutate lock, so
@@ -55,8 +56,6 @@ import numpy as np
 
 from ..api import Solution, solve
 from ..baselines import resolve_solver_name
-from ..config import GameConfig
-from ..core.game import IddeUGame
 from ..core.instance import IDDEInstance
 from ..errors import ConfigurationError, SolverError
 from ..obs.tracer import RecordingTracer, Tracer
@@ -87,11 +86,6 @@ class SolverSession:
         :class:`~repro.obs.tracer.RecordingTracer` with its observability
         endpoints, a replay passes its own.  A private recording tracer is
         created when omitted.
-    resident:
-        Optional prior :class:`~repro.api.Solution` to install as the
-        resident solution before any request arrives — the warm-boot path
-        (a restarted daemon reloading the solution it last served warms
-        its first re-solve instead of cold-starting).
     """
 
     def __init__(
@@ -100,7 +94,6 @@ class SolverSession:
         request: SolveRequest | None = None,
         *,
         tracer: Tracer | None = None,
-        resident: Solution | None = None,
     ) -> None:
         #: Serializes mutators (solve/apply_events) end-to-end.
         self._mutate_lock = threading.Lock()
@@ -117,7 +110,7 @@ class SolverSession:
             active=None if request is None else request.active,
         )
         self.request = self._adopt(request or SolveRequest())
-        self.solution: Solution | None = resident
+        self.solution: Solution | None = None
         #: Epoch counter: -1 before the first solve; each solve/re-solve
         #: advances it and keys that solve's deterministic RNG stream.
         self.epoch = -1
@@ -251,21 +244,25 @@ class SolverSession:
             # only through the projected scenario (inactive users request
             # nothing), exactly how the façade scopes warm_start/active.
             is_g = resolve_solver_name(self.request.solver) == "idde-g"
-            active = self.state.active.copy()
             request = self.request.with_runtime(
                 warm_start=warm if is_g else None,
-                active=active if is_g else None,
+                active=self.state.active.copy() if is_g else None,
                 rng=spawn_rng(self.seed, "serve", epoch),
             )
-            game_cfg = self.request.game_config or GameConfig()
         solution = solve(projected, request, tracer=self.tracer)
-        certified = self._certify(solution, projected, game_cfg, active)
+        # Baselines have no game phase, so no certificate to serve.
+        certified = None if solution.game is None else solution.game.is_nash
         if certified is False:
             self.tracer.count("serve.certificate.failed")
+            game = solution.game
+            why = (
+                f"admits a profitable deviation at tol={game.effective_epsilon:.3e}"
+                if game.converged
+                else f"is unconverged after {game.rounds} rounds"
+            )
             raise SolverError(
                 f"ε-Nash certificate failed on epoch {epoch}: the "
-                f"{solution.solver} allocation admits a profitable deviation "
-                f"at tol={solution.game.effective_epsilon:.3e}"
+                f"{solution.solver} allocation {why}"
             )
         with self._lock:
             self._served = projected
@@ -280,30 +277,6 @@ class SolverSession:
             self.tracer.count("serve.solves.warm")
         self.tracer.observe("serve.solve_s", solution.wall_time_s)
         return solution
-
-    def _certify(
-        self,
-        solution: Solution,
-        instance: IDDEInstance,
-        game_cfg: GameConfig,
-        active: np.ndarray,
-    ) -> bool | None:
-        """Independent ε-Nash re-check on the instance actually served.
-
-        ``None`` for solvers with no game phase (baselines carry no
-        certificate to verify); otherwise the verdict of a fresh
-        :class:`~repro.core.game.IddeUGame` at the solve's own claimed
-        tolerance — the same re-derivation ``idde replay --verify`` does.
-        Runs lock-free on snapshotted inputs (the mask the solve saw).
-        """
-        if solution.game is None:
-            return None
-        with self.tracer.span("serve.certify"):
-            return IddeUGame(instance, game_cfg).is_nash(
-                solution.allocation,
-                tol=solution.game.effective_epsilon,
-                active=active,
-            )
 
     # ------------------------------------------------------------------
     # read side (safe mid-solve)
@@ -323,7 +296,7 @@ class SolverSession:
             }
 
     def solution_document(self) -> dict[str, Any]:
-        """The resident solution as ``idde-solution/4`` + session context.
+        """The resident solution as ``idde-solution/5`` + session context.
 
         Raises :class:`~repro.errors.SolverError` when nothing has been
         solved yet (the daemon maps that to a structured 409).

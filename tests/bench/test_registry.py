@@ -77,17 +77,17 @@ class TestReplayEntries:
 
     @pytest.mark.parametrize("policy", ["warm", "cold"])
     def test_one_call_certifies_every_epoch(self, policy, monkeypatch):
-        from repro.serve.session import SolverSession
+        from repro.core.game import IddeUGame
 
-        verdicts: list[bool | None] = []
-        certify = SolverSession._certify
+        verdicts: list[bool] = []
+        is_nash = IddeUGame.is_nash
 
-        def counting_certify(self, *args, **kwargs):
-            verdict = certify(self, *args, **kwargs)
+        def counting_is_nash(self, *args, **kwargs):
+            verdict = is_nash(self, *args, **kwargs)
             verdicts.append(verdict)
             return verdict
 
-        monkeypatch.setattr(SolverSession, "_certify", counting_certify)
+        monkeypatch.setattr(IddeUGame, "is_nash", counting_is_nash)
         records = get_benchmark(f"workload.replay.{policy}").make("S", 0)()
         assert len(records) > 1
         assert verdicts == [True] * len(records)

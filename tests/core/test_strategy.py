@@ -38,9 +38,9 @@ class TestSolverBase:
         with pytest.raises(StorageViolation):
             BrokenSolver().solve(line_instance, rng=0)
 
-    def test_validation_can_be_disabled(self, line_instance):
-        s = BrokenSolver().solve(line_instance, rng=0, validate=False)
-        assert s.solver == "Broken"
+    def test_validation_has_no_off_switch(self, line_instance):
+        with pytest.raises(TypeError, match="validate"):
+            BrokenSolver().solve(line_instance, rng=0, validate=False)
 
     def test_null_solver_metrics(self, line_instance):
         s = NullSolver().solve(line_instance, rng=0)

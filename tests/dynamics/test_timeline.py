@@ -285,7 +285,8 @@ class TestSessionLoop:
         names = [s.name for s in tracer.spans]
         solved = sum(r.solution is not None for r in records)
         assert solved == (1 if policy == "static" else len(records))
-        assert names.count("serve.certify") == solved
+        assert names.count("game.certify") == solved
+        assert "serve.certify" not in names
         assert names.count("workload.batch") == len(records) - 1
         assert names.count("timeline.epoch") == len(records)
 

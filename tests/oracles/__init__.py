@@ -7,6 +7,9 @@ its pure-Python oracle to rounding):
 
 * :mod:`tests.oracles.game` — the per-user IDDE-U runners (Phase 1) and
   the per-user ε-Nash certificate;
+* :mod:`tests.oracles.certificate` — the ε-Nash certificate evaluated
+  from the formulas (Eqs. 2 and 12) and the scenario arrays, sharing no
+  code with the SINR engine;
 * :mod:`tests.oracles.delivery` — the per-item greedy placement sweep
   (Phase 2);
 * :mod:`tests.oracles.evaluation` — the per-item retrieval-cost loop

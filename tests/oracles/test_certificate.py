@@ -1,13 +1,19 @@
-"""The production ε-Nash certificate against the per-user oracle certificate.
+"""The served ε-Nash certificate against two oracles.
 
-``IddeUGame.is_nash`` decides every player in one batched pass;
+``IddeUGame.is_nash`` decides every player in one batched pass, and its
+verdict is the one an answer carries (``Solution.game.is_nash``, and
+``SolverSession.certified`` for a served epoch).
 :func:`~tests.oracles.game.oracle_is_nash` asks each player's candidate
-grid in turn.  On tiny random instances with random participant masks the
-two must return the same verdict, at the ``effective_epsilon`` each answer
-reports, along the three routes an answer can take: a cold solve, a warm
-solve after random ``idde-events/1`` batches, and a ``SolverSession``
-response.  Each route also checks a perturbed profile, so the verdicts are
-compared on profiles that fail the certificate as well as ones that pass.
+grid on the same engine in turn;
+:func:`~tests.oracles.certificate.formula_verdict` shares no code with the
+engine at all and evaluates Eqs. 2 and 12 from the scenario arrays.  On
+tiny random instances with random participant masks all three must return
+the same verdict (the formula oracle wherever it does not abstain), at the
+``effective_epsilon`` each answer reports, along the three routes an answer
+can take: a cold solve, a warm solve after random ``idde-events/1``
+batches, and a ``SolverSession`` response.  Each route also checks a
+perturbed profile, so the verdicts are compared on profiles that fail the
+certificate as well as ones that pass.
 """
 
 from __future__ import annotations
@@ -23,7 +29,10 @@ from repro.core.profiles import AllocationProfile
 from repro.request import SolveRequest
 from repro.serve import SolverSession
 from repro.workload import (
+    PopularityShift,
     StreamConfig,
+    UserJoin,
+    UserLeave,
     WorkloadState,
     batch_by_count,
     parse_event,
@@ -31,6 +40,7 @@ from repro.workload import (
 )
 
 from ..properties.strategies import instances
+from .certificate import formula_verdict
 from .game import oracle_is_nash
 
 TINY = settings(max_examples=30, deadline=None)
@@ -80,15 +90,20 @@ def _perturbed(
 
 
 def _assert_agree(instance: IDDEInstance, profile: AllocationProfile, tol: float, active):
+    players = np.flatnonzero(active)
     fast = IddeUGame(instance).is_nash(profile, tol=tol, active=active)
-    slow = oracle_is_nash(instance, profile, tol, np.flatnonzero(active))
-    assert fast == slow
+    assert oracle_is_nash(instance, profile, tol, players) == fast
+    assert formula_verdict(instance, profile, tol, players) in (fast, None)
     return fast
 
 
-def _check(instance: IDDEInstance, profile: AllocationProfile, tol: float, active, seed):
-    """The served profile certifies under both; a perturbed one gets the
-    same verdict from both."""
+def _check(
+    instance: IDDEInstance, profile: AllocationProfile, tol: float, active, seed, served
+):
+    """The served verdict is True, the formula oracle does not contradict
+    it, and every certificate agrees on the profile and on a perturbed one."""
+    assert served is True
+    assert formula_verdict(instance, profile, tol, np.flatnonzero(active)) in (True, None)
     assert _assert_agree(instance, profile, tol, active)
     _assert_agree(instance, _perturbed(instance, profile, active, seed), tol, active)
 
@@ -99,7 +114,10 @@ class TestCertificateAgreesWithOracle:
     def test_cold_solve(self, case):
         instance, active, seed = case
         sol = solve(instance, "idde-g", active=active, rng=seed)
-        _check(instance, sol.allocation, sol.game.effective_epsilon, active, seed)
+        _check(
+            instance, sol.allocation, sol.game.effective_epsilon, active, seed,
+            sol.game.is_nash,
+        )
 
     @TINY
     @given(masked())
@@ -114,7 +132,10 @@ class TestCertificateAgreesWithOracle:
             )
             mask = state.active.copy()
             prior = solve(projected, "idde-g", warm_start=prior, active=mask, rng=seed + epoch)
-            _check(projected, prior.allocation, prior.game.effective_epsilon, mask, seed)
+            _check(
+                projected, prior.allocation, prior.game.effective_epsilon, mask, seed,
+                prior.game.is_nash,
+            )
 
     @TINY
     @given(masked())
@@ -126,9 +147,51 @@ class TestCertificateAgreesWithOracle:
         session.solve()
         for batch in _wire_batches(instance, active, seed):
             sol = session.apply_events(batch)
-            assert session.certified is True
             projected = IDDEInstance(
                 session.state.scenario(instance.scenario), instance.topology, instance.radio
             )
             mask = session.state.active.copy()
-            _check(projected, sol.allocation, sol.game.effective_epsilon, mask, seed)
+            _check(
+                projected, sol.allocation, sol.game.effective_epsilon, mask, seed,
+                session.certified,
+            )
+
+
+class TestFormulaOracle:
+    """The from-formula oracle decides real answers and sees the override."""
+
+    def test_decides_generated_equilibria(self):
+        for seed in range(6):
+            instance = IDDEInstance.generate(n=6, m=30, k=3, density=1.0, seed=seed)
+            sol = solve(instance, "idde-g", rng=seed)
+            assert formula_verdict(instance, sol.allocation, sol.game.effective_epsilon)
+
+    def test_session_on_a_gain_override(self, shadowed_instance):
+        """Served epochs on shadowed gains: the oracle reads the override
+        array, never the engine built from it."""
+        base = shadowed_instance
+        session = SolverSession(base, SolveRequest(solver="idde-g", warm_start=True, rng=3))
+        session.solve()
+        k = base.n_data
+        for batch in (
+            [UserLeave(t=1.0, user=2), UserLeave(t=1.0, user=5)],
+            [PopularityShift(t=2.0, order=tuple(reversed(range(k))))],
+            [UserJoin(t=3.0, user=2)],
+        ):
+            sol = session.apply_events(batch)
+            state = session.state
+            rebuilt = IDDEInstance(
+                state.scenario(base.scenario), base.topology, base.radio,
+                gain_override=base.gain_override,
+            )
+            verdict = formula_verdict(
+                rebuilt, sol.allocation, sol.game.effective_epsilon,
+                np.flatnonzero(state.active),
+            )
+            assert verdict is session.certified is True
+        # Priced on the power-law gains instead, the last answer is not an
+        # equilibrium: the verdict above did read the override.
+        assert formula_verdict(
+            IDDEInstance(state.scenario(base.scenario), base.topology, base.radio),
+            sol.allocation, sol.game.effective_epsilon, np.flatnonzero(state.active),
+        ) is False

@@ -40,7 +40,6 @@ async def _http(
     port: int, method: str, path: str, body: object = None, *, raw: bytes | None = None
 ) -> tuple[int, bytes]:
     """One request against the daemon; returns (status, body bytes)."""
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
     payload = raw if raw is not None else (
         b"" if body is None else json.dumps(body).encode()
     )
@@ -48,7 +47,13 @@ async def _http(
     if payload:
         head += f"Content-Length: {len(payload)}\r\n"
     head += "\r\n"
-    writer.write(head.encode() + payload)
+    return await _raw(port, head.encode() + payload)
+
+
+async def _raw(port: int, data: bytes) -> tuple[int, bytes]:
+    """Send ``data`` as the whole request; returns (status, body bytes)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(data)
     await writer.drain()
     response = await reader.read()
     writer.close()
@@ -108,7 +113,7 @@ class TestEndpoints:
         status, body = out["solve"]
         assert status == 200
         doc = json.loads(body)
-        assert doc["schema"] == "idde-solution/4"
+        assert doc["schema"] == "idde-solution/5"
         assert doc["session"] == {
             "epoch": 0, "events_applied": 0, "certified": True,
             "n_active": instance.scenario.n_users,
@@ -136,7 +141,9 @@ class TestEndpoints:
         assert records[0]["schema"] == "idde-trace/1"
         assert records[0]["meta"]["source"] == "idde-serve"
         assert records[-1]["kind"] == "metrics"
-        assert any(r.get("name") == "serve.certify" for r in records)
+        names = [r.get("name") for r in records]
+        assert names.count("game.certify") == 2  # one per solving epoch
+        assert "serve.certify" not in names
 
     def test_solve_accepts_request_document(self, instance):
         daemon = ServeDaemon(_session(instance))
@@ -150,7 +157,7 @@ class TestEndpoints:
         served = json.loads(body)
         # the document embeds the producing request (lenient wire form:
         # the per-epoch generator degrades to a null seed)
-        assert served["request"]["schema"] == "idde-request/4"
+        assert served["request"]["schema"] == "idde-request/5"
         assert served["request"]["solver"] == "idde-g"
         assert served["session"]["epoch"] == 0
 
@@ -409,6 +416,36 @@ class TestErrorPaths:
         assert after[0] == 200
         assert not daemon.session.state.active[3]
         assert daemon.session.events_applied == 1
+
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"GET http://[x/v1/health HTTP/1.1\r\n",
+            # Each framing below would otherwise deliver a well-formed batch.
+            b"POST /v1/events HTTP/1.1\r\nContent-Length: +%d\r\n",
+            b"POST /v1/events HTTP/1.1\r\nContent-Length: 0_%d\r\n",
+            b"POST /v1/events HTTP/1.1\r\nContent-Length: 1\r\nContent-Length: %d\r\n",
+            b"POST /v1/events HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"
+            b"Content-Length: %d\r\n",
+        ],
+    )
+    def test_malformed_head_is_400_and_daemon_answers(self, instance, head):
+        daemon = ServeDaemon(_session(instance))
+        body = json.dumps([{"kind": "leave", "t": 0.0, "user": 3}]).encode()
+        raw = (head % len(body) if b"%d" in head else head) + b"Host: t\r\n\r\n" + body
+
+        async def scenario(d):
+            bad = await _raw(d.port, raw)
+            after = await _http(d.port, "GET", "/v1/health")
+            return bad, after
+
+        ((status, body), after), exit_code = _drive(daemon, scenario)
+        assert exit_code == 0
+        assert status == 400
+        assert json.loads(body)["error"]["type"] == "ProtocolError"
+        assert after[0] == 200
+        assert daemon.session.events_applied == 0
 
 
 class TestReadsDuringSolve:

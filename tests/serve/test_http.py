@@ -6,6 +6,8 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     ConfigurationError,
@@ -37,6 +39,34 @@ def _parse(raw: bytes) -> HttpRequest | None:
     return asyncio.run(run())
 
 
+#: Bytes that mostly look like a request: a request line built from URL
+#: fragments, header lines with the framing names, and a body.
+_TARGETS = st.tuples(
+    st.sampled_from([b"/", b"//", b"http://"]),
+    st.lists(
+        st.sampled_from([b"/", b"[", b"]", b"?", b"=", b"&", b"%", b":", b"v1"])
+        | st.binary(max_size=3),
+        max_size=6,
+    ),
+).map(lambda parts: parts[0] + b"".join(parts[1]))
+_HEADERS = st.lists(
+    st.sampled_from([b"Content-Length:", b"Transfer-Encoding:", b"Host:", b"X"]).flatmap(
+        lambda name: st.binary(max_size=8).map(lambda value: name + value)
+    ),
+    max_size=4,
+).map(b"\r\n".join)
+_REQUESTS = st.builds(
+    lambda method, target, version, headers, body: (
+        method + b" " + target + b" " + version + b"\r\n" + headers + b"\r\n\r\n" + body
+    ),
+    st.sampled_from([b"GET", b"POST"]) | st.binary(max_size=4),
+    _TARGETS,
+    st.sampled_from([b"HTTP/1.1", b"HTTP/1.0"]) | st.binary(max_size=8),
+    _HEADERS,
+    st.binary(max_size=40),
+)
+
+
 class TestReadRequest:
     def test_get_with_query(self):
         req = _parse(b"GET /v1/health?verbose=1 HTTP/1.1\r\nHost: x\r\n\r\n")
@@ -46,7 +76,7 @@ class TestReadRequest:
         assert req.body == b""
 
     def test_post_with_content_length_body(self):
-        body = json.dumps({"schema": "idde-request/4"}).encode()
+        body = json.dumps({"schema": "idde-request/5"}).encode()
         raw = (
             b"POST /v1/solve HTTP/1.1\r\nHost: x\r\n"
             + f"Content-Length: {len(body)}\r\n\r\n".encode()
@@ -54,7 +84,7 @@ class TestReadRequest:
         )
         req = _parse(raw)
         assert req.method == "POST"
-        assert req.json() == {"schema": "idde-request/4"}
+        assert req.json() == {"schema": "idde-request/5"}
 
     def test_clean_eof_is_none(self):
         assert _parse(b"") is None
@@ -79,6 +109,65 @@ class TestReadRequest:
     def test_malformed_requests_raise_protocol_error(self, raw):
         with pytest.raises(ProtocolError):
             _parse(raw)
+
+    @pytest.mark.parametrize(
+        "raw, match",
+        [
+            # urlsplit rejects the target (an unclosed IPv6 literal).
+            (b"GET http://[x/v1/health HTTP/1.1\r\n\r\n", "request target"),
+            (b"GET http://[not-an-ip]/ HTTP/1.1\r\n\r\n", "request target"),
+            # RFC 9110 allows only 1*DIGIT; int() would take all of these.
+            (b"POST / HTTP/1.1\r\nContent-Length: +2\r\n\r\n{}", "Content-Length"),
+            (b"POST / HTTP/1.1\r\nContent-Length: 0_2\r\n\r\n{}", "Content-Length"),
+            (b"POST / HTTP/1.1\r\nContent-Length: \r\n\r\n", "Content-Length"),
+            (
+                b"POST / HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n",
+                "exceeds",
+            ),
+            # Ambiguous framing: two lengths that disagree, or a transfer
+            # coding beside a length.
+            (
+                b"POST / HTTP/1.1\r\nContent-Length: 2\r\n"
+                b"Content-Length: 1\r\n\r\n{}",
+                "conflicting Content-Length",
+            ),
+            (
+                b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"
+                b"Content-Length: 2\r\n\r\n{}",
+                "Transfer-Encoding",
+            ),
+            (
+                b"POST / HTTP/1.1\r\nContent-Length: 2\r\n"
+                b"Transfer-Encoding: identity\r\n\r\n{}",
+                "Transfer-Encoding",
+            ),
+        ],
+    )
+    def test_ambiguous_target_and_framing_rejected(self, raw, match):
+        with pytest.raises(ProtocolError, match=match):
+            _parse(raw)
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            b"Content-Length: 2\r\nContent-Length: 2\r\n",  # repeated, agreeing
+            b"Content-Length: 0002\r\n",  # leading zeros are still 1*DIGIT
+        ],
+    )
+    def test_unambiguous_framing_accepted(self, lengths):
+        raw = b"POST / HTTP/1.1\r\n" + lengths + b"\r\n{}"
+        assert _parse(raw).body == b"{}"
+
+    @settings(max_examples=400, deadline=None)
+    @given(raw=st.binary(max_size=300) | _REQUESTS)
+    def test_fuzzed_bytes_parse_or_raise_protocol_error(self, raw):
+        """Whatever bytes arrive, the parser returns a request, returns
+        ``None`` on a clean close, or raises :class:`ProtocolError`."""
+        try:
+            request = _parse(raw)
+        except ProtocolError:
+            return
+        assert request is None or isinstance(request, HttpRequest)
 
     def test_oversized_body_rejected_before_read(self):
         raw = (

@@ -117,13 +117,6 @@ class TestLifecycle:
         assert sol.r_avg == direct.r_avg
         assert sol.l_avg_ms == direct.l_avg_ms
 
-    def test_resident_warm_boot(self, instance):
-        prior = solve(instance, SolveRequest(solver="idde-g", rng=7))
-        session = SolverSession(instance, _warm_request(), resident=prior)
-        sol = session.solve()
-        assert session.warm_solves == 1
-        assert sol.warm_detached is not None
-
     def test_adopting_new_request_replaces_base(self, instance):
         session = SolverSession(instance, _warm_request())
         session.solve()
@@ -161,8 +154,41 @@ class TestCertification:
         tracer = RecordingTracer()
         session = SolverSession(instance, _warm_request(), tracer=tracer)
         session.solve()
-        assert any(s.name == "serve.certify" for s in tracer.spans)
-        assert tracer.counters["serve.solves"] == 1
+        session.apply_events([UserLeave(t=1.0, user=0)])
+        names = [s.name for s in tracer.spans]
+        # One certificate per solving epoch: the game's own, none after it.
+        assert names.count("game.certify") == 2
+        assert "serve.certify" not in names
+        assert tracer.counters["serve.solves"] == 2
+
+    def test_truncated_game_is_refused(self):
+        # A cold game stopped after one round carries no certificate, so
+        # the session must not serve it.  On this instance one sweep already
+        # reaches an equilibrium, so a recheck of the profile would pass.
+        instance = IDDEInstance.generate(n=6, m=4, k=3, density=1.0, seed=0)
+        session = SolverSession(instance, _warm_request())
+        first = session.solve()
+        truncated = SolveRequest(solver="idde-g", game_config=GameConfig(max_rounds=1))
+        with pytest.raises(SolverError, match="unconverged after 1 rounds"):
+            session.solve(truncated)
+        assert session.solution is first  # resident survives
+        assert session.epoch == 0 and session.certified is True
+        assert session.tracer.counters.get("serve.certificate.failed") == 1
+        assert session.request.game_config is None  # adoption rolled back
+
+    def test_served_document_states_one_verdict(self, instance):
+        for request in (_warm_request(), SolveRequest(solver="cdp")):
+            session = SolverSession(instance, request)
+            session.solve()
+            docs = [session.solution_document()]
+            for user in range(3):
+                session.apply_events([UserLeave(t=1.0 + user, user=user)])
+                docs.append(session.solution_document())
+            for doc in docs:
+                game = doc.get("game")
+                assert doc["session"]["certified"] == (
+                    None if game is None else game["is_nash"]
+                )
 
     def test_certifier_respects_game_config(self, instance):
         cfg = GameConfig(schedule="best-gain-winner")
@@ -222,7 +248,7 @@ class TestSolutionDocument:
         session.solve()
         session.apply_events([UserLeave(t=1.0, user=0)])
         doc = session.solution_document()
-        assert doc["schema"] == "idde-solution/4"
+        assert doc["schema"] == "idde-solution/5"
         assert doc["session"]["epoch"] == 1
         assert doc["session"]["events_applied"] == 1
         assert doc["session"]["certified"] is True

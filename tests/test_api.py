@@ -218,32 +218,36 @@ class TestWarmStart:
 
 
 class TestSolutionSchemaVersions:
-    """The idde-solution/4 loader (older tags are rejected) and typed extras."""
+    """The idde-solution/5 loader (older tags are rejected) and typed extras."""
 
     def _doc(self, instance):
         from repro.request import SolveRequest
 
         return solve(instance, SolveRequest(solver="idde-g", rng=3)).to_dict()
 
-    def test_loader_passes_v4_through(self, instance):
+    def test_loader_passes_current_schema_through(self, instance):
         from repro.api import load_solution_document
 
         doc = self._doc(instance)
-        assert doc["schema"] == "idde-solution/4"
+        assert doc["schema"] == "idde-solution/5"
         loaded = load_solution_document(json.loads(json.dumps(doc)))
         assert loaded == doc
-        assert loaded["request"]["schema"] == "idde-request/4"
+        assert loaded["request"]["schema"] == "idde-request/5"
 
     @pytest.mark.parametrize(
-        "schema", ["idde-solution/1", "idde-solution/2", "idde-solution/3"]
+        "schema",
+        ["idde-solution/1", "idde-solution/2", "idde-solution/3", "idde-solution/4"],
     )
     def test_loader_rejects_retired_schemas(self, instance, schema):
-        """v1 to v3 are no longer read: they fail like any unknown tag."""
+        """v1 to v4 are no longer read: they fail like any unknown tag and
+        the error names the version this build reads."""
         from repro.api import load_solution_document
 
         doc = self._doc(instance)
         doc["schema"] = schema
-        with pytest.raises(ConfigurationError, match="unsupported solution schema"):
+        with pytest.raises(
+            ConfigurationError, match="unsupported solution schema.*idde-solution/5"
+        ):
             load_solution_document(doc)
 
     def test_loader_rejects_unknown_schema(self, instance):
@@ -272,7 +276,7 @@ class TestSolutionSchemaVersions:
 
 
 class TestSolutionStatesEachFactOnce:
-    """An ``idde-solution/4`` document repeats no fact under ``extras``."""
+    """An ``idde-solution/5`` document repeats no fact under ``extras``."""
 
     @pytest.mark.parametrize("name", sorted(_FACTORIES))
     def test_extras_repeat_no_other_key(self, instance, name):

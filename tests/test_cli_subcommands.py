@@ -30,7 +30,7 @@ class TestSolve:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == "idde-solution/4"
+        assert doc["schema"] == "idde-solution/5"
         assert doc["instance"]["n"] == 5
         (sol,) = doc["solutions"]
         assert sol["solver"] == "IDDE-G"

@@ -16,17 +16,16 @@ from repro.core.instance import IDDEInstance
 from repro.errors import ConfigurationError
 from repro.request import _WIRE_KEYS, REQUEST_SCHEMA, SolveRequest
 
-#: A fully-populated idde-request/4 document, exactly as it travels the
+#: A fully-populated idde-request/5 document, exactly as it travels the
 #: wire — golden bytes for cross-version compatibility.
 GOLDEN_DOC = {
-    "schema": "idde-request/4",
+    "schema": "idde-request/5",
     "solver": "idde-g",
     "game": None,
     "delivery": None,
     "warm_start": True,
     "active": [1, 1, 0, 1],
     "rng": 42,
-    "validate": False,
     "solver_options": {"note": "golden"},
 }
 
@@ -44,7 +43,6 @@ class TestWireRoundTrip:
         assert req.active.dtype == bool
         assert list(req.active) == [True, True, False, True]
         assert req.rng == 42
-        assert req.validate is False
         assert req.solver_options == {"note": "golden"}
 
     def test_golden_document_round_trips_bit_identical(self):
@@ -73,7 +71,7 @@ class TestWireRoundTrip:
     def test_schema_tag_required(self):
         doc = dict(GOLDEN_DOC)
         doc["schema"] = "idde-request/9"
-        with pytest.raises(ConfigurationError, match="idde-request/4"):
+        with pytest.raises(ConfigurationError, match="idde-request/5"):
             SolveRequest.from_dict(doc)
         with pytest.raises(ConfigurationError, match="schema"):
             SolveRequest.from_dict({"solver": "idde-g"})
@@ -106,7 +104,14 @@ class TestWireRoundTrip:
 
     def test_v1_document_rejected(self):
         doc = dict(GOLDEN_DOC, schema="idde-request/1")
-        with pytest.raises(ConfigurationError, match="idde-request/4"):
+        with pytest.raises(ConfigurationError, match="idde-request/5"):
+            SolveRequest.from_dict(doc)
+
+    def test_v4_document_rejected(self):
+        """v5 dropped ``validate``: a v4 document fails on its tag and the
+        error names the version this build reads."""
+        doc = dict(GOLDEN_DOC, schema="idde-request/4", validate=True)
+        with pytest.raises(ConfigurationError, match="idde-request/5"):
             SolveRequest.from_dict(doc)
 
     @pytest.mark.parametrize("sharding", [None, {"n_shards": 2}])
@@ -115,7 +120,7 @@ class TestWireRoundTrip:
         doc = dict(GOLDEN_DOC, sharding=sharding)
         with pytest.raises(ConfigurationError, match=r"unknown request key.*sharding"):
             SolveRequest.from_dict(doc)
-        with pytest.raises(ConfigurationError, match="idde-request/4"):
+        with pytest.raises(ConfigurationError, match="idde-request/5"):
             SolveRequest.from_dict(dict(doc, schema="idde-request/2"))
 
     @pytest.mark.parametrize(
@@ -124,12 +129,14 @@ class TestWireRoundTrip:
             (None, "ip_time_budget_s"),
             ("game", "allow_unallocated"),
             ("game", "patience_moves"),
+            (None, "validate"),
         ],
     )
     def test_dropped_keys_are_unknown(self, section, key):
         """v4 dropped the IP budget field (it travels as solver_options)
-        and two game keys no solver read."""
-        value = 2.5 if key == "ip_time_budget_s" else 0
+        and two game keys no solver read; v5 dropped the switch that
+        turned off the constraint check of an answer."""
+        value = 2.5 if key == "ip_time_budget_s" else False
         doc = (
             dict(GOLDEN_DOC, **{key: value})
             if section is None
@@ -138,9 +145,9 @@ class TestWireRoundTrip:
         where = "request" if section is None else section
         with pytest.raises(ConfigurationError, match=rf"unknown {where} key.*{key}"):
             SolveRequest.from_dict(doc)
-        # A v3 document fails on its tag, before any key is looked at.
-        with pytest.raises(ConfigurationError, match="idde-request/4"):
-            SolveRequest.from_dict(dict(doc, schema="idde-request/3"))
+        # An older document fails on its tag, before any key is looked at.
+        with pytest.raises(ConfigurationError, match="idde-request/5"):
+            SolveRequest.from_dict(dict(doc, schema="idde-request/4"))
 
     @pytest.mark.parametrize(
         "key, value, match",
@@ -157,7 +164,7 @@ class TestWireRoundTrip:
             ("game", {"epsilon_growth": True}, "game.epsilon_growth"),
             ("game", {"epsilon_max": float("inf")}, "game.epsilon_max"),
             ("delivery", {"min_gain_s_per_mb": "0"}, "delivery.min_gain_s_per_mb"),
-            ("validate", 0, "boolean"),
+            ("warm_start", 0, "boolean"),
             ("active", ["a", 0, 2], "0/1 list"),
             ("active", [1, 0, 2], "0/1 list"),
             ("active", [1.0, 0], "0/1 list"),
@@ -192,7 +199,7 @@ class TestWireRoundTrip:
             ("warm_start", 1, "boolean"),
             ("rng", True, "integer seed"),
             ("rng", 3.5, "integer seed"),
-            ("validate", "yes", "boolean"),
+            ("warm_start", "yes", "boolean"),
             ("active", "101", "0/1 list"),
             ("active", [[1], [0, 1]], "flat 0/1 mask"),  # ragged
             ("active", [[1, 0], [0, 1]], "flat 0/1 mask"),  # nested/2-D

@@ -7,13 +7,16 @@ mirrors the lifecycle in docs/SERVING.md:
 1. boot the daemon as a subprocess on an ephemeral port and parse the
    listen banner;
 2. POST /v1/solve (empty body = the session's base request) and check
-   the idde-solution/4 document certifies;
+   the idde-solution/5 document certifies;
 3. POST /v1/events delta batches and check each warm re-solve advances
-   the epoch with a verified certificate;
+   the epoch with a certificate; every served document states one
+   verdict (``session.certified == game.is_nash``);
 4. read /v1/health, /v1/metrics and /v1/solution concurrently with a
    solve in flight (reads must never queue);
 5. check the structured error contract (unknown solver -> 400 with a
-   SolverLookupError payload, cold-read semantics via a fresh path);
+   SolverLookupError payload, a v4 request -> 400 naming the schema
+   this build reads, a malformed request target -> 400, cold-read
+   semantics via a fresh path);
 6. stream /v1/trace and validate the NDJSON frame;
 7. SIGTERM and require a graceful exit 0.
 
@@ -27,6 +30,7 @@ import argparse
 import json
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -66,6 +70,27 @@ def request(
             return exc.code, json.load(exc)
 
 
+def one_verdict(doc: dict, where: str) -> None:
+    """A served document states one certificate: the game's."""
+    check(
+        doc["session"]["certified"] == doc["game"]["is_nash"],
+        f"{where}: session.certified={doc['session']['certified']} but "
+        f"game.is_nash={doc['game']['is_nash']}",
+    )
+
+
+def raw_request(port: int, data: bytes, timeout: float = 30.0) -> tuple[int, dict]:
+    """Send raw bytes as the whole request; returns (status, JSON body)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(data)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    check(bool(head), "empty reply to a raw request")
+    return int(head.split(b" ", 2)[1]), json.loads(body)
+
+
 def stream_trace(port: int, timeout: float = 60.0) -> list[dict]:
     with urllib.request.urlopen(
         f"http://127.0.0.1:{port}/v1/trace", timeout=timeout
@@ -102,6 +127,7 @@ def main() -> int:
         check(doc["schema"] == SOLUTION_SCHEMA, f"bad schema {doc['schema']}")
         check(doc["session"]["certified"] is True, "epoch 0 not certified")
         check(doc["game"]["is_nash"], "epoch 0 solve is not an ε-Nash")
+        one_verdict(doc, "epoch 0")
         print(f"serve_smoke: epoch 0 certified (eps={doc['game']['effective_epsilon']:.2e})")
 
         # -- 2. delta batches warm re-solve with verified certificates ----
@@ -131,6 +157,7 @@ def main() -> int:
                 doc["session"]["certified"] is True,
                 f"batch {batch_index} re-solve not certified",
             )
+            one_verdict(doc, f"batch {batch_index}")
         print(f"serve_smoke: {args.batches} warm re-solves certified")
 
         # -- 3. reads answer while a solve is in flight -------------------
@@ -138,8 +165,10 @@ def main() -> int:
 
         def reader() -> None:
             for path in ("/v1/health", "/v1/metrics", "/v1/solution"):
-                status, _ = request(port, "GET", path, timeout=30)
+                status, doc = request(port, "GET", path, timeout=30)
                 read_results.append((path, status))
+                if path == "/v1/solution" and status == 200:
+                    one_verdict(doc, "GET /v1/solution")
 
         solver = threading.Thread(
             target=lambda: request(port, "POST", "/v1/solve", timeout=120)
@@ -164,6 +193,19 @@ def main() -> int:
             f"error type {doc['error']['type']}",
         )
         check("idde-g" in doc["error"]["message"], "did-you-mean lost on the wire")
+        v4 = {"schema": "idde-request/4", "solver": "idde-g", "validate": False}
+        status, doc = request(port, "POST", "/v1/solve", v4)
+        check(status == 400, f"v4 request -> {status}, want 400")
+        check(
+            doc["error"]["type"] == "ConfigurationError"
+            and REQUEST_SCHEMA in doc["error"]["message"],
+            f"v4 request error does not name {REQUEST_SCHEMA}: {doc['error']}",
+        )
+        status, doc = raw_request(
+            port, b"GET http://[x/v1/health HTTP/1.1\r\nHost: t\r\n\r\n"
+        )
+        check(status == 400, f"malformed request target -> {status}, want 400")
+        check(doc["error"]["type"] == "ProtocolError", f"error type {doc['error']['type']}")
         status, doc = request(port, "GET", "/v1/nope")
         check(status == 400, f"unknown endpoint -> {status}")
         print("serve_smoke: structured errors OK")
@@ -178,10 +220,12 @@ def main() -> int:
         check(records[0]["kind"] == "header", "trace does not start with a header")
         check(records[0]["schema"] == "idde-trace/1", "bad trace schema")
         check(records[-1]["kind"] == "metrics", "trace does not end with metrics")
+        names = [r.get("name") for r in records]
         check(
-            any(r.get("name") == "serve.certify" for r in records),
-            "no serve.certify span in the trace",
+            names.count("game.certify") == solves,
+            f"{names.count('game.certify')} game.certify spans for {solves} solves",
         )
+        check("serve.certify" not in names, "a second certificate ran after the game")
         print(f"serve_smoke: trace streamed ({len(records)} records)")
 
         # -- 6. graceful drain --------------------------------------------
