@@ -38,6 +38,7 @@ observability is execution context, not part of the request).
 
 from __future__ import annotations
 
+from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 from typing import Any, Mapping
 
@@ -102,7 +103,9 @@ def solve(
     (``"idde-g"``, ``"idde-ip"``, ``"saa"``, ``"cdp"``, ``"dup-g"``,
     ``"random"``, ``"nearest"``; case-insensitive), which runs
     ``SolveRequest(solver=solver, **fields)`` — the request documents every
-    field.  A request plus any field raises
+    field, and a field it does not have raises
+    :class:`~repro.errors.ConfigurationError` naming the known ones.  A
+    request plus any field raises
     :class:`~repro.errors.ConfigurationError`: the request is the single
     source of truth.  ``tracer`` is execution context, not part of the
     request, and composes with both forms.
@@ -116,6 +119,13 @@ def solve(
             )
         request = solver
     else:
+        known = sorted(f.name for f in dataclass_fields(SolveRequest))
+        unknown = sorted(set(fields) - set(known))
+        if unknown:
+            raise ConfigurationError(
+                f"solve() got unknown SolveRequest field(s) {unknown}; "
+                f"known fields: {known}"
+            )
         request = SolveRequest(solver=solver, **fields)
     tracer = ensure_tracer(tracer)
     name = resolve_solver_name(request.solver)

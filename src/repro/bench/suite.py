@@ -19,9 +19,10 @@ The hot paths, mapped to the paper:
   the resident best-response table refreshes only the rows each move
   dirtied; run both at ``XL`` for the trajectory point;
 * ``delivery.greedy`` — Phase 2 marginal-latency-per-byte placement
-  (Eq. 17, Theorems 6–7) on the incremental gain-table loop; run it at
-  ``M_k64``, where delivery dominates the solve, for the trajectory
-  point;
+  (Eq. 17, Theorems 6–7) on the lazy greedy loop, which re-scores only
+  the items a placement changed, taken from a heap of per-item bounds;
+  run it at ``M_k64``, where delivery dominates the solve, for the
+  trajectory point;
 * ``workload.replay.warm`` / ``workload.replay.cold`` — the day-in-the-
   life streaming pair: a Poisson/Zipf event stream batched into epochs
   and replayed through :meth:`~repro.dynamics.DynamicSimulation.run_events`,

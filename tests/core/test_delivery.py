@@ -8,6 +8,7 @@ from repro.core.delivery import attached_request_counts, greedy_delivery
 from repro.core.game import IddeUGame
 from repro.core.objectives import average_delivery_latency_ms
 from repro.core.profiles import AllocationProfile, DeliveryProfile
+from repro.errors import DeliveryError, SolverError
 
 
 @pytest.fixture
@@ -113,6 +114,63 @@ class TestGreedy:
     def test_weights_shape_checked(self, line_instance, line_alloc):
         with pytest.raises(ValueError):
             greedy_delivery(line_instance, line_alloc, weights=np.zeros((2, 2)))
+        with pytest.raises(DeliveryError, match=r"\(K, N\)"):
+            greedy_delivery(line_instance, line_alloc, weights=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
+    def test_weights_must_be_finite_and_non_negative(
+        self, line_instance, line_alloc, bad
+    ):
+        """Lazy selection relies on gains that never rise, which only
+        finite, non-negative demand guarantees: anything else is refused
+        rather than silently placing nothing."""
+        weights = np.ones((3, 4))
+        weights[1, 2] = bad
+        with pytest.raises(DeliveryError, match="finite and non-negative"):
+            greedy_delivery(line_instance, line_alloc, weights=weights)
+
+    def test_negative_zero_weight_accepted(self, line_instance, line_alloc):
+        weights = np.ones((3, 4))
+        weights[0, 0] = -0.0
+        assert greedy_delivery(line_instance, line_alloc, weights=weights).placements
+
+
+class TestLazyBound:
+    """The heap's keys are upper bounds only while no gain rises; a
+    re-score above the bound it was popped with is refused."""
+
+    def test_rising_gain_raises_solver_error(
+        self, line_instance, line_alloc, monkeypatch
+    ):
+        from repro.core import delivery as delivery_mod
+
+        refresh = delivery_mod._GainTable.refresh_row
+
+        def inflate(self, kk):
+            refresh(self, kk)
+            self.gains[kk] += 1.0
+
+        monkeypatch.setattr(delivery_mod._GainTable, "refresh_row", inflate)
+        with pytest.raises(SolverError, match="above its bound"):
+            greedy_delivery(line_instance, line_alloc)
+
+    def test_reselects_counted_once_per_call(self, line_instance, line_alloc):
+        from repro.obs.tracer import RecordingTracer
+
+        class CallLog(RecordingTracer):
+            def __init__(self):
+                super().__init__()
+                self.calls = []
+
+            def count(self, name, n=1):
+                self.calls.append(name)
+                super().count(name, n)
+
+        tracer = CallLog()
+        result = greedy_delivery(line_instance, line_alloc, tracer=tracer)
+        # Every placed item is re-scored before the heap can run dry.
+        assert tracer.counters["delivery.reselects"] >= len(result.placements) > 0
+        assert tracer.calls.count("delivery.reselects") == 1
 
 
 class TestIterationCounting:

@@ -1,6 +1,6 @@
-"""The incremental delivery kernel against the per-item oracle.
+"""The lazy delivery kernel against the per-item oracle.
 
-The incremental gain-table loop claims bit-for-bit equivalence with the
+The lazy heap-driven loop claims bit-for-bit equivalence with the
 literal Algorithm 1 sweep (``tests/oracles/delivery.py``) — identical
 placement sequence, identical floats, identical tracer observables — so
 every comparison here is exact equality, never a tolerance (the
@@ -150,6 +150,88 @@ class TestTieBreaks:
         # order (lowest server within an item, first item across items)
         # must be reproduced exactly.
         assert ref.placements == [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+
+def _tie_heavy(seed: int) -> tuple[IDDEInstance, AllocationProfile, np.ndarray]:
+    """Integer sizes, path costs and counts, so many scores tie exactly.
+
+    Six cells on a ring whose links cost 1 or 2 s/MB (the cloud 4 s/MB),
+    four users per cell attached to it, eight items of 1–4 MB and 3–8 MB
+    of storage per server: every gain is a whole number of seconds.  Also
+    returns CDP-style integer weights (each item's popularity in every
+    cell), under which every cell of an item ties.
+    """
+    from repro.topology.graph import EdgeTopology
+
+    from ..conftest import make_scenario
+
+    rng = np.random.default_rng(seed)
+    n, per, k = 6, 4, 8
+    server_xy = np.column_stack([1000.0 * np.arange(n), np.zeros(n)])
+    user_xy = np.repeat(server_xy, per, axis=0) + rng.uniform(-50, 50, (n * per, 2))
+    sc = make_scenario(
+        server_xy,
+        user_xy,
+        radius=150.0,
+        storage=rng.integers(3, 9, size=n).astype(float),
+        sizes=tuple(rng.integers(1, 5, size=k).astype(float)),
+        requests=rng.random((n * per, k)) < 0.5,
+    )
+    ring = np.column_stack([np.arange(n), (np.arange(n) + 1) % n])
+    topo = EdgeTopology(
+        n=n, links=ring, speeds=rng.choice([1.0, 0.5], size=n), cloud_speed=0.25
+    )
+    instance = IDDEInstance(sc, topo)
+    pc = instance.latency_model.path_cost
+    assert np.array_equal(pc, np.round(pc))  # whole seconds per MB
+    alloc = AllocationProfile.empty(n * per)
+    alloc.server[:] = np.repeat(np.arange(n), per)
+    alloc.channel[:] = 0
+    popularity = sc.requests.sum(axis=0).astype(float)
+    return instance, alloc, np.tile(popularity[:, None], (1, n))
+
+
+TIE_CONFIGS = CONFIGS + [
+    DeliveryConfig(ratio_rule=True, min_gain_s_per_mb=1.0),
+    DeliveryConfig(ratio_rule=False, min_gain_s=2.0),
+]
+
+
+class TestTieHeavyParity:
+    """Exact parity where ties are the rule, not the exception: equal
+    scores across servers, items and the stopping threshold must resolve
+    as the oracle's scan does, with or without a tracer and CDP weights."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("demand", ["attached", "cdp"])
+    @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+    def test_identical_under_ties(self, seed, demand, traced):
+        instance, alloc, cdp = _tie_heavy(seed)
+        weights = cdp if demand == "cdp" else None
+        gains = _first_sweep_gains(instance, alloc, weights)
+        assert len(set(gains)) < len(gains), "the fixture produced no ties"
+        for cfg in TIE_CONFIGS:
+            tr_ref = RecordingTracer() if traced else None
+            tr_bat = RecordingTracer() if traced else None
+            ref = oracle_delivery(instance, alloc, cfg, weights=weights, tracer=tr_ref)
+            bat = greedy_delivery(instance, alloc, cfg, weights=weights, tracer=tr_bat)
+            _assert_identical(ref, bat)
+            if traced:
+                assert _delivery_events(tr_ref) == _delivery_events(tr_bat)
+                assert tr_ref.counters.get(
+                    "delivery.threshold_rejects", 0
+                ) == tr_bat.counters.get("delivery.threshold_rejects", 0)
+            assert ref.placements
+
+
+def _first_sweep_gains(instance, alloc, weights) -> list[float]:
+    """Every positive first-sweep gain: ties among them are the point."""
+    sizes = instance.scenario.sizes
+    pc = instance.latency_model.path_cost
+    counts = attached_request_counts(instance, alloc) if weights is None else weights
+    best = np.tile(instance.latency_model.cloud_cost * sizes[:, None], (1, instance.n_servers))
+    gains = _GainTable(best, sizes, pc, counts).gains
+    return gains[gains > 0.0].tolist()
 
 
 class TestIncrementalInvariant:

@@ -3,7 +3,7 @@
 Every iteration re-sweeps all K items in Python, rebuilds each item's gain
 vector from scratch and keeps the best ratio (Eq. 17) — or absolute gain,
 under the A1 ablation — over the stopping threshold.  The production loop
-maintains the gain table incrementally instead; it must place the
+selects lazily from a heap of per-item bounds instead; it must place the
 identical replica sequence with bitwise-identical gains and emit the
 identical ``delivery.place`` / ``delivery.stop`` events and
 ``delivery.threshold_rejects`` count.
@@ -29,15 +29,23 @@ def oracle_delivery(
     alloc: AllocationProfile,
     cfg: DeliveryConfig | None = None,
     *,
+    weights: np.ndarray | None = None,
     tracer: Tracer | None = None,
 ) -> DeliveryResult:
-    """The greedy placement of ``alloc``'s demand, one item at a time."""
+    """The greedy placement of ``alloc``'s demand, one item at a time.
+
+    ``weights`` replaces the attached request counts, as in
+    :func:`~repro.core.delivery.greedy_delivery` (the CDP path).
+    """
     cfg = cfg or DeliveryConfig()
     tracer = ensure_tracer(tracer)
     n, k = instance.n_servers, instance.n_data
     sizes = instance.scenario.sizes
     pc = instance.latency_model.path_cost
-    counts = oracle_attached_request_counts(instance, alloc)
+    if weights is None:
+        counts = oracle_attached_request_counts(instance, alloc)
+    else:
+        counts = np.asarray(weights, dtype=float)
     # best[k, i]: current cheapest retrieval (seconds) for item k at server i.
     best = np.tile(instance.latency_model.cloud_cost * sizes[:, None], (1, n))
     residual = instance.scenario.storage.astype(float).copy()

@@ -1,9 +1,10 @@
 """The bit-identity proof: the production kernels replay their oracles.
 
 One case per ``(phase, seed)`` over the shared bench fixtures at the scale
-named by ``IDDE_ORACLE_SCALE`` (default ``S``; CI also runs ``M``)::
+named by ``IDDE_ORACLE_SCALE`` (default ``S``; CI also runs the delivery
+phase at ``M``)::
 
-    IDDE_ORACLE_SCALE=M PYTHONPATH=src python -m pytest tests/oracles/test_parity.py
+    IDDE_ORACLE_SCALE=M PYTHONPATH=src python -m pytest tests/oracles/test_parity.py -k delivery
 """
 
 from __future__ import annotations

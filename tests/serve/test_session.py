@@ -444,3 +444,43 @@ class TestBatchAtomicity:
                 )
         self._check_rolled_back(session, first, positions, active)
         self._check_next_batch_is_fresh(instance, session)
+
+
+class TestTheorem7OnServedEpochs:
+    """Theorem 7 on every epoch of served days: the exact delivery optimum
+    for the served allocation is no worse than the greedy's answer, and
+    the greedy's answer stays under the theorem's bound on that optimum."""
+
+    def test_greedy_between_optimum_and_bound(self):
+        from repro.config import ScenarioConfig, WorkloadConfig
+        from repro.core.bounds import theorem7_latency_upper_bound_ms
+        from repro.core.objectives import average_delivery_latency_ms
+        from repro.solvers import optimal_delivery_milp
+        from repro.workload import StreamConfig, batch_by_count, poisson_zipf_stream
+
+        # Storage tight enough that the optimum is not "replicate everything".
+        tight = ScenarioConfig(workload=WorkloadConfig(storage_range=(30.0, 90.0)))
+        churn = StreamConfig(
+            arrival_rate=0.5, departure_rate=0.3, move_rate=0.5, shift_rate=1.0
+        )
+        gaps = 0
+        for seed in range(3):
+            base = IDDEInstance.generate(n=6, m=12, k=4, seed=seed, config=tight)
+            session = SolverSession(base, _warm_request(seed))
+            # Every answer is checked on the instance it was served on.
+            answers = [(session.solve(), session.served)]
+            stream = poisson_zipf_stream(base.scenario, seed, churn, n_events=40)
+            for batch in batch_by_count(stream, 5):
+                answers.append((session.apply_events(batch.events), session.served))
+            assert session.epoch == len(answers) - 1 >= 8
+            assert session.warm_solves == session.epoch
+            for sol, served in answers:
+                l_greedy = sol.l_avg_ms
+                assert l_greedy == average_delivery_latency_ms(
+                    served, sol.allocation, sol.delivery
+                )
+                l_opt = optimal_delivery_milp(served, sol.allocation).l_avg_ms
+                assert l_opt <= l_greedy + 1e-9
+                assert l_greedy <= theorem7_latency_upper_bound_ms(served, l_opt) + 1e-9
+                gaps += l_opt < l_greedy - 1e-9
+        assert gaps > 0, "the greedy matched the optimum on every epoch"

@@ -126,13 +126,26 @@ class TestRegistry:
         """Sharding is gone: the global game is the only IDDE-U path."""
         from repro.request import REQUEST_SCHEMA, SolveRequest
 
-        with pytest.raises(TypeError, match="sharding"):
+        with pytest.raises(ConfigurationError, match="sharding"):
             solve(instance, "idde-g", sharding={}, rng=3)
         doc = {"schema": REQUEST_SCHEMA, "sharding": None}
         with pytest.raises(ConfigurationError, match="sharding"):
             SolveRequest.from_dict(doc)
         with pytest.raises(ConfigurationError, match="sharding"):
             solve(instance, "idde-g", solver_options={"sharding": {}}, rng=3)
+
+    def test_unknown_request_field_is_a_configuration_error(self, instance):
+        """A misspelt or retired request field names itself and the
+        accepted fields instead of escaping as a bare TypeError."""
+        with pytest.raises(ConfigurationError) as err:
+            solve(instance, "idde-g", validate=False, rng=3)
+        message = err.value.args[0]
+        assert "['validate']" in message
+        for known in ("solver", "game_config", "delivery_config", "warm_start",
+                      "active", "rng", "solver_options"):
+            assert known in message
+        with pytest.raises(ConfigurationError, match=r"\['bogus', 'validate'\]"):
+            solve(instance, "idde-g", validate=False, bogus=1)
 
     def test_accepted_kwargs_pass_through(self):
         solver = build_solver("idde-ip", time_budget_s=0.5)
