@@ -77,7 +77,7 @@ def main() -> None:
     print(f"instance: {instance}")
     print()
 
-    strategy = IddeG(track_potential=True).solve(instance, rng=0)
+    strategy = IddeG().solve(instance, rng=0)
 
     print("=== Phase 1: user allocation profile (the IDDE-U equilibrium) ===")
     for j in range(instance.n_users):

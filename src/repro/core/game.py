@@ -30,7 +30,9 @@ the improvement threshold until the cycle dies (see
 ``GameResult.effective_epsilon`` — a ``converged=True`` result is never
 returned without a certificate that holds.
 
-Both runners read their rounds off one resident ``(M,)`` best-response
+The schedules share one round loop (:meth:`IddeUGame._dynamics`) and differ
+only in which improving users take a turn (:meth:`IddeUGame._turns`).  Each
+round reads every eligible user's best response off one resident ``(M,)``
 table (:meth:`IddeUGame._refresh`).  A move from server ``s'`` to ``s``
 changes the interference of exactly the users that ``s`` or ``s'`` covers,
 so only those rows are marked dirty, and the next round re-evaluates just
@@ -40,22 +42,25 @@ bit for bit what a full batch would recompute.  The winner schedules
 therefore pay for the rows one move touched, not all M, and need no
 decomposition of the instance to stay cheap at city scale.  Within a
 round-robin sweep, a user that an earlier move of the same sweep made
-stale is re-evaluated by the fused single-user kernel
+dirty is re-evaluated at its turn by the fused single-user kernel
 :meth:`~repro.radio.sinr.SinrEngine.best_response`, which builds only the
 best move.  The certificate (:meth:`IddeUGame.is_nash`, in the run's
 ``game.certify`` span) never reads the table: it evaluates every player
 afresh on its own engine, and its verdict is the only certificate a
-served answer carries (``GameResult.is_nash``).  The literal
-per-user transcription of Algorithm 1 lives in the test suite
-(``tests/oracles/game.py``) as the readable oracle: the batched runners
-must replay it bit-for-bit — identical move sequences
-(``GameResult.move_log``), identical equilibria, identical certificates
-(``tests/oracles/test_parity.py``).
+served answer carries (``GameResult.is_nash``).  The potential along a
+run is replayed from its move log
+(:func:`~repro.core.potential.potential_along`), so the loop carries no
+diagnostics.  The literal per-user transcription of Algorithm 1 lives in
+the test suite (``tests/oracles/game.py``) as the readable oracle, sharing
+none of this loop: production must replay it bit-for-bit — identical move
+sequences (``GameResult.move_log``), identical equilibria, identical
+certificates (``tests/oracles/test_parity.py``).
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,9 +111,9 @@ class GameResult:
     is_nash: bool
     wall_time_s: float
     effective_epsilon: float = 0.0
-    potential_trace: list[float] = field(default_factory=list)
     #: Every applied move in order, as ``(user, server, channel)`` — the
-    #: observable the oracle parity tests compare.
+    #: observable the oracle parity tests compare, and the input of
+    #: :func:`~repro.core.potential.potential_along`.
     move_log: list[tuple[int, int, int]] = field(default_factory=list)
     #: Users whose per-run move budget (``max_moves_per_user``) was spent
     #: when the dynamics stopped — the players a quiescent sweep had to
@@ -130,21 +135,26 @@ class IddeUGame:
         instance: IDDEInstance,
         cfg: GameConfig | None = None,
         *,
-        track_potential: bool = False,
         tracer: Tracer | None = None,
     ) -> None:
         self.instance = instance
         self.cfg = cfg or GameConfig()
-        self.track_potential = track_potential
         self.tracer = ensure_tracer(tracer)
 
-    #: Participant mask for the current run (None = everyone plays).
-    _active: np.ndarray | None = None
-
-    def _players(self) -> np.ndarray:
-        if self._active is None:
-            return np.arange(self.instance.n_users)
-        return np.flatnonzero(self._active)
+    def _participants(
+        self, active: np.ndarray | None
+    ) -> tuple[np.ndarray | None, np.ndarray]:
+        """The checked participant mask (``None`` = everyone plays) and the
+        players it selects, in index order."""
+        m = self.instance.n_users
+        if active is None:
+            return None, np.arange(m)
+        active = np.asarray(active, dtype=bool)
+        if active.shape != (m,):
+            raise ConvergenceError(
+                f"active mask shape {active.shape} mismatches {m} users"
+            )
+        return active, np.flatnonzero(active)
 
     # ------------------------------------------------------------------
     # single-user best response
@@ -196,94 +206,165 @@ class IddeUGame:
             they behave exactly like the paper's ``α_j = (0,0)`` users.
             A warm-start profile may not allocate inactive users.
         """
+        active, players = self._participants(active)
         engine = self.instance.new_engine()
         engine.set_tracer(self.tracer)
-        if active is not None:
-            active = np.asarray(active, dtype=bool)
-            if active.shape != (self.instance.n_users,):
-                raise ConvergenceError(
-                    f"active mask shape {active.shape} mismatches "
-                    f"{self.instance.n_users} users"
-                )
-        # The mask must be cleared on *every* exit path — a raise during
-        # warm-start validation or the dynamics must not poison the next
-        # run()/is_nash() on this instance — so the whole body is guarded.
-        self._active = active
-        try:
-            if initial is not None:
-                initial.validate(self.instance.scenario)
-                if active is not None and bool((initial.allocated & ~active).any()):
-                    raise ConvergenceError(
-                        "warm-start profile allocates inactive users"
-                    )
-                engine.load_profile(initial.server, initial.channel)
-            rng = ensure_rng(rng)
-            t0 = time.perf_counter()
-            trace: list[float] = []
-            log: list[tuple[int, int, int]] = []
-            if self.track_potential:
-                from .potential import interference_potential
-
-                trace.append(interference_potential(engine))
-
-            schedule = self.cfg.schedule
-            with self.tracer.span(
-                "game.run",
-                schedule=schedule,
-                users=self.instance.n_users,
-                warm_start=initial is not None,
-            ) as span:
-                if schedule == "round-robin":
-                    rounds, moves, converged, eps, moves_of = self._run_round_robin(
-                        engine, trace, log
-                    )
-                else:
-                    rounds, moves, converged, eps, moves_of = self._run_winner(
-                        engine, trace, log, rng,
-                        best_gain=schedule == "best-gain-winner",
-                    )
-
-                profile = AllocationProfile(engine.alloc_server, engine.alloc_channel)
-                # If the dynamics truncated (max_rounds), the profile is
-                # returned without a certificate: callers doing sweeps prefer
-                # degraded output over an exception.
-                nash = False
-                if converged:
-                    with self.tracer.span("game.certify"):
-                        nash = self.is_nash(profile, tol=eps)
-                capped = [
-                    int(j)
-                    for j in np.flatnonzero(moves_of >= self.cfg.max_moves_per_user)
-                ]
-                span.set(
-                    rounds=rounds,
-                    moves=moves,
-                    converged=converged,
-                    is_nash=nash,
-                    effective_epsilon=eps,
-                    capped_users=len(capped),
-                )
-        finally:
-            self._active = None
+        if initial is not None:
+            initial.validate(self.instance.scenario)
+            if active is not None and bool((initial.allocated & ~active).any()):
+                raise ConvergenceError("warm-start profile allocates inactive users")
+            engine.load_profile(initial.server, initial.channel)
+        rng = ensure_rng(rng)
+        t0 = time.perf_counter()
+        log: list[tuple[int, int, int]] = []
+        with self.tracer.span(
+            "game.run",
+            schedule=self.cfg.schedule,
+            users=self.instance.n_users,
+            warm_start=initial is not None,
+        ) as span:
+            rounds, converged, eps, moves_of = self._dynamics(engine, players, rng, log)
+            profile = AllocationProfile(engine.alloc_server, engine.alloc_channel)
+            # If the dynamics truncated (max_rounds), the profile is
+            # returned without a certificate: callers doing sweeps prefer
+            # degraded output over an exception.
+            nash = False
+            if converged:
+                with self.tracer.span("game.certify"):
+                    nash = self.is_nash(profile, tol=eps, active=active)
+            capped = [
+                int(j) for j in np.flatnonzero(moves_of >= self.cfg.max_moves_per_user)
+            ]
+            span.set(
+                rounds=rounds,
+                moves=len(log),
+                converged=converged,
+                is_nash=nash,
+                effective_epsilon=eps,
+                capped_users=len(capped),
+            )
         return GameResult(
             profile=profile,
             rounds=rounds,
-            moves=moves,
+            moves=len(log),
             converged=converged,
             is_nash=nash,
             wall_time_s=time.perf_counter() - t0,
             effective_epsilon=eps,
-            potential_trace=trace,
             move_log=log,
             capped_users=capped,
         )
 
-    def _apply(
+    def _dynamics(
         self,
         engine: SinrEngine,
-        br: BestResponse,
-        trace: list[float],
+        players: np.ndarray,
+        rng: np.random.Generator,
         log: list[tuple[int, int, int]],
+    ) -> tuple[int, bool, float, np.ndarray]:
+        """Rounds of best responses until one finds no improving player.
+
+        Each round refreshes the eligible players' rows of the resident
+        table, marks who improves at the round's epsilon, and lets the
+        schedule's turns (:meth:`_turns`) apply their moves.  A refreshed
+        row is clean, so within a round ``dirty[j]`` marks exactly the
+        players that an earlier move of the same round made stale (it is
+        read only once the round has moved).  A stale turn re-evaluates
+        through the fused single-user kernel (:meth:`best_response`); a
+        clean turn is decided by the round's mask without building
+        anything.  Batch entries and fused re-evaluations are bit-for-bit
+        interchangeable (shared padded reduction), so every schedule
+        replays its literal per-user loop.
+
+        A round with no improving player either certifies (every
+        move-capped player re-checked, :meth:`_unfreeze_capped`) or
+        escalates epsilon and refreshes the move budgets; a round with
+        moves escalates once ``patience`` moves pass without convergence.
+        """
+        m = self.instance.n_users
+        coverage = self.instance.scenario.coverage
+        table, dirty = self._new_table(m)
+        eps = self.cfg.epsilon
+        patience = self.cfg.patience_for(m)
+        since_escalation = 0
+        moves_of = np.zeros(m, dtype=np.int64)
+        cap = self.cfg.max_moves_per_user
+        for rounds in range(1, self.cfg.max_rounds + 1):
+            eligible = players[moves_of[players] < cap]
+            batch = self._refresh(engine, table, dirty, eligible)
+            improving = self._improving_mask(engine, batch, eps)
+            idx = np.flatnonzero(improving)
+            if idx.size == 0:
+                unfrozen = self._unfreeze_capped(engine, players, moves_of, eps)
+                if unfrozen is None:
+                    return rounds, True, eps, moves_of
+                eps = unfrozen
+                since_escalation = 0
+                _log.debug(
+                    "capped users still deviate: escalated epsilon to %.1e "
+                    "after %d moves",
+                    eps,
+                    len(log),
+                )
+                continue
+            moved = False
+            for pos, j, improves in self._turns(batch, improving, idx, rng):
+                if moved and dirty[j]:
+                    br = self.best_response(engine, j)
+                    if not self._improves(br, engine, eps):
+                        continue
+                elif improves:
+                    br = BestResponse(
+                        user=j,
+                        server=int(batch.server[pos]),
+                        channel=int(batch.channel[pos]),
+                        benefit=float(batch.benefit[pos]),
+                        current_benefit=float(batch.current_benefit[pos]),
+                    )
+                else:
+                    continue
+                old = int(engine.alloc_server[j])
+                self._apply(engine, br, log)
+                dirty |= coverage[br.server]
+                if old != UNALLOCATED:
+                    dirty |= coverage[old]
+                moved = True
+                moves_of[j] += 1
+                since_escalation += 1
+            if since_escalation >= patience and eps < self.cfg.epsilon_max:
+                eps = self._escalate_patience(eps, len(log))
+                since_escalation = 0
+        _log.info("%s truncated at max_rounds=%d", self.cfg.schedule, self.cfg.max_rounds)
+        return self.cfg.max_rounds, False, eps, moves_of
+
+    def _turns(
+        self,
+        batch: BatchBestResponse,
+        improving: np.ndarray,
+        idx: np.ndarray,
+        rng: np.random.Generator,
+    ) -> Iterable[tuple[int, int, bool]]:
+        """The round's turns as ``(position, user, improves)``.
+
+        Round-robin gives every eligible player a turn in index order.
+        The winner schedules give one improving player the round, with
+        Algorithm 1's tie-breaks: ``argmax`` returns the lowest user among
+        equal gains (the ``(gain, -user)`` key), and the random winner
+        draws its index from the improving players in user order, so the
+        rng stream is consumed exactly as in the per-user loop.
+        """
+        schedule = self.cfg.schedule
+        if schedule == "round-robin":
+            return zip(range(improving.size), batch.users.tolist(), improving.tolist())
+        if schedule == "best-gain-winner":
+            gains = batch.benefit[idx] - batch.current_benefit[idx]
+            pos = int(idx[int(np.argmax(gains))])
+        else:
+            pos = int(idx[int(rng.integers(0, idx.size))])
+        return ((pos, int(batch.users[pos]), True),)
+
+    def _apply(
+        self, engine: SinrEngine, br: BestResponse, log: list[tuple[int, int, int]]
     ) -> None:
         engine.move(br.user, br.server, br.channel)
         log.append((br.user, br.server, br.channel))
@@ -296,10 +377,6 @@ class IddeUGame:
                 gain=br.gain,
             )
             self.tracer.count("game.moves")
-        if self.track_potential:
-            from .potential import interference_potential
-
-            trace.append(interference_potential(engine))
 
     def _unfreeze_capped(
         self,
@@ -310,7 +387,7 @@ class IddeUGame:
     ) -> float | None:
         """Escalated epsilon if a move-capped player still improves, else None.
 
-        A quiescent sweep certifies an equilibrium only if every player
+        A quiescent round certifies an equilibrium only if every player
         truly had nothing to gain — but players frozen by
         ``max_moves_per_user`` never got a turn.  If one of them still has
         an ε-improving move the dynamics were cycling, so instead of
@@ -321,10 +398,10 @@ class IddeUGame:
         refreshes and the eventual certificate is an honest ε-Nash at the
         returned tolerance.
 
-        The check is per-user on purpose: it is a rare, terminal-sweep-only
-        path.  It goes through :meth:`best_response`, so the per-user oracle
-        runs it on the literal candidate grid and both must take bit-for-bit
-        identical escalation decisions.
+        The check is per-user on purpose: it is a rare, terminal-round-only
+        path.  It goes through the fused :meth:`best_response`; the
+        per-user oracle makes the same decision on the literal candidate
+        grid, and both must escalate bit-for-bit identically.
         """
         cap = self.cfg.max_moves_per_user
         capped = players[moves_of[players] >= cap]
@@ -351,12 +428,12 @@ class IddeUGame:
                 return new_eps
         return None
 
-    def _escalate_patience(self, eps: float, moves: int, label: str) -> float:
-        """Patience-driven epsilon escalation, shared by both runners."""
+    def _escalate_patience(self, eps: float, moves: int) -> float:
+        """Patience-driven epsilon escalation."""
         new_eps = min(eps * self.cfg.epsilon_growth, self.cfg.epsilon_max)
         _log.debug(
             "%s cycling: escalated epsilon to %.1e after %d moves",
-            label,
+            self.cfg.schedule,
             new_eps,
             moves,
         )
@@ -366,159 +443,6 @@ class IddeUGame:
             )
             self.tracer.count("game.escalations")
         return new_eps
-
-    def _run_round_robin(
-        self, engine: SinrEngine, trace: list[float], log: list[tuple[int, int, int]]
-    ) -> tuple[int, int, bool, float, np.ndarray]:
-        """Round-robin sweeps: users in index order, each applying its best
-        response immediately; a sweep with no move terminates.
-
-        The sweep starts from the resident table, refreshed for the users
-        the previous sweep's moves dirtied; within the sweep, a move at
-        server ``i`` only perturbs the interference of users covered by
-        ``i``, so exactly those users are marked stale and re-evaluated at
-        their turn by the fused single-user kernel
-        (:meth:`~repro.radio.sinr.SinrEngine.best_response`).
-        A fresh user's batch entry is still exact at its turn and epsilon
-        is fixed within a sweep, so the sweep-start :meth:`_improving_mask`
-        decides that turn without building anything.  Batch entries and
-        fused re-evaluations are bit-for-bit interchangeable (shared padded
-        reduction), so the move sequence is identical to the literal
-        per-user sweep.
-        """
-        m = self.instance.n_users
-        players = self._players()
-        coverage = self.instance.scenario.coverage
-        table, dirty = self._new_table(m)
-        moves = 0
-        eps = self.cfg.epsilon
-        patience = self.cfg.patience_for(m)
-        since_escalation = 0
-        moves_of = np.zeros(m, dtype=np.int64)
-        cap = self.cfg.max_moves_per_user
-        for rounds in range(1, self.cfg.max_rounds + 1):
-            eligible = players[moves_of[players] < cap]
-            batch = self._refresh(engine, table, dirty, eligible)
-            improving = self._improving_mask(engine, batch, eps).tolist()
-            stale = np.zeros(m, dtype=bool)
-            moved = False
-            for pos, j in enumerate(eligible.tolist()):
-                if stale[j]:
-                    br = self.best_response(engine, j)
-                    if not self._improves(br, engine, eps):
-                        continue
-                elif improving[pos]:
-                    br = BestResponse(
-                        user=j,
-                        server=int(batch.server[pos]),
-                        channel=int(batch.channel[pos]),
-                        benefit=float(batch.benefit[pos]),
-                        current_benefit=float(batch.current_benefit[pos]),
-                    )
-                else:
-                    continue
-                old = int(engine.alloc_server[j])
-                self._apply(engine, br, trace, log)
-                moves += 1
-                moves_of[j] += 1
-                since_escalation += 1
-                moved = True
-                stale |= coverage[br.server]
-                if old != UNALLOCATED:
-                    stale |= coverage[old]
-            dirty |= stale
-            if not moved:
-                unfrozen = self._unfreeze_capped(engine, players, moves_of, eps)
-                if unfrozen is None:
-                    return rounds, moves, True, eps, moves_of
-                eps = unfrozen
-                since_escalation = 0
-                _log.debug(
-                    "capped users still deviate: escalated epsilon to %.1e "
-                    "after %d moves",
-                    eps,
-                    moves,
-                )
-                continue
-            if since_escalation >= patience and eps < self.cfg.epsilon_max:
-                eps = self._escalate_patience(eps, moves, "round-robin")
-                since_escalation = 0
-        _log.info("round-robin truncated at max_rounds=%d", self.cfg.max_rounds)
-        return self.cfg.max_rounds, moves, False, eps, moves_of
-
-    def _run_winner(
-        self,
-        engine: SinrEngine,
-        trace: list[float],
-        log: list[tuple[int, int, int]],
-        rng: np.random.Generator,
-        *,
-        best_gain: bool,
-    ) -> tuple[int, int, bool, float, np.ndarray]:
-        """Winner schedules: one improving user moves per round.
-
-        Each round reads every eligible user's best response off the
-        resident table, refreshed for the users the last move dirtied,
-        which replaces the per-user candidate sweep.  The winner choice
-        keeps Algorithm 1's tie-breaks:
-        ``argmax`` returns the lowest improving user among equal gains (the
-        ``(gain, -user)`` key), and the random winner draws its index from
-        the candidate list in user order, so the rng stream is consumed
-        exactly as in the per-user loop.
-        """
-        m = self.instance.n_users
-        players = self._players()
-        coverage = self.instance.scenario.coverage
-        table, dirty = self._new_table(m)
-        moves = 0
-        eps = self.cfg.epsilon
-        patience = self.cfg.patience_for(m)
-        since_escalation = 0
-        moves_of = np.zeros(m, dtype=np.int64)
-        cap = self.cfg.max_moves_per_user
-        for rounds in range(1, self.cfg.max_rounds + 1):
-            eligible = players[moves_of[players] < cap]
-            batch = self._refresh(engine, table, dirty, eligible)
-            improving = self._improving_mask(engine, batch, eps)
-            idx = np.flatnonzero(improving)
-            if idx.size == 0:
-                unfrozen = self._unfreeze_capped(engine, players, moves_of, eps)
-                if unfrozen is None:
-                    return rounds, moves, True, eps, moves_of
-                eps = unfrozen
-                since_escalation = 0
-                _log.debug(
-                    "capped users still deviate: escalated epsilon to %.1e "
-                    "after %d moves",
-                    eps,
-                    moves,
-                )
-                continue
-            if best_gain:
-                gains = batch.benefit[idx] - batch.current_benefit[idx]
-                pos = int(idx[int(np.argmax(gains))])
-            else:
-                pos = int(idx[int(rng.integers(0, idx.size))])
-            winner = BestResponse(
-                user=int(batch.users[pos]),
-                server=int(batch.server[pos]),
-                channel=int(batch.channel[pos]),
-                benefit=float(batch.benefit[pos]),
-                current_benefit=float(batch.current_benefit[pos]),
-            )
-            old = int(engine.alloc_server[winner.user])
-            self._apply(engine, winner, trace, log)
-            dirty |= coverage[winner.server]
-            if old != UNALLOCATED:
-                dirty |= coverage[old]
-            moves += 1
-            moves_of[winner.user] += 1
-            since_escalation += 1
-            if since_escalation >= patience and eps < self.cfg.epsilon_max:
-                eps = self._escalate_patience(eps, moves, "winner schedule")
-                since_escalation = 0
-        _log.info("winner schedule truncated at max_rounds=%d", self.cfg.max_rounds)
-        return self.cfg.max_rounds, moves, False, eps, moves_of
 
     @staticmethod
     def _new_table(m: int) -> tuple[BatchBestResponse, np.ndarray]:
@@ -543,7 +467,7 @@ class IddeUGame:
 
         Only the dirty eligible rows are re-evaluated, in one
         ``batch_best_responses`` pass.  A row depends only on the channel
-        powers of the user's covering servers, so the runners mark dirty
+        powers of the user's covering servers, so the dynamics mark dirty
         exactly the users covered by a move's old or new server; every
         clean row is still the value a full batch would compute now (rows
         are independent reductions over the same padded tables, bit for
@@ -601,17 +525,11 @@ class IddeUGame:
         allocation never disproves equilibrium.
         """
         tol = self.cfg.epsilon if tol is None else tol
+        _, players = self._participants(active)
         engine = self.instance.new_engine()
         engine.load_profile(profile.server, profile.channel)
-        if active is not None:
-            players = np.flatnonzero(np.asarray(active, dtype=bool))
-        else:
-            players = self._players()
         batch = engine.batch_best_responses(players)
-        has_candidate = batch.server != UNALLOCATED
-        unallocated = engine.alloc_server[players] == UNALLOCATED
-        threshold = batch.current_benefit * (1.0 + tol) + tol * 1e-30
-        deviates = has_candidate & np.where(
-            unallocated, batch.benefit > 0.0, batch.benefit > threshold
-        )
-        return not bool(deviates.any())
+        # A best response at the current slot has exactly the current
+        # benefit, which never beats the threshold for ``tol >= 0``, so the
+        # dynamics' improvement mask is the certificate's deviation test.
+        return not bool(self._improving_mask(engine, batch, tol).any())

@@ -32,14 +32,12 @@ class IddeG(Solver):
         game: GameConfig | None = None,
         delivery: DeliveryConfig | None = None,
         *,
-        track_potential: bool = False,
         tracer: Tracer | None = None,
         initial: AllocationProfile | None = None,
         active: np.ndarray | None = None,
     ) -> None:
         self.game_cfg = game or GameConfig()
         self.delivery_cfg = delivery or DeliveryConfig()
-        self.track_potential = track_potential
         self.tracer = ensure_tracer(tracer)
         # Warm-start state for incremental re-solves: ``initial`` re-enters
         # the IDDE-U game from a prior equilibrium (repair it first — see
@@ -50,17 +48,9 @@ class IddeG(Solver):
     def _solve(
         self, instance: IDDEInstance, rng: np.random.Generator
     ) -> tuple[GameResult, DeliveryResult, dict[str, Any]]:
-        game = IddeUGame(
-            instance,
-            self.game_cfg,
-            track_potential=self.track_potential,
-            tracer=self.tracer,
-        )
+        game = IddeUGame(instance, self.game_cfg, tracer=self.tracer)
         result = game.run(rng, initial=self.initial, active=self.active)
         delivery = greedy_delivery(
             instance, result.profile, self.delivery_cfg, tracer=self.tracer
         )
-        extras: dict[str, Any] = {}
-        if self.track_potential:
-            extras["potential_trace"] = result.potential_trace
-        return result, delivery, extras
+        return result, delivery, {}

@@ -23,8 +23,9 @@ Three related quantities are provided:
     homogeneous-gain case the paper's Theorem 3 proof analyses.
 
 By convention all three are oriented so that the dynamics should (weakly)
-*decrease* them; :class:`~repro.core.game.GameResult` traces use
-:func:`interference_potential`, an alias of :func:`congestion_potential`.
+*decrease* them.  :func:`potential_along` replays a run's
+``GameResult.move_log`` and reads :func:`congestion_potential` before and
+after every move, so the game itself carries no trace.
 """
 
 from __future__ import annotations
@@ -32,12 +33,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..radio.sinr import UNALLOCATED, SinrEngine
+from .instance import IDDEInstance
+from .profiles import AllocationProfile
 
 __all__ = [
     "paper_potential",
     "congestion_potential",
     "global_channel_potential",
-    "interference_potential",
+    "potential_along",
     "lemma2_threshold",
 ]
 
@@ -112,5 +115,24 @@ def global_channel_potential(engine: SinrEngine) -> float:
     return float(0.5 * ((loads**2).sum() + (own**2).sum()))
 
 
-#: Alias used by the game's ``track_potential`` trace.
-interference_potential = congestion_potential
+def potential_along(
+    instance: IDDEInstance,
+    move_log: list[tuple[int, int, int]],
+    initial: AllocationProfile | None = None,
+) -> list[float]:
+    """:func:`congestion_potential` before and after each logged move.
+
+    Replays ``move_log`` (a ``GameResult.move_log``) on a fresh engine
+    loaded with ``initial``, the run's warm start (all-unallocated by
+    default).  The engine applies the same moves in the same order as the
+    run did, so the trace is bitwise the one the run's own engine would
+    have shown; it has ``len(move_log) + 1`` entries.
+    """
+    engine = instance.new_engine()
+    if initial is not None:
+        engine.load_profile(initial.server, initial.channel)
+    trace = [congestion_potential(engine)]
+    for user, server, channel in move_log:
+        engine.move(user, server, channel)
+        trace.append(congestion_potential(engine))
+    return trace

@@ -131,6 +131,15 @@ class TestNashCertificate:
 
 class TestPotentialTrace:
     def test_trace_recorded(self, tiny_instance):
-        game = IddeUGame(tiny_instance, track_potential=True)
+        """The potential trace is replayed from the move log: one value
+        before the first move and one after each."""
+        from repro.core.potential import congestion_potential, potential_along
+
+        game = IddeUGame(tiny_instance)
         result = game.run(rng=0)
-        assert len(result.potential_trace) == result.moves + 1
+        trace = potential_along(tiny_instance, result.move_log)
+        assert len(trace) == result.moves + 1
+        assert trace[0] == 0.0
+        final = tiny_instance.new_engine()
+        final.load_profile(result.profile.server, result.profile.channel)
+        assert trace[-1] == pytest.approx(congestion_potential(final))

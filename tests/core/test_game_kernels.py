@@ -7,6 +7,8 @@ benefits, same tie-breaks, same RNG stream, hence the same ``move_log``.
 fixtures at S and M.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,37 @@ def _assert_identical(ref, bat):
     assert (ref.converged, ref.is_nash) == (bat.converged, bat.is_nash)
 
 
+@dataclass(frozen=True)
+class _Impatient(GameConfig):
+    """Escalates epsilon after every three moves without convergence."""
+
+    def patience_for(self, n_users: int) -> int:
+        return 3
+
+
+def _assert_escalation_parity(cfg: GameConfig, seed: int, reason: str) -> None:
+    """Kernel and oracle escalate at the same moves to the same epsilons."""
+    from repro.bench.fixtures import instance_for
+    from repro.obs.tracer import RecordingTracer
+
+    instance = instance_for("S", seed)
+    tracer = RecordingTracer()
+    bat = IddeUGame(instance, cfg, tracer=tracer).run(rng=seed)
+    oracle = OracleGame(instance, cfg)
+    ref = oracle.run(rng=seed)
+    _assert_identical(ref, bat)
+    assert ref.effective_epsilon == bat.effective_epsilon > cfg.epsilon
+    assert ref.capped_users == bat.capped_users
+    escalations, moves = [], 0
+    for e in tracer.events:
+        moves += e.etype == "game.move"
+        if e.etype == "game.epsilon_escalation":
+            escalations.append((e.fields["reason"], e.fields["epsilon"], moves))
+    assert escalations == oracle.escalations
+    assert {r for r, _, _ in escalations} == {reason}
+    assert bat.converged and bat.is_nash
+
+
 class TestKernelParity:
     @pytest.mark.parametrize("schedule", SCHEDULES)
     @pytest.mark.parametrize("seed", SEEDS)
@@ -66,11 +99,20 @@ class TestKernelParity:
         ref, bat = _run_pair(line_instance, GameConfig(schedule=schedule), 0)
         _assert_identical(ref, bat)
 
-    def test_parity_under_move_cap(self, small_instance):
-        """The per-user move cap freezes the same users in kernel and oracle."""
-        cfg = GameConfig(schedule="round-robin", max_moves_per_user=1)
-        ref, bat = _run_pair(small_instance, cfg, 0)
-        _assert_identical(ref, bat)
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_parity_under_move_cap(self, schedule, seed):
+        """One move per user forces the capped-player check to escalate
+        epsilon, identically in kernel and oracle, on every schedule."""
+        cfg = GameConfig(schedule=schedule, max_moves_per_user=1)
+        _assert_escalation_parity(cfg, seed, "move-cap")
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_parity_under_patience_escalation(self, schedule, seed):
+        """A patience of three moves forces the patience escalation,
+        identically in kernel and oracle, on every schedule."""
+        _assert_escalation_parity(_Impatient(schedule=schedule), seed, "patience")
 
     def test_move_log_matches_move_count(self, tiny_instance):
         for game in (OracleGame, IddeUGame):
@@ -267,10 +309,11 @@ class TestActiveMaskHygiene:
     def test_failed_run_does_not_leak_active_mask(self, tiny_instance):
         """A run that raises mid-setup must not poison later runs.
 
-        Regression: only ``is_nash`` used to clear ``_active`` in a
-        ``finally``; a ``run()`` that raised (e.g. a warm start allocating
-        inactive users) left the mask behind, silently shrinking the
-        player set of every subsequent call on the same game object.
+        Regression: the mask used to live on the game object between
+        ``run()`` and its certificate, and a ``run()`` that raised (e.g. a
+        warm start allocating inactive users) once left it behind,
+        silently shrinking the player set of every subsequent call.  The
+        game now keeps no per-run state at all.
         """
         game = IddeUGame(tiny_instance)
         full = game.run(rng=0)
@@ -278,13 +321,29 @@ class TestActiveMaskHygiene:
         active[0] = False  # but the warm start allocates user 0
         with pytest.raises(ConvergenceError):
             game.run(rng=0, initial=full.profile, active=active)
-        assert len(game._players()) == tiny_instance.n_users
+        assert set(vars(game)) == {"instance", "cfg", "tracer"}
         # And the next unmasked run behaves as if the failure never happened.
         again = game.run(rng=0)
         assert again.move_log == full.move_log
 
     def test_bad_mask_shape_does_not_leak(self, tiny_instance):
         game = IddeUGame(tiny_instance)
+        full = game.run(rng=0)
         with pytest.raises(ConvergenceError):
             game.run(rng=0, active=np.ones(tiny_instance.n_users + 1, dtype=bool))
-        assert len(game._players()) == tiny_instance.n_users
+        assert set(vars(game)) == {"instance", "cfg", "tracer"}
+        assert game.run(rng=0).move_log == full.move_log
+
+    @pytest.mark.parametrize("length", (3, 25))
+    def test_certificate_checks_mask_shape(self, length):
+        """A mask of the wrong length is refused, not read as a shorter
+        player set (a short mask once certified a non-equilibrium) or
+        indexed out of range (a long one raised a bare ``IndexError``)."""
+        from repro.core.profiles import AllocationProfile
+
+        instance = IDDEInstance.generate(n=6, m=20, k=3, seed=0)
+        game = IddeUGame(instance)
+        empty = AllocationProfile.empty(instance.n_users)
+        assert not game.is_nash(empty)
+        with pytest.raises(ConvergenceError, match="active mask shape"):
+            game.is_nash(empty, active=np.zeros(length, dtype=bool))

@@ -48,12 +48,11 @@ class TestIddeG:
         s = solver.solve(small_instance, rng=0)
         assert s.game.is_nash
 
-    def test_potential_trace_opt_in(self, small_instance):
-        s = IddeG(track_potential=True).solve(small_instance, rng=0)
-        assert s.extras["potential_trace"] is s.game.potential_trace
-        assert len(s.game.potential_trace) >= 1
-
     def test_no_trace_by_default(self, small_instance):
+        """The game carries no potential trace; ``potential_along`` replays
+        one from the move log when asked."""
         s = IddeG().solve(small_instance, rng=0)
         assert "potential_trace" not in s.extras
-        assert s.game.potential_trace == []
+        assert not hasattr(s.game, "potential_trace")
+        with pytest.raises(TypeError):
+            IddeG(track_potential=True)

@@ -10,7 +10,9 @@ from repro.core.potential import (
     global_channel_potential,
     lemma2_threshold,
     paper_potential,
+    potential_along,
 )
+from repro.core.repair import repair_allocation
 from repro.radio.sinr import RadioTables, SinrEngine
 
 from ..conftest import make_instance, make_scenario
@@ -54,16 +56,35 @@ class TestCongestionPotential:
 
     def test_monotone_decrease_under_best_response_single_server(self):
         """With one server the game is an exact congestion game: every
-        improving move strictly decreases the Rosenthal potential."""
+        improving move of an allocated user strictly decreases the
+        Rosenthal potential — on a cold run and on a warm-started, masked
+        re-solve from a repaired prior alike."""
         inst = single_server_instance(8, channels=3)
-        game = IddeUGame(inst, GameConfig(schedule="round-robin"), track_potential=True)
-        result = game.run(rng=0)
-        trace = result.potential_trace
-        # Skip the build-up phase (moving in from unallocated increases the
-        # potential); once everyone is allocated, moves must decrease it.
-        m = inst.n_users
-        settled = trace[m:]
-        assert all(b <= a + 1e-12 for a, b in zip(settled, settled[1:]))
+        cfg = GameConfig(schedule="round-robin")
+
+        def allocated_moves(result, initial=None):
+            """``(before, after)`` potentials of each move whose user was
+            already allocated (moving in from unallocated raises it)."""
+            trace = potential_along(inst, result.move_log, initial)
+            allocated = set() if initial is None else set(np.flatnonzero(initial.allocated))
+            steps = []
+            for k, (user, _, _) in enumerate(result.move_log):
+                if user in allocated:
+                    steps.append((trace[k], trace[k + 1]))
+                allocated.add(user)
+            return steps
+
+        cold = IddeUGame(inst, cfg).run(rng=0)
+        prior = IddeUGame(inst, GameConfig(schedule="random-winner")).run(rng=2).profile
+        active = np.ones(inst.n_users, dtype=bool)
+        active[[2, 5]] = False
+        repaired, detached = repair_allocation(inst, prior, active)
+        assert detached == 2
+        warm = IddeUGame(inst, cfg).run(rng=0, initial=repaired, active=active)
+        assert cold.is_nash and warm.is_nash
+        for steps in (allocated_moves(cold), allocated_moves(warm, repaired)):
+            assert steps, "no allocated user moved: the check is vacuous"
+            assert all(after < before for before, after in steps)
 
     def test_coincides_with_global_for_single_server(self):
         inst = single_server_instance(5, channels=2)

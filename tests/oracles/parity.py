@@ -132,8 +132,8 @@ def game_cases(
 ) -> list[PairCase]:
     """Production vs :class:`~tests.oracles.game.OracleGame`, per schedule.
 
-    An attached ``tracer`` observes both runs; it never consumes RNG, so
-    parity must hold with tracing on.
+    An attached ``tracer`` observes the production run (the oracle records
+    nothing); it never consumes RNG, so parity must hold with tracing on.
     """
     instance = instance_for(scale, seed)
     cases = []

@@ -2,9 +2,9 @@
 
 One case per ``(phase, seed)`` over the shared bench fixtures at the scale
 named by ``IDDE_ORACLE_SCALE`` (default ``S``; CI also runs the delivery
-phase at ``M``)::
+and game phases at ``M``)::
 
-    IDDE_ORACLE_SCALE=M PYTHONPATH=src python -m pytest tests/oracles/test_parity.py -k delivery
+    IDDE_ORACLE_SCALE=M PYTHONPATH=src python -m pytest tests/oracles/test_parity.py -k "delivery or game"
 """
 
 from __future__ import annotations

@@ -305,8 +305,7 @@ class TestSolutionStatesEachFactOnce:
         assert cold.to_dict()["extras"] == {}
         warm = solve(instance, "idde-g", warm_start=cold, rng=4)
         assert warm.to_dict()["extras"] == {"warm_detached": 0}
-        traced = solve(
-            instance, "idde-g", solver_options={"track_potential": True}, rng=3
-        )
-        assert set(traced.extras) == {"potential_trace"}
-        assert traced.extras["potential_trace"] == traced.game.potential_trace
+        # IDDE-G has no potential-trace option: ``potential_along`` replays
+        # the trace from the move log.
+        with pytest.raises(ConfigurationError, match="track_potential"):
+            solve(instance, "idde-g", solver_options={"track_potential": True}, rng=3)
