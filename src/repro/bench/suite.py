@@ -10,9 +10,13 @@ The hot paths, mapped to the paper:
 
 * ``sinr.*`` — the :class:`~repro.radio.sinr.SinrEngine` kernels behind
   every best-response evaluation (Eq. 2/12) and the global Eq. 4/5 rates;
-* ``game.round.*`` — one best-response round under each of the three
+  ``sinr.best_response`` times the fused single-user kernel a game turn
+  runs, ``sinr.candidates`` the full grid only oracles and bounds read;
+* ``game.round.*`` — best-response rounds under each of the three
   update schedules of Algorithm 1, plus a ``.traced`` twin of the
-  round-robin round timing the recording-tracer overhead;
+  round-robin round timing the recording-tracer overhead; a winner
+  schedule's round is sub-millisecond at ``S``, so its ``.x20`` entry
+  times twenty one-round runs;
 * ``game.converge`` — a full IDDE-U run to Nash equilibrium under the
   default round-robin schedule, and ``game.converge.best-gain-winner``
   under the literal Algorithm 1 schedule, one winner per round, where
@@ -62,6 +66,8 @@ __all__: list[str] = []
 
 #: Inner-loop counts lifting sub-100µs kernels above timer noise at scale S.
 _CHURN_SWEEPS = 10
+_BEST_RESPONSE_SWEEPS = 10
+_WINNER_ROUNDS = 20
 _RATES_CALLS = 100
 _GREEDY_CALLS = 3
 _DIJKSTRA_SCIPY_CALLS = 50
@@ -88,6 +94,24 @@ def _bench_sinr_candidates(scale: str, seed: int) -> Callable[[], object]:
         views = [engine.candidates(j) for j in users]
         return len(views)
 
+    return run
+
+
+@benchmark(
+    "sinr.best_response",
+    f"fused single-user best response (Eq. 12) for every user at equilibrium, "
+    f"{_BEST_RESPONSE_SWEEPS} sweeps",
+)
+def _bench_sinr_best_response(scale: str, seed: int) -> Callable[[], object]:
+    engine = _loaded_engine(scale, seed)
+    users = range(engine.scenario.n_users)
+
+    def run() -> object:
+        for _ in range(_BEST_RESPONSE_SWEEPS):
+            moves = [engine.best_response(j) for j in users]
+        return len(moves)
+
+    run()  # builds the shared per-user row views outside the timer
     return run
 
 
@@ -129,13 +153,15 @@ def _bench_sinr_rates(scale: str, seed: int) -> Callable[[], object]:
     return run
 
 
-def _one_round_factory(schedule: str) -> Callable[[str, int], Callable[[], object]]:
+def _one_round_factory(
+    schedule: str, runs: int = 1
+) -> Callable[[str, int], Callable[[], object]]:
     def make(scale: str, seed: int) -> Callable[[], object]:
         instance = instance_for(scale, seed)
         cfg = GameConfig(schedule=schedule, max_rounds=1)
 
         def run() -> object:
-            return IddeUGame(instance, cfg).run(rng=seed).moves
+            return sum(IddeUGame(instance, cfg).run(rng=seed).moves for _ in range(runs))
 
         return run
 
@@ -185,14 +211,14 @@ benchmark(
 )(_one_round_traced_factory("round-robin"))
 
 benchmark(
-    "game.round.best-gain-winner",
-    "one best-response round, literal Algorithm 1 best-gain-winner schedule",
-)(_one_round_factory("best-gain-winner"))
+    f"game.round.best-gain-winner.x{_WINNER_ROUNDS}",
+    f"{_WINNER_ROUNDS} one-round runs, literal Algorithm 1 best-gain-winner schedule",
+)(_one_round_factory("best-gain-winner", _WINNER_ROUNDS))
 
 benchmark(
-    "game.round.random-winner",
-    "one best-response round, asynchronous random-winner schedule",
-)(_one_round_factory("random-winner"))
+    f"game.round.random-winner.x{_WINNER_ROUNDS}",
+    f"{_WINNER_ROUNDS} one-round runs, asynchronous random-winner schedule",
+)(_one_round_factory("random-winner", _WINNER_ROUNDS))
 
 
 @benchmark(

@@ -44,8 +44,13 @@ decomposition of the instance to stay cheap at city scale.  Within a
 round-robin sweep, a user that an earlier move of the same sweep made
 dirty is re-evaluated at its turn by the fused single-user kernel
 :meth:`~repro.radio.sinr.SinrEngine.best_response`, which builds only the
-best move.  The certificate (:meth:`IddeUGame.is_nash`, in the run's
-``game.certify`` span) never reads the table: it evaluates every player
+best move.  A turn is many cheap steps on a tiny grid, so the loop keeps
+numpy for the vectorised parts (the batched refresh, the improvement
+mask, the dirty marking) and does the per-turn rest on Python scalars:
+it reads the allocation and the dirty bit with ``.item``, decides on the
+fused kernel's plain tuple, and builds a :class:`BestResponse` only for
+the move it applies.  The certificate (:meth:`IddeUGame.is_nash`, in the
+run's ``game.certify`` span) never reads the table: it evaluates every player
 afresh on its own engine, and its verdict is the only certificate a
 served answer carries (``GameResult.is_nash``).  The potential along a
 run is replayed from its move log
@@ -156,30 +161,25 @@ class IddeUGame:
             )
         return active, np.flatnonzero(active)
 
-    # ------------------------------------------------------------------
-    # single-user best response
-    # ------------------------------------------------------------------
-    def best_response(self, engine: SinrEngine, j: int) -> BestResponse | None:
-        """The benefit-maximising move for user ``j``, or ``None`` when the
-        user has no covering server (it must stay at ``α_j = (0,0)``)."""
-        fused = engine.best_response(j)
-        return None if fused is None else BestResponse(j, *fused)
-
+    @staticmethod
     def _improves(
-        self, br: BestResponse | None, engine: SinrEngine, epsilon: float
+        engine: SinrEngine,
+        j: int,
+        move: tuple[int, int, float, float] | None,
+        epsilon: float,
     ) -> bool:
-        if br is None:
+        """Whether ``move`` (a fused best response of user ``j``, ``None``
+        when nothing covers the user) beats its standing allocation."""
+        if move is None:
             return False
-        if engine.alloc_server[br.user] == UNALLOCATED:
+        server, channel, benefit, current = move
+        standing = engine.alloc_server.item(j)
+        if standing == UNALLOCATED:
             # Any positive benefit beats the unallocated state.
-            return br.benefit > 0.0
-        threshold = br.current_benefit * (1.0 + epsilon) + epsilon * 1e-30
-        if (
-            br.server == engine.alloc_server[br.user]
-            and br.channel == engine.alloc_channel[br.user]
-        ):
+            return benefit > 0.0
+        if server == standing and channel == engine.alloc_channel.item(j):
             return False
-        return br.benefit > threshold
+        return benefit > current * (1.0 + epsilon) + epsilon * 1e-30
 
     # ------------------------------------------------------------------
     # dynamics
@@ -270,7 +270,8 @@ class IddeUGame:
         row is clean, so within a round ``dirty[j]`` marks exactly the
         players that an earlier move of the same round made stale (it is
         read only once the round has moved).  A stale turn re-evaluates
-        through the fused single-user kernel (:meth:`best_response`); a
+        through the fused single-user kernel
+        (:meth:`~repro.radio.sinr.SinrEngine.best_response`); a
         clean turn is decided by the round's mask without building
         anything.  Batch entries and fused re-evaluations are bit-for-bit
         interchangeable (shared padded reduction), so every schedule
@@ -309,21 +310,21 @@ class IddeUGame:
                 continue
             moved = False
             for pos, j, improves in self._turns(batch, improving, idx, rng):
-                if moved and dirty[j]:
-                    br = self.best_response(engine, j)
-                    if not self._improves(br, engine, eps):
+                if moved and dirty.item(j):
+                    move = engine.best_response(j)
+                    if not self._improves(engine, j, move, eps):
                         continue
                 elif improves:
-                    br = BestResponse(
-                        user=j,
-                        server=int(batch.server[pos]),
-                        channel=int(batch.channel[pos]),
-                        benefit=float(batch.benefit[pos]),
-                        current_benefit=float(batch.current_benefit[pos]),
+                    move = (
+                        batch.server.item(pos),
+                        batch.channel.item(pos),
+                        batch.benefit.item(pos),
+                        batch.current_benefit.item(pos),
                     )
                 else:
                     continue
-                old = int(engine.alloc_server[j])
+                old = engine.alloc_server.item(j)
+                br = BestResponse(j, *move)
                 self._apply(engine, br, log)
                 dirty |= coverage[br.server]
                 if old != UNALLOCATED:
@@ -399,7 +400,8 @@ class IddeUGame:
         returned tolerance.
 
         The check is per-user on purpose: it is a rare, terminal-round-only
-        path.  It goes through the fused :meth:`best_response`; the
+        path.  It goes through the fused
+        :meth:`~repro.radio.sinr.SinrEngine.best_response`; the
         per-user oracle makes the same decision on the literal candidate
         grid, and both must escalate bit-for-bit identically.
         """
@@ -408,9 +410,8 @@ class IddeUGame:
         if self.tracer.enabled:
             self.tracer.count("game.quiescent_checks")
             self.tracer.count("game.quiescent_recheck_users", int(capped.size))
-        for j in capped:
-            j = int(j)
-            if self._improves(self.best_response(engine, j), engine, eps):
+        for j in capped.tolist():
+            if self._improves(engine, j, engine.best_response(j), eps):
                 moves_of[players] = 0
                 # A configured epsilon of exactly 0 must still escalate
                 # off zero, hence the one-ulp floor.

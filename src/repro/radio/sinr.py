@@ -43,11 +43,27 @@ sequences.  Do not "simplify" the per-user reduction back to ``g @ p``:
 BLAS accumulates in a different order and the bitwise parity — asserted by
 ``tests/core/test_game_kernels.py`` and ``tests/oracles/test_parity.py`` —
 would quietly degrade to approximate.
+
+What stays numpy in a game turn
+-------------------------------
+A fused turn sees a user's few candidates (on the paper's shape about 2.4
+covering servers and 3 channels), so numpy's per-call overhead, not
+arithmetic, sets its cost.  Only the reduction above stays numpy, because
+its order is what the parity rests on.  Everything after it — the
+own-signal subtraction and clamp, the current benefit, and the argmax over
+the valid candidates — is a handful of IEEE double operations, done on
+Python floats read from the user's :class:`UserRow` (built once per
+:class:`RadioTables`, on the first fused call).  Python and numpy round
+``+``, ``-`` and ``/`` identically, and a first-occurrence scan picks the
+candidate ``np.argmax`` picks, so the result is the same bits.  The
+mutation methods likewise check Eq. (1) on scalars.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +77,7 @@ from .rate import capped_rate
 __all__ = [
     "SinrEngine",
     "RadioTables",
+    "UserRow",
     "CandidateView",
     "BatchBestResponse",
 ]
@@ -120,13 +137,29 @@ class BatchBestResponse:
     current_benefit: np.ndarray  # (U,) benefit at the current allocation
 
 
+class UserRow(NamedTuple):
+    """One user's covering structure as Python scalars (the fused kernel's view).
+
+    ``servers`` is ``V_j`` in slot order, ``signal[s]`` the user's own
+    received power via slot ``s`` (``g_{i,j} p_j``, bitwise the table's
+    entry), and ``channels[s]`` the channels that exist on slot ``s``'s
+    server, ascending: the valid ``(slot, channel)`` pairs in the
+    row-major order ``np.argmax`` scans the padded grid in.
+    """
+
+    servers: tuple[int, ...]
+    signal: tuple[float, ...]
+    channels: tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class RadioTables:
     """The read-only radio structure of one scenario.
 
     Coverage, powers and gains never change under allocation moves, so
     this is built once (:meth:`build`) and shared by every engine over the
-    same scenario; every array is marked ``write=False``.
+    same scenario; every array is marked ``write=False``, and the per-user
+    :attr:`rows` are tuples.
     """
 
     gain: np.ndarray  # (N, M) channel gain g_{i,j}
@@ -186,6 +219,36 @@ class RadioTables:
             array.setflags(write=False)
         return tables
 
+    @cached_property
+    def rows(self) -> tuple[UserRow, ...]:
+        """Every user's :class:`UserRow`, built on first use and then shared.
+
+        Only the fused :meth:`SinrEngine.best_response` reads them, so a
+        scenario whose game never re-evaluates a single user (the batched
+        refresh, :meth:`~repro.core.game.IddeUGame.is_nash`) never pays
+        for them; they ride along wherever these tables are carried.
+        """
+        cov = self.cov.tolist()
+        signal = self.signal.tolist()
+        # ``build`` gives every real slot its server's channel mask, so one
+        # tuple per server serves every row that server covers.
+        servers, first = np.unique(self.cov[self.mask], return_index=True)
+        masks = self.valid[self.mask][first].tolist()
+        channels = {
+            i: tuple([x for x, ok in enumerate(mask) if ok])
+            for i, mask in zip(servers.tolist(), masks)
+        }
+        count = self.count.tolist()
+        covering = [tuple(row[:c]) for row, c in zip(cov, count)]
+        return tuple(
+            map(
+                UserRow,
+                covering,
+                [tuple(row[:c]) for row, c in zip(signal, count)],
+                [tuple([channels[i] for i in row]) for row in covering],
+            )
+        )
+
 
 class SinrEngine:
     """Mutable interference state over a fixed :class:`Scenario`.
@@ -239,6 +302,9 @@ class SinrEngine:
         self.bandwidth = self.cfg.bandwidth
         n, x = scenario.n_servers, max(scenario.max_channels, 1)
         self.n_channels = x
+        self._n_users = scenario.n_users
+        #: ``|C_i|`` per server as Python ints, for the scalar Eq. (1) check.
+        self._channels: list[int] = scenario.channels.tolist()
         #: total allocated power per (server, channel)
         self.channel_power = np.zeros((n, x), dtype=float)
         #: number of users per (server, channel)
@@ -264,18 +330,17 @@ class SinrEngine:
 
         Enforces Eq. (1): the server must cover the user, and the channel
         must exist on the server.  The user must currently be unallocated
-        (use :meth:`move` to relocate).
+        (use :meth:`move` to relocate).  Every index must be an in-range
+        integer (a ``bool`` is not one), so a server of −1 cannot wrap to
+        the last server and leave a phantom interferer behind.
         """
         self._check_user(j)
-        if self.alloc_server[j] != UNALLOCATED:
+        _check_index(server, len(self._channels), "server")
+        if self.alloc_server.item(j) != UNALLOCATED:
             raise AllocationError(f"user {j} is already allocated; use move()")
-        if not self.coverage[server, j]:
+        if not self.coverage.item(server, j):
             raise CoverageError(f"server {server} does not cover user {j}")
-        if not (0 <= channel < self.scenario.channels[server]):
-            raise AllocationError(
-                f"channel {channel} out of range for server {server} "
-                f"({self.scenario.channels[server]} channels)"
-            )
+        _check_index(channel, self._channels[server], f"server {server}'s channel")
         self.alloc_server[j] = server
         self.alloc_channel[j] = channel
         self.channel_power[server, channel] += self.power[j]
@@ -284,13 +349,14 @@ class SinrEngine:
     def unassign(self, j: int) -> None:
         """Deallocate user ``j`` (no-op if already unallocated)."""
         self._check_user(j)
-        i, x = self.alloc_server[j], self.alloc_channel[j]
+        i = self.alloc_server.item(j)
         if i == UNALLOCATED:
             return
+        x = self.alloc_channel.item(j)
         self.channel_power[i, x] -= self.power[j]
         self.channel_count[i, x] -= 1
         # Guard against float drift accumulating across many moves.
-        if self.channel_count[i, x] == 0:
+        if self.channel_count.item(i, x) == 0:
             self.channel_power[i, x] = 0.0
         self.alloc_server[j] = UNALLOCATED
         self.alloc_channel[j] = UNALLOCATED
@@ -478,26 +544,45 @@ class SinrEngine:
         Returns ``(server, channel, benefit, current_benefit)``, or ``None``
         when no server covers the user.  Bit-for-bit the result of
         :meth:`candidates` → ``best("benefit")`` plus :meth:`user_benefit`
-        (and of the user's row of :meth:`batch_best_responses`): the same
-        padded einsum, the current benefit read off the same ``W_j``, and
-        no SINR or rate grid.
+        (and of the user's row of :meth:`batch_best_responses`).
+
+        Only the interference aggregate stays numpy: the same padded
+        ``einsum`` as every other path, so ``W_j`` is bitwise theirs.  The
+        rest is a handful of IEEE operations on Python floats, read from
+        the user's :class:`UserRow`: the own-signal subtraction and clamp,
+        the current benefit, and a first-occurrence scan of the valid
+        candidates (``b > best`` from ``-inf``), which picks exactly the
+        candidate ``np.argmax`` picks on the masked grid.  A turn has a
+        few candidates, so building and reducing a masked grid would cost
+        more than the scan.
         """
+        self._check_user(j)
         if self.tracer.enabled:
             self._trace_scalar_eval(j)
-        servers, w = self.interference_profile(j)
-        s = len(servers)
-        if s == 0:
-            return None
-        i = self.alloc_server[j]
-        current = 0.0
-        if i != UNALLOCATED:
-            own = self.gain[i, j] * self.power[j]
-            current = float(own / (w[self.alloc_channel[j]] + own))
         tables = self._tables
-        signal = tables.signal[j, :s, None]  # (S, 1): the real covering slots
-        masked = np.where(tables.valid[j, :s], signal / (w + signal), -np.inf)
-        row, col = divmod(int(masked.argmax()), self.n_channels)
-        return int(servers[row]), col, float(masked[row, col]), current
+        servers, signal, channels = tables.rows[j]
+        if not servers:
+            return None
+        # ``take`` is the gather ``channel_power[cov[j]]`` at a fraction of
+        # fancy indexing's per-call cost; the copy it returns is the same.
+        w = np.einsum(
+            "s,sx->x", tables.cov_gain[j], self.channel_power.take(tables.cov[j], axis=0)
+        ).tolist()
+        current = 0.0
+        i = self.alloc_server.item(j)
+        if i != UNALLOCATED:
+            x = self.alloc_channel.item(j)
+            own = signal[servers.index(i)]
+            # Same subtract-then-clamp as interference_profile.
+            w[x] = max(w[x] - own, 0.0)
+            current = own / (w[x] + own)
+        best, slot, channel = -np.inf, 0, 0
+        for s, sig in enumerate(signal):
+            for x in channels[s]:
+                b = sig / (w[x] + sig)
+                if b > best:
+                    best, slot, channel = b, s, x
+        return servers[slot], channel, best, current
 
     def candidates(self, j: int) -> CandidateView:
         """Evaluate every candidate ``(server, channel)`` for user ``j``."""
@@ -533,6 +618,7 @@ class SinrEngine:
 
     def user_rate(self, j: int) -> float:
         """Eq. (4) data rate of user ``j`` at its current allocation."""
+        self._check_user(j)
         i = self.alloc_server[j]
         if i == UNALLOCATED:
             return 0.0
@@ -584,8 +670,7 @@ class SinrEngine:
 
     # ------------------------------------------------------------------
     def _check_user(self, j: int) -> None:
-        if not (0 <= j < self.scenario.n_users):
-            raise AllocationError(f"user index {j} out of range [0, {self.scenario.n_users})")
+        _check_index(j, self._n_users, "user")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         allocated = int((self.alloc_server != UNALLOCATED).sum())
@@ -593,3 +678,18 @@ class SinrEngine:
             f"SinrEngine(N={self.scenario.n_servers}, M={self.scenario.n_users}, "
             f"allocated={allocated})"
         )
+
+
+def _check_index(value: int, bound: int, what: str) -> None:
+    """Raise :class:`AllocationError` unless ``value`` is an integer in ``[0, bound)``.
+
+    A ``bool`` or a float is refused, not coerced: numpy would index with
+    it or fail with a bare ``IndexError``.  A Python ``int`` takes the one
+    ``type`` test, so the check stays cheap on the hot path.
+    """
+    if type(value) is not int and (
+        isinstance(value, bool) or not isinstance(value, np.integer)
+    ):
+        raise AllocationError(f"{what} index must be an integer, got {value!r}")
+    if not 0 <= value < bound:
+        raise AllocationError(f"{what} index {value} out of range [0, {bound})")

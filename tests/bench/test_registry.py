@@ -11,12 +11,13 @@ from repro.errors import BenchError
 
 #: The hot paths the registry must cover.
 EXPECTED = {
+    "sinr.best_response",
     "sinr.candidates",
     "sinr.churn",
     "sinr.rates",
     "game.round.round-robin",
-    "game.round.best-gain-winner",
-    "game.round.random-winner",
+    "game.round.best-gain-winner.x20",
+    "game.round.random-winner.x20",
     "game.converge",
     "delivery.greedy",
     "workload.replay.warm",
@@ -49,8 +50,8 @@ class TestRegistry:
         assert {b.name for b in selected} == {
             "game.round.round-robin",
             "game.round.round-robin.traced",
-            "game.round.best-gain-winner",
-            "game.round.random-winner",
+            "game.round.best-gain-winner.x20",
+            "game.round.random-winner.x20",
         }
 
     def test_no_kernel_twins(self):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.config import GameConfig
+from repro.config import GameConfig, RadioConfig
 from repro.core.game import IddeUGame
 from repro.core.instance import IDDEInstance
 from repro.errors import ConfigurationError, ConvergenceError
@@ -164,6 +164,59 @@ class TestFusedBestResponse:
                 batch.current_benefit[j],
             )
             assert _bits(fused) == _bits(row)
+
+    @pytest.mark.parametrize("gains", ((1.0,), (1.0, 2.0)))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tie_heavy_grid_bitwise(self, seed, gains):
+        """Whole-number gains and powers make many candidates tie exactly,
+        so the fused scan's first-occurrence pick must be ``np.argmax``'s."""
+        from repro.radio.sinr import RadioTables, SinrEngine
+
+        from ..conftest import make_scenario
+
+        rng = np.random.default_rng(seed)
+        sc = make_scenario(
+            [[100.0 * i, 0.0] for i in range(5)],
+            [[x, 0.0] for x in np.linspace(-50.0, 450.0, 40)],
+            radius=[160.0, 110.0, 210.0, 110.0, 160.0],
+            channels=[1, 3, 2, 4, 1],
+            power=[1.0, 2.0] * 20,
+        )
+        gain = rng.choice(gains, (sc.n_servers, sc.n_users))
+        tables = RadioTables.build(sc, RadioConfig(), gain)
+        count = tables.count
+        # Padded slots, and channel masks with holes under the widest server.
+        assert count.min() >= 1 and count.min() < count.max()
+        assert not tables.valid[tables.mask].all()
+        engine = SinrEngine(sc, tables=tables)
+        server = np.full(sc.n_users, -1)
+        channel = np.full(sc.n_users, -1)
+        slots = set()
+        for j in range(sc.n_users):
+            if j % 4:
+                continue  # a sparse profile leaves equally loaded channels
+            slot = (j // 4 + seed) % int(count[j])
+            server[j] = tables.cov[j, slot]
+            channel[j] = rng.integers(0, sc.channels[server[j]])
+            slots.add(slot)
+        assert slots == set(range(int(count.max())))
+        engine.load_profile(server, channel)
+        batch = engine.batch_best_responses()
+        ties = 0
+        for j in range(sc.n_users):
+            view = engine.candidates(j)
+            best = view.benefit[view.valid]
+            ties += int((best == best.max()).sum() > 1)
+            fused = engine.best_response(j)
+            assert _bits(fused) == _bits(_literal_best_response(engine, j))
+            row = (
+                int(batch.server[j]),
+                int(batch.channel[j]),
+                batch.benefit[j],
+                batch.current_benefit[j],
+            )
+            assert _bits(fused) == _bits(row)
+        assert ties >= 2
 
     def test_counts_as_scalar_evaluation(self, tiny_instance):
         from repro.obs.tracer import RecordingTracer

@@ -75,6 +75,53 @@ class TestMutation:
         with pytest.raises(AllocationError):
             engine.assign(99, 0, 0)
 
+    @pytest.mark.parametrize("server", [-1, 99])
+    def test_out_of_range_server_refused_without_a_trace(self, server):
+        """Server −1 would wrap to the last server (which covers user 4
+        here) and leave a phantom interferer that reads as unallocated."""
+        engine = IDDEInstance.generate(n=6, m=10, k=3, seed=0).new_engine()
+        assert engine.coverage[-1, 4]
+        before = engine_state(engine)
+        with pytest.raises(AllocationError, match="server index"):
+            engine.assign(4, server, 0)
+        assert_state_bitwise(engine_state(engine), before)
+
+    @pytest.mark.parametrize(
+        "bad", [True, False, 1.5, 1.0, np.float64(1.0), np.bool_(True), "1", None]
+    )
+    def test_non_integer_indices_refused(self, engine, bad):
+        before = engine_state(engine)
+        for call in (
+            lambda: engine.assign(bad, 0, 0),
+            lambda: engine.assign(0, bad, 0),
+            lambda: engine.assign(0, 0, bad),
+            lambda: engine.best_response(bad),
+            lambda: engine.user_benefit(bad),
+            lambda: engine.user_rate(bad),
+            lambda: engine.candidates(bad),
+            lambda: engine.unassign(bad),
+        ):
+            with pytest.raises(AllocationError, match="must be an integer"):
+                call()
+        assert_state_bitwise(engine_state(engine), before)
+
+    def test_numpy_integer_indices_accepted(self, engine):
+        engine.assign(np.int64(0), np.int32(1), np.intp(1))
+        assert engine.alloc_server[0] == 1 and engine.alloc_channel[0] == 1
+        assert engine.best_response(np.int64(0)) == engine.best_response(0)
+
+    @pytest.mark.parametrize("j", [-1, 6, 99])
+    def test_out_of_range_user_refused_everywhere(self, engine, j):
+        for call in (
+            engine.best_response,
+            engine.user_benefit,
+            engine.user_rate,
+            engine.candidates,
+            engine.unassign,
+        ):
+            with pytest.raises(AllocationError, match="user index"):
+                call(j)
+
     def test_reset(self, engine):
         engine.assign(0, 0, 0)
         engine.assign(1, 0, 1)
@@ -346,3 +393,72 @@ class TestRadioTables:
         other = make_scenario([[0.0, 0.0]], [[1.0, 1.0]])
         with pytest.raises(AllocationError, match="shared tables"):
             SinrEngine(other, tables=tables)
+
+
+class TestRowViews:
+    """The fused kernel's per-user rows: built once per tables, on the first
+    fused call only, carried with the tables, and immutable."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_restate_the_padded_tables(self, seed):
+        tables = RadioTables.build(ragged_scenario(seed), RadioConfig())
+        assert len(tables.rows) == tables.count.size
+        for j, row in enumerate(tables.rows):
+            c = int(tables.count[j])
+            assert row.servers == tuple(tables.cov[j, :c].tolist())
+            assert np.array(row.signal).tobytes() == tables.signal[j, :c].tobytes()
+            pairs = [(s, x) for s in range(c) for x in row.channels[s]]
+            assert pairs == [tuple(p) for p in np.argwhere(tables.valid[j]).tolist()]
+
+    def test_built_once_on_the_first_fused_call_and_shared(self):
+        instance = IDDEInstance.generate(n=8, m=30, k=4, density=1.5, seed=1)
+        tables = instance.radio_tables
+        first, second = instance.new_engine(), instance.new_engine()
+        first.batch_best_responses()
+        assert "rows" not in vars(tables)
+        first.best_response(0)
+        rows = vars(tables)["rows"]
+        second.best_response(1)
+        assert tables.rows is rows
+
+    def test_batched_paths_never_build_them(self):
+        from repro.config import GameConfig
+        from repro.core.game import IddeUGame
+
+        instance = IDDEInstance.generate(n=8, m=30, k=4, density=1.5, seed=1)
+        game = IddeUGame(instance, GameConfig(schedule="best-gain-winner"))
+        result = game.run(rng=0)
+        assert result.is_nash and game.is_nash(result.profile)
+        assert "rows" not in vars(instance.radio_tables)
+
+    def test_carried_on_a_no_move_projection_and_rebuilt_on_a_move(self, small_instance):
+        from repro.workload import Move, UserLeave, WorkloadState
+
+        rows = small_instance.radio_tables.rows
+        state = WorkloadState.from_scenario(small_instance.scenario)
+        state.apply([UserLeave(t=1.0, user=0)])
+        still = small_instance.project(state)
+        assert still.radio_tables.rows is rows
+        x, y = small_instance.scenario.server_xy[0]
+        state.apply([Move(t=2.0, user=1, x=float(x), y=float(y))])
+        moved = still.project(state)
+        assert moved.radio_tables is not still.radio_tables
+        fresh = RadioTables.build(moved.scenario, moved.radio).rows
+        assert moved.radio_tables.rows == fresh and moved.radio_tables.rows is not rows
+
+    def test_rows_are_immutable(self, small_instance):
+        from dataclasses import FrozenInstanceError
+
+        tables = small_instance.radio_tables
+        row = tables.rows[0]
+        assert type(tables.rows) is tuple
+        assert all(
+            type(part) is tuple and all(type(c) is tuple for c in row.channels)
+            for part in row
+        )
+        with pytest.raises(AttributeError):
+            row.servers = ()
+        with pytest.raises(TypeError):
+            row.signal[0] = 0.0
+        with pytest.raises(FrozenInstanceError):
+            tables.rows = ()
