@@ -6,6 +6,8 @@ solution methods:
 
 * ``core/`` and ``radio/`` must not import ``experiments``, ``viz``, ``cli``
   (model code never reaches up into the harness);
+* ``radio/`` must not import ``obs`` either (the SINR engine holds no
+  tracer: the game that owns an engine counts the evaluations it asks for);
 * ``datasets/`` and ``topology/`` must not import ``solvers``, ``baselines``
   (instance generation is solver-agnostic so new solvers cannot bias it);
 * ``bench/`` must not import ``experiments``, ``viz``, ``cli`` (the
@@ -39,7 +41,7 @@ from ..registry import rule
 #: source layer -> repro top-level segments it must not import.
 FORBIDDEN: dict[str, frozenset[str]] = {
     "core": frozenset({"experiments", "viz", "cli"}),
-    "radio": frozenset({"experiments", "viz", "cli"}),
+    "radio": frozenset({"experiments", "viz", "cli", "obs"}),
     "datasets": frozenset({"solvers", "baselines"}),
     "topology": frozenset({"solvers", "baselines"}),
     "bench": frozenset({"experiments", "viz", "cli"}),
@@ -121,7 +123,7 @@ def _resolve_target(ctx: FileContext, node: ast.ImportFrom | ast.Import) -> list
 @rule(
     "layering",
     ["IDDE009"],
-    "enforce the import DAG: core/radio below experiments/viz/cli; "
+    "enforce the import DAG: core/radio below experiments/viz/cli, radio below obs; "
     "datasets/topology below solvers/baselines",
 )
 def check_layering(ctx: FileContext) -> Iterator[Finding]:

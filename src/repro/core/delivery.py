@@ -32,6 +32,8 @@ re-sweeps all K items in Python every iteration, lives in the test suite
 (``tests/oracles/delivery.py``) as the readable oracle, and the two are
 bit-for-bit identical, including the tracer's threshold-reject counts
 (``tests/oracles/test_parity.py``).
+A traced call records no event per placement: they are
+``DeliveryResult.placements``, counted once as ``delivery.placements``.
 """
 
 from __future__ import annotations
@@ -162,8 +164,9 @@ def _run_lazy(
     storage: np.ndarray,
     placed: np.ndarray,
     stop_threshold: float,
-) -> tuple[list[tuple[int, int]], float]:
-    """Lazy greedy loop over a heap of per-item score bounds.
+) -> tuple[list[tuple[int, int]], float, int | None]:
+    """Lazy greedy loop: the placements, their total gain and, under an
+    enabled tracer, the terminal sweep's threshold rejections (else None).
 
     Selection semantics match the literal per-item sweep exactly: within an
     item, infeasible servers score ``-1`` so ``np.argmax`` picks the
@@ -252,15 +255,7 @@ def _run_lazy(
             mask[by_size[lo:hi], i] = -1.0
         placements.append((i, kk))
         total_gain += gain
-        if tracer.enabled:
-            tracer.event(
-                "delivery.place",
-                server=i,
-                item=kk,
-                gain_s=gain,
-                score=top_score[kk],
-            )
-            tracer.count("delivery.placements")
+    sweep_rejects: int | None = None
     if tracer.enabled:
         # The heap is empty only once every entry was re-scored, so every
         # row is fresh and the mask exact: the terminal sweep sees the table
@@ -270,12 +265,11 @@ def _run_lazy(
         sweep_rejects = int(
             np.count_nonzero((eff > 0.0) & (scores <= stop_threshold))
         )
-        tracer.event(
-            "delivery.stop", rejected=sweep_rejects, iterations=len(placements)
-        )
+        if placements:
+            tracer.count("delivery.placements", len(placements))
         tracer.count("delivery.threshold_rejects", sweep_rejects)
         tracer.count("delivery.reselects", reselects)
-    return placements, total_gain
+    return placements, total_gain, sweep_rejects
 
 
 def greedy_delivery(
@@ -303,8 +297,8 @@ def greedy_delivery(
         wrong shape, or a negative or non-finite weight, raises
         :class:`~repro.errors.DeliveryError`.
     tracer:
-        Optional IDDE-Trace tracer recording each accepted placement and
-        the terminal sweep's threshold rejections; defaults to the no-op.
+        Optional IDDE-Trace tracer: counters once per call, and the
+        terminal sweep's threshold rejections as the span's ``rejected``.
     """
     cfg = cfg or DeliveryConfig()
     tracer = ensure_tracer(tracer)
@@ -338,7 +332,7 @@ def greedy_delivery(
     with tracer.span(
         "delivery.greedy", servers=n, items=k, ratio_rule=cfg.ratio_rule
     ) as span:
-        placements, total_gain = _run_lazy(
+        placements, total_gain, rejected = _run_lazy(
             cfg,
             tracer,
             sizes,
@@ -349,7 +343,9 @@ def greedy_delivery(
             placed,
             stop_threshold,
         )
-        span.set(placements=len(placements), total_gain_s=total_gain)
+        span.set(
+            placements=len(placements), total_gain_s=total_gain, rejected=rejected
+        )
 
     return DeliveryResult(
         profile=DeliveryProfile(placed),

@@ -47,24 +47,26 @@ dirty is re-evaluated at its turn by the fused single-user kernel
 best move.  A turn is many cheap steps on a tiny grid, so the loop keeps
 numpy for the vectorised parts (the batched refresh, the improvement
 mask, the dirty marking) and does the per-turn rest on Python scalars:
-it reads the allocation and the dirty bit with ``.item``, decides on the
-fused kernel's plain tuple, and builds a :class:`BestResponse` only for
-the move it applies.  The certificate (:meth:`IddeUGame.is_nash`, in the
-run's ``game.certify`` span) never reads the table: it evaluates every player
-afresh on its own engine, and its verdict is the only certificate a
-served answer carries (``GameResult.is_nash``).  The potential along a
-run is replayed from its move log
-(:func:`~repro.core.potential.potential_along`), so the loop carries no
-diagnostics.  The literal per-user transcription of Algorithm 1 lives in
-the test suite (``tests/oracles/game.py``) as the readable oracle, sharing
-none of this loop: production must replay it bit-for-bit — identical move
-sequences (``GameResult.move_log``), identical equilibria, identical
+it reads the allocation and the dirty bit with ``.item``, and decides
+and applies on the fused kernel's plain tuple.  The certificate
+(:meth:`IddeUGame.is_nash`, in the run's ``game.certify`` span) never
+reads the table: it evaluates every player afresh on its own engine, and
+its verdict is the only certificate a served answer carries
+(``GameResult.is_nash``).  The potential along a run is replayed from
+its move log (:func:`~repro.core.potential.potential_along`), so the loop
+carries no diagnostics: the trace gets an ε escalation as an event, and
+the moves and engine evaluations as counters once per run.  The literal
+per-user transcription of Algorithm 1 lives in the test suite
+(``tests/oracles/game.py``) as the readable oracle, sharing none of this
+loop: production must replay it bit-for-bit — identical move sequences
+(``GameResult.move_log``), identical equilibria, identical
 certificates (``tests/oracles/test_parity.py``).
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -81,22 +83,7 @@ from .profiles import AllocationProfile
 
 _log = get_logger("core.game")
 
-__all__ = ["IddeUGame", "GameResult", "BestResponse"]
-
-
-@dataclass(frozen=True)
-class BestResponse:
-    """One user's best candidate move and the gain it would realise."""
-
-    user: int
-    server: int
-    channel: int
-    benefit: float
-    current_benefit: float
-
-    @property
-    def gain(self) -> float:
-        return self.benefit - self.current_benefit
+__all__ = ["IddeUGame", "GameResult"]
 
 
 @dataclass
@@ -205,25 +192,30 @@ class IddeUGame:
             extension): inactive users never move and never allocate —
             they behave exactly like the paper's ``α_j = (0,0)`` users.
             A warm-start profile may not allocate inactive users.
+
+        A traced run counts ``game.moves`` and its ``sinr.*`` engine
+        evaluations once, at its end.
         """
         active, players = self._participants(active)
         engine = self.instance.new_engine()
-        engine.set_tracer(self.tracer)
         if initial is not None:
-            initial.validate(self.instance.scenario)
+            # ``load_profile`` checks Eq. (1) for the whole profile first.
+            engine.load_profile(initial.server, initial.channel)
             if active is not None and bool((initial.allocated & ~active).any()):
                 raise ConvergenceError("warm-start profile allocates inactive users")
-            engine.load_profile(initial.server, initial.channel)
         rng = ensure_rng(rng)
         t0 = time.perf_counter()
         log: list[tuple[int, int, int]] = []
+        tally: Counter[str] = Counter()
         with self.tracer.span(
             "game.run",
             schedule=self.cfg.schedule,
             users=self.instance.n_users,
             warm_start=initial is not None,
         ) as span:
-            rounds, converged, eps, moves_of = self._dynamics(engine, players, rng, log)
+            rounds, converged, eps, moves_of = self._dynamics(
+                engine, players, rng, log, tally
+            )
             profile = AllocationProfile(engine.alloc_server, engine.alloc_channel)
             # If the dynamics truncated (max_rounds), the profile is
             # returned without a certificate: callers doing sweeps prefer
@@ -243,6 +235,10 @@ class IddeUGame:
                 effective_epsilon=eps,
                 capped_users=len(capped),
             )
+            if self.tracer.enabled:
+                for name, n in (*tally.items(), ("game.moves", len(log))):
+                    if n:
+                        self.tracer.count(name, n)
         return GameResult(
             profile=profile,
             rounds=rounds,
@@ -261,6 +257,7 @@ class IddeUGame:
         players: np.ndarray,
         rng: np.random.Generator,
         log: list[tuple[int, int, int]],
+        tally: Counter[str],
     ) -> tuple[int, bool, float, np.ndarray]:
         """Rounds of best responses until one finds no improving player.
 
@@ -281,6 +278,7 @@ class IddeUGame:
         move-capped player re-checked, :meth:`_unfreeze_capped`) or
         escalates epsilon and refreshes the move budgets; a round with
         moves escalates once ``patience`` moves pass without convergence.
+        Moves append to ``log``; engine evaluations tally by counter name.
         """
         m = self.instance.n_users
         coverage = self.instance.scenario.coverage
@@ -292,11 +290,13 @@ class IddeUGame:
         cap = self.cfg.max_moves_per_user
         for rounds in range(1, self.cfg.max_rounds + 1):
             eligible = players[moves_of[players] < cap]
-            batch = self._refresh(engine, table, dirty, eligible)
+            batch = self._refresh(engine, table, dirty, eligible, tally)
             improving = self._improving_mask(engine, batch, eps)
             idx = np.flatnonzero(improving)
             if idx.size == 0:
-                unfrozen = self._unfreeze_capped(engine, players, moves_of, eps)
+                unfrozen = self._unfreeze_capped(
+                    engine, players, moves_of, eps, len(log), tally
+                )
                 if unfrozen is None:
                     return rounds, True, eps, moves_of
                 eps = unfrozen
@@ -312,6 +312,7 @@ class IddeUGame:
             for pos, j, improves in self._turns(batch, improving, idx, rng):
                 if moved and dirty.item(j):
                     move = engine.best_response(j)
+                    tally["sinr.scalar_evals"] += 1
                     if not self._improves(engine, j, move, eps):
                         continue
                 elif improves:
@@ -324,9 +325,10 @@ class IddeUGame:
                 else:
                     continue
                 old = engine.alloc_server.item(j)
-                br = BestResponse(j, *move)
-                self._apply(engine, br, log)
-                dirty |= coverage[br.server]
+                server, channel, _, _ = move
+                engine.move(j, server, channel)
+                log.append((j, server, channel))
+                dirty |= coverage[server]
                 if old != UNALLOCATED:
                     dirty |= coverage[old]
                 moved = True
@@ -364,27 +366,14 @@ class IddeUGame:
             pos = int(idx[int(rng.integers(0, idx.size))])
         return ((pos, int(batch.users[pos]), True),)
 
-    def _apply(
-        self, engine: SinrEngine, br: BestResponse, log: list[tuple[int, int, int]]
-    ) -> None:
-        engine.move(br.user, br.server, br.channel)
-        log.append((br.user, br.server, br.channel))
-        if self.tracer.enabled:
-            self.tracer.event(
-                "game.move",
-                user=br.user,
-                server=br.server,
-                channel=br.channel,
-                gain=br.gain,
-            )
-            self.tracer.count("game.moves")
-
     def _unfreeze_capped(
         self,
         engine: SinrEngine,
         players: np.ndarray,
         moves_of: np.ndarray,
         eps: float,
+        moves: int,
+        tally: Counter[str],
     ) -> float | None:
         """Escalated epsilon if a move-capped player still improves, else None.
 
@@ -411,6 +400,7 @@ class IddeUGame:
             self.tracer.count("game.quiescent_checks")
             self.tracer.count("game.quiescent_recheck_users", int(capped.size))
         for j in capped.tolist():
+            tally["sinr.scalar_evals"] += 1
             if self._improves(engine, j, engine.best_response(j), eps):
                 moves_of[players] = 0
                 # A configured epsilon of exactly 0 must still escalate
@@ -424,6 +414,7 @@ class IddeUGame:
                         reason="move-cap",
                         epsilon=new_eps,
                         capped=int(capped.size),
+                        moves=moves,
                     )
                     self.tracer.count("game.escalations")
                 return new_eps
@@ -463,6 +454,7 @@ class IddeUGame:
         table: BatchBestResponse,
         dirty: np.ndarray,
         eligible: np.ndarray,
+        tally: Counter[str],
     ) -> BatchBestResponse:
         """The round's batch view of ``eligible``, read off the resident table.
 
@@ -477,6 +469,8 @@ class IddeUGame:
         rows = eligible[dirty[eligible]]
         if rows.size:
             fresh = engine.batch_best_responses(rows)
+            tally["sinr.batch_rounds"] += 1
+            tally["sinr.batch_rows"] += int(rows.size)
             table.server[rows] = fresh.server
             table.channel[rows] = fresh.channel
             table.benefit[rows] = fresh.benefit

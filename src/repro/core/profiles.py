@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import AllocationError, CoverageError, DeliveryError, StorageViolation
+from ..radio.sinr import index_arrays
 from ..types import Scenario
 
 __all__ = ["AllocationProfile", "DeliveryProfile", "UNALLOCATED"]
@@ -22,14 +23,13 @@ class AllocationProfile:
     """Definition 1: per-user (server, channel) decisions.
 
     ``server[j] == channel[j] == -1`` encodes the paper's ``α_j = (0, 0)``
-    (unallocated).
+    (unallocated).  A float or bool index array is refused, not truncated.
     """
 
     __slots__ = ("server", "channel")
 
     def __init__(self, server: np.ndarray, channel: np.ndarray) -> None:
-        self.server = np.asarray(server, dtype=np.int64).copy()
-        self.channel = np.asarray(channel, dtype=np.int64).copy()
+        self.server, self.channel = index_arrays(server, channel)
         if self.server.shape != self.channel.shape or self.server.ndim != 1:
             raise AllocationError(
                 f"server/channel shapes mismatch: {self.server.shape} vs {self.channel.shape}"

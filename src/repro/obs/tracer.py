@@ -1,9 +1,9 @@
 """IDDE-Trace core: tracers, spans, counters and the bounded event log.
 
 This module is the dependency-free heart of the observability layer
-(stdlib only — it sits at the very bottom of the import DAG, below even
-``core/`` and ``radio/``, so every hot kernel may hold a tracer without
-layering violations).
+(stdlib only — it sits at the very bottom of the import DAG, below
+``core/``, so the game and the greedy may hold a tracer without layering
+violations; the SINR engine in ``radio/`` holds none).
 
 Two tracers implement one protocol:
 

@@ -69,7 +69,6 @@ import numpy as np
 
 from ..config import RadioConfig
 from ..errors import AllocationError, CoverageError
-from ..obs.tracer import NULL_TRACER, Tracer
 from ..types import Scenario
 from .channel import gain_matrix
 from .rate import capped_rate
@@ -259,7 +258,8 @@ class SinrEngine:
     the full grid of :meth:`candidates`), batched evaluation
     (:meth:`batch_best_responses`), global rate evaluation (:meth:`rates`),
     and incremental mutation (:meth:`assign`, :meth:`unassign`,
-    :meth:`move`, :meth:`load_profile`).
+    :meth:`move`, :meth:`load_profile`).  It holds no tracer: its game
+    counts the evaluations it asks for (:meth:`~repro.core.game.IddeUGame.run`).
 
     Parameters
     ----------
@@ -312,15 +312,6 @@ class SinrEngine:
         self.alloc_server = np.full(scenario.n_users, UNALLOCATED, dtype=np.int64)
         self.alloc_channel = np.full(scenario.n_users, UNALLOCATED, dtype=np.int64)
         self._channel_valid = scenario.channel_mask
-        #: IDDE-Trace hook; the owning game attaches its tracer so kernel
-        #: selection (scalar vs batched) and evaluation volume are observable.
-        self.tracer: Tracer = NULL_TRACER
-        self._scalar_kernel_seen = False
-        self._batch_kernel_seen = False
-
-    def set_tracer(self, tracer: Tracer | None) -> None:
-        """Attach an IDDE-Trace tracer (``None`` restores the no-op)."""
-        self.tracer = NULL_TRACER if tracer is None else tracer
 
     # ------------------------------------------------------------------
     # mutation
@@ -381,10 +372,10 @@ class SinrEngine:
         :meth:`assign` would raise for the lowest offending user), so a bad
         profile leaves the engine untouched.  The load itself accumulates
         the channel powers in ascending user order, the float additions of
-        an :meth:`assign` loop, so the state is bitwise the same.
+        an :meth:`assign` loop, so the state is bitwise the same.  A float
+        or bool index array is refused, not truncated.
         """
-        server = np.asarray(server, dtype=np.int64)
-        channel = np.asarray(channel, dtype=np.int64)
+        server, channel = index_arrays(server, channel)
         if server.shape != (self.scenario.n_users,) or channel.shape != server.shape:
             raise AllocationError("profile arrays must both have shape (M,)")
         users = np.flatnonzero(server != UNALLOCATED)
@@ -483,12 +474,6 @@ class SinrEngine:
         else:
             users = np.asarray(users, dtype=np.int64)
         u = users.shape[0]
-        if self.tracer.enabled:
-            self.tracer.count("sinr.batch_rounds")
-            self.tracer.count("sinr.batch_rows", int(u))
-            if not self._batch_kernel_seen:
-                self._batch_kernel_seen = True
-                self.tracer.event("sinr.kernel", kernel="batched", batch_size=int(u))
         if u == 0:
             empty_i = np.empty(0, dtype=np.int64)
             empty_f = np.empty(0, dtype=float)
@@ -531,13 +516,6 @@ class SinrEngine:
             current_benefit=current,
         )
 
-    def _trace_scalar_eval(self, j: int) -> None:
-        """Count one single-user evaluation; name the kernel the first time."""
-        self.tracer.count("sinr.scalar_evals")
-        if not self._scalar_kernel_seen:
-            self._scalar_kernel_seen = True
-            self.tracer.event("sinr.kernel", kernel="scalar", user=int(j))
-
     def best_response(self, j: int) -> tuple[int, int, float, float] | None:
         """User ``j``'s benefit-maximising move, fused into one evaluation.
 
@@ -557,8 +535,6 @@ class SinrEngine:
         more than the scan.
         """
         self._check_user(j)
-        if self.tracer.enabled:
-            self._trace_scalar_eval(j)
         tables = self._tables
         servers, signal, channels = tables.rows[j]
         if not servers:
@@ -586,8 +562,6 @@ class SinrEngine:
 
     def candidates(self, j: int) -> CandidateView:
         """Evaluate every candidate ``(server, channel)`` for user ``j``."""
-        if self.tracer.enabled:
-            self._trace_scalar_eval(j)
         servers, w = self.interference_profile(j)
         s = len(servers)
         if s == 0:
@@ -678,6 +652,21 @@ class SinrEngine:
             f"SinrEngine(N={self.scenario.n_servers}, M={self.scenario.n_users}, "
             f"allocated={allocated})"
         )
+
+
+def index_arrays(server: np.ndarray, channel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``int64`` copies of a profile's index arrays.
+
+    An array of any other dtype kind than integer raises
+    :class:`AllocationError`: a cast would load server 2.7 as 2 and
+    ``True`` as 1.
+    """
+    server, channel = np.asarray(server), np.asarray(channel)
+    if server.dtype.kind not in "iu" or channel.dtype.kind not in "iu":
+        raise AllocationError(
+            f"profile indices must have an integer dtype, got {server.dtype}/{channel.dtype}"
+        )
+    return server.astype(np.int64), channel.astype(np.int64)
 
 
 def _check_index(value: int, bound: int, what: str) -> None:

@@ -170,6 +170,12 @@ class TestLayering:
         assert codes(found) == {"IDDE009"}
         assert len(found) == 2  # one absolute, one relative import
 
+    def test_radio_must_not_import_obs(self):
+        found = lint_fixture("repro/radio/bad_layering.py")
+        assert codes(found) == {"IDDE009"}
+        assert len(found) == 2
+        assert all("repro.obs" in f.message for f in found)
+
     @pytest.mark.parametrize(
         "path, src, bad",
         [
@@ -178,6 +184,9 @@ class TestLayering:
             ("src/repro/radio/x.py", "from .. import viz\n", True),
             ("src/repro/core/x.py", "import repro.cli\n", True),
             ("src/repro/topology/x.py", "from ..baselines import naive\n", True),
+            ("src/repro/radio/x.py", "from ..obs.tracer import Tracer\n", True),
+            ("src/repro/radio/x.py", "import repro.obs\n", True),
+            ("src/repro/core/x.py", "from ..obs.tracer import Tracer\n", False),
             ("src/repro/core/x.py", "from ..radio.sinr import SinrEngine\n", False),
             ("src/repro/experiments/x.py", "from ..core.game import IddeUGame\n", False),
             ("src/repro/datasets/x.py", "from ..topology import graph\n", False),

@@ -289,9 +289,8 @@ class TestThresholdRejectCount:
         result = greedy_delivery(line_instance, line_alloc, cfg, tracer=tracer)
         assert result.placements == []
 
-        stops = [e for e in tracer.events if e.etype == "delivery.stop"]
-        assert len(stops) == 1
-        rejected = stops[0].fields["rejected"]
+        (span,) = [s for s in tracer.spans if s.name == "delivery.greedy"]
+        rejected = span.attrs["rejected"]
         assert tracer.counters["delivery.threshold_rejects"] == rejected
 
         # Independent recomputation of the first (= terminal) sweep.

@@ -61,12 +61,13 @@ def _assert_escalation_parity(cfg: GameConfig, seed: int, reason: str) -> None:
     _assert_identical(ref, bat)
     assert ref.effective_epsilon == bat.effective_epsilon > cfg.epsilon
     assert ref.capped_users == bat.capped_users
-    escalations, moves = [], 0
-    for e in tracer.events:
-        moves += e.etype == "game.move"
-        if e.etype == "game.epsilon_escalation":
-            escalations.append((e.fields["reason"], e.fields["epsilon"], moves))
+    escalations = [
+        (e.fields["reason"], e.fields["epsilon"], e.fields["moves"])
+        for e in tracer.events
+        if e.etype == "game.epsilon_escalation"
+    ]
     assert escalations == oracle.escalations
+    assert tracer.counters["game.escalations"] == len(escalations)
     assert {r for r, _, _ in escalations} == {reason}
     assert bat.converged and bat.is_nash
 
@@ -218,17 +219,29 @@ class TestFusedBestResponse:
             assert _bits(fused) == _bits(row)
         assert ties >= 2
 
-    def test_counts_as_scalar_evaluation(self, tiny_instance):
+    def test_counts_as_scalar_evaluation(self, small_instance, monkeypatch):
+        """The game tallies its own fused calls (the engine holds no
+        tracer) and reports them as one ``sinr.scalar_evals`` count; under
+        a move cap that includes the quiescent re-check of capped users."""
         from repro.obs.tracer import RecordingTracer
+        from repro.radio.sinr import SinrEngine
 
-        tracer = RecordingTracer()
-        engine = tiny_instance.new_engine()
-        engine.set_tracer(tracer)
-        for j in range(3):
-            engine.best_response(j)
-        assert tracer.counters["sinr.scalar_evals"] == 3
-        kernels = [e.fields["kernel"] for e in tracer.events if e.etype == "sinr.kernel"]
-        assert kernels == ["scalar"]
+        calls = []
+        fused = SinrEngine.best_response
+
+        def spy(engine, j):
+            calls.append(j)
+            return fused(engine, j)
+
+        monkeypatch.setattr(SinrEngine, "best_response", spy)
+        for cap in (25, 1):
+            calls.clear()
+            tracer = RecordingTracer()
+            cfg = GameConfig(schedule="round-robin", max_moves_per_user=cap)
+            result = IddeUGame(small_instance, cfg, tracer=tracer).run(rng=0)
+            assert calls and result.is_nash
+            assert tracer.counters["sinr.scalar_evals"] == len(calls)
+        assert not hasattr(small_instance.new_engine(), "tracer")
 
     def test_round_robin_uses_it_for_stale_users(self, small_instance, monkeypatch):
         """The sweep re-evaluates stale users with the fused kernel only."""
@@ -264,8 +277,8 @@ class TestResidentTable:
         refresh = IddeUGame._refresh
         rounds = []
 
-        def checked(self, engine, table, dirty, eligible):
-            view = refresh(self, engine, table, dirty, eligible)
+        def checked(self, engine, table, dirty, eligible, tally):
+            view = refresh(self, engine, table, dirty, eligible, tally)
             full = engine.batch_best_responses(eligible)
             for name in ("users", "server", "channel", "benefit", "current_benefit"):
                 assert getattr(view, name).tobytes() == getattr(full, name).tobytes()
@@ -295,16 +308,32 @@ class TestResidentTable:
         rows = tracer.counters["sinr.batch_rows"]
         assert instance.n_users <= rows < 0.25 * result.rounds * instance.n_users
 
-    def test_batch_rows_counts_evaluated_rows(self, tiny_instance):
+    def test_batch_rows_counts_evaluated_rows(self, small_instance, monkeypatch):
+        """``sinr.batch_rounds`` / ``sinr.batch_rows`` count the dynamics'
+        refresh passes and their rows, once per run; the certificate's
+        batch (on its own engine) is not counted."""
         from repro.obs.tracer import RecordingTracer
+        from repro.radio.sinr import SinrEngine
 
-        tracer = RecordingTracer()
-        engine = tiny_instance.new_engine()
-        engine.set_tracer(tracer)
-        engine.batch_best_responses(np.arange(3))
-        engine.batch_best_responses(np.arange(0))
-        assert tracer.counters["sinr.batch_rounds"] == 2
-        assert tracer.counters["sinr.batch_rows"] == 3
+        calls = []
+        batch = SinrEngine.batch_best_responses
+
+        def spy(engine, users=None):
+            calls.append(len(users))
+            return batch(engine, users)
+
+        monkeypatch.setattr(SinrEngine, "batch_best_responses", spy)
+        for schedule in SCHEDULES:
+            calls.clear()
+            tracer = RecordingTracer()
+            game = IddeUGame(small_instance, GameConfig(schedule=schedule), tracer=tracer)
+            result = game.run(rng=0)
+            assert result.is_nash
+            # The last batch is the certificate's, over every player.
+            *refreshes, certificate = calls
+            assert certificate == small_instance.n_users
+            assert tracer.counters["sinr.batch_rounds"] == len(refreshes) > 0
+            assert tracer.counters["sinr.batch_rows"] == sum(refreshes)
 
 
 class TestBatchedKernel:

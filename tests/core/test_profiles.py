@@ -32,6 +32,26 @@ class TestAllocationProfile:
         with pytest.raises(AllocationError):
             AllocationProfile(np.array([0, 1]), np.array([0]))
 
+    @pytest.mark.parametrize(
+        "server, channel",
+        [
+            (np.array([2.7]), np.array([0.9])),  # a cast would read (2, 0)
+            (np.array([2]), np.array([0.0])),
+            (np.array([True]), np.array([0])),
+            (np.array([1]), np.array([False])),
+        ],
+    )
+    def test_non_integer_dtype_rejected(self, server, channel):
+        with pytest.raises(AllocationError, match="integer dtype"):
+            AllocationProfile(server, channel)
+
+    def test_integer_dtypes_accepted_as_int64_copies(self):
+        server = np.array([2], dtype=np.uint8)
+        p = AllocationProfile(server, np.array([0], dtype=np.int32))
+        assert p.server.dtype == p.channel.dtype == np.int64
+        server[0] = 0
+        assert p.server.tolist() == [2]
+
     def test_validate_coverage(self, tiny_scenario):
         p = AllocationProfile.empty(tiny_scenario.n_users)
         p.server[0], p.channel[0] = 0, 0

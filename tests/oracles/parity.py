@@ -10,9 +10,10 @@ exact equality:
   the random-winner schedule), the final profile, and the certificate
   (``converged``, ``is_nash``, rounds, moves, ``effective_epsilon``);
 * delivery: the ordered placements, the bitwise total gain, the final
-  placement matrix, and — in the traced replays — every
-  ``delivery.place`` / ``delivery.stop`` event and the
-  ``delivery.threshold_rejects`` count;
+  placement matrix, and — in the traced replays — the ``delivery.greedy``
+  span's attributes (placements, total gain, the terminal sweep's
+  ``rejected`` count) and the ``delivery.placements`` /
+  ``delivery.threshold_rejects`` counters;
 * evaluation: the bytes, dtype and shape of the retrieval-cost table and
   of the attached request counts, under empty, greedy and random
   placements.
@@ -162,12 +163,10 @@ def _delivery_observables(
     }
     if tracer is not None:
         observed["trace"] = (
-            [
-                (e.etype, sorted(e.fields.items()))
-                for e in tracer.events
-                if e.etype in ("delivery.place", "delivery.stop")
-            ],
-            tracer.counters.get("delivery.threshold_rejects", 0),
+            [s.attrs for s in tracer.spans if s.name == "delivery.greedy"],
+            tracer.counters.get("delivery.placements"),
+            tracer.counters.get("delivery.threshold_rejects"),
+            [e.etype for e in tracer.events],
         )
     return observed
 

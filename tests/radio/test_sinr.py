@@ -140,6 +140,24 @@ class TestMutation:
         with pytest.raises(AllocationError):
             engine.load_profile(np.array([0]), np.array([0]))
 
+    def test_load_profile_refuses_float_and_bool_indices(self, engine):
+        """A cast would load server 2.7 / channel 0.9 as (2, 0), ``True`` as 1."""
+        m = engine.scenario.n_users
+        server = np.full(m, float(UNALLOCATED))
+        channel = np.full(m, float(UNALLOCATED))
+        server[0], channel[0] = 2.7, 0.9
+        before = engine_state(engine)
+        with pytest.raises(AllocationError, match="integer dtype"):
+            engine.load_profile(server, channel)
+        with pytest.raises(AllocationError, match="integer dtype"):
+            engine.load_profile(np.ones(m, dtype=bool), np.zeros(m, dtype=np.int64))
+        with pytest.raises(AllocationError, match="integer dtype"):
+            engine.load_profile(np.zeros(m, dtype=np.int64), np.zeros(m, dtype=bool))
+        assert_state_bitwise(engine_state(engine), before)
+        # Unsigned integers are integers.
+        engine.load_profile(np.zeros(m, dtype=np.uint8), np.zeros(m, dtype=np.uint8))
+        assert engine.channel_count[0, 0] == m
+
 
 class TestLoadProfile:
     @pytest.mark.parametrize("seed", range(8))

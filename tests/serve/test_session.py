@@ -484,3 +484,31 @@ class TestTheorem7OnServedEpochs:
                 assert l_greedy <= theorem7_latency_upper_bound_ms(served, l_opt) + 1e-9
                 gaps += l_opt < l_greedy - 1e-9
         assert gaps > 0, "the greedy matched the optimum on every epoch"
+
+
+class TestBoundedTrace:
+    """A served day's event log holds its decisions, not its steps: moves,
+    placements and evaluations are counters, so a small log never fills
+    and keeps every ε escalation the counters report."""
+
+    def test_small_log_keeps_every_escalation(self):
+        from repro.workload import StreamConfig, batch_by_count, poisson_zipf_stream
+
+        base = IDDEInstance.generate(n=10, m=60, k=3, density=1.0, seed=0)
+        stream = poisson_zipf_stream(
+            base.scenario, spawn_rng(0, "t"), StreamConfig(), n_events=60 * 25
+        )
+        tracer = RecordingTracer(max_events=100)
+        session = SolverSession(base, _warm_request(0), tracer=tracer)
+        session.solve()
+        for batch in batch_by_count(stream, 25):
+            session.apply_events(batch.events)
+        counters = tracer.counters
+        # Thousands of moves and placements, a handful of escalations.
+        assert counters["game.moves"] > 10 * tracer.max_events
+        assert counters["delivery.placements"] > 10 * tracer.max_events
+        assert counters["game.escalations"] > 0
+        assert tracer.dropped_events == 0
+        escalations = [e for e in tracer.events if e.etype == "game.epsilon_escalation"]
+        assert len(escalations) == counters["game.escalations"]
+        assert all(e.fields["moves"] >= 0 for e in escalations)

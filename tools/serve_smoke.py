@@ -17,7 +17,9 @@ mirrors the lifecycle in docs/SERVING.md:
    SolverLookupError payload, a v4 request -> 400 naming the schema
    this build reads, a malformed request target -> 400, cold-read
    semantics via a fresh path);
-6. stream /v1/trace and validate the NDJSON frame;
+6. stream /v1/trace and validate the NDJSON frame: the event log holds
+   decisions only (no per-move, per-placement or per-evaluation event),
+   so it has dropped nothing;
 7. SIGTERM and require a graceful exit 0.
 
 Exit status: 0 on success, 1 on any failed check (with a message).
@@ -216,6 +218,10 @@ def main() -> int:
         warm = metrics["counters"]["serve.solves.warm"]
         check(solves == args.batches + 2, f"serve.solves={solves}")
         check(warm >= args.batches, f"serve.solves.warm={warm}")
+        check(
+            metrics["dropped_events"] == 0,
+            f"the event log dropped {metrics['dropped_events']} events",
+        )
         records = stream_trace(port)
         check(records[0]["kind"] == "header", "trace does not start with a header")
         check(records[0]["schema"] == "idde-trace/1", "bad trace schema")
@@ -226,6 +232,11 @@ def main() -> int:
             f"{names.count('game.certify')} game.certify spans for {solves} solves",
         )
         check("serve.certify" not in names, "a second certificate ran after the game")
+        steps = {"game.move", "delivery.place", "delivery.stop", "sinr.kernel"}
+        step_events = sorted(
+            {r["type"] for r in records if r["kind"] == "event"} & steps
+        )
+        check(not step_events, f"the trace records steps as events: {step_events}")
         print(f"serve_smoke: trace streamed ({len(records)} records)")
 
         # -- 6. graceful drain --------------------------------------------
