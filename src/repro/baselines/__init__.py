@@ -90,26 +90,26 @@ def resolve_solver_name(name: str) -> str:
 def build_solver(name: str, /, **kwargs: Any) -> Solver:
     """Construct the solver registered as ``name`` (case-insensitive).
 
-    The keywords bind against the constructor's signature; any it does
-    not accept, or a value its constructor rejects with a
-    :class:`ValueError`/:class:`TypeError`, raise
+    A keyword the constructor does not accept, or a value it rejects with
+    a :class:`ValueError`/:class:`TypeError`, raises
     :class:`~repro.errors.ConfigurationError` naming the solver and the
     options.
     """
     key = resolve_solver_name(name)
     cls = _FACTORIES[key]
-    signature = inspect.signature(cls)
-    try:
-        signature.bind(**kwargs)
-    except TypeError as exc:
-        unknown = sorted(set(kwargs) - set(signature.parameters))
-        raise ConfigurationError(
-            f"solver {key!r} does not accept {unknown or exc}; "
-            f"it takes {sorted(signature.parameters) or 'no options'}"
-        ) from None
     try:
         return cls(**kwargs)
     except (ValueError, TypeError) as exc:
+        # The signature only words the refusal; a build that succeeds never reads it.
+        signature = inspect.signature(cls)
+        try:
+            signature.bind(**kwargs)
+        except TypeError as bind_exc:
+            unknown = sorted(set(kwargs) - set(signature.parameters))
+            raise ConfigurationError(
+                f"solver {key!r} does not accept {unknown or bind_exc}; "
+                f"it takes {sorted(signature.parameters) or 'no options'}"
+            ) from None
         shown = {k: v if json_scalarish(v) else type(v).__name__ for k, v in kwargs.items()}
         raise ConfigurationError(f"solver {key!r} rejects options {shown}: {exc}") from exc
 

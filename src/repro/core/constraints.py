@@ -1,8 +1,9 @@
-"""Constraint checkers for the IDDE formulation (Eqs. 1, 6, 7, 8).
+"""Constraint checkers for the IDDE formulation (Eqs. 1, 6, 8).
 
-These are the invariants every solver's output must satisfy; the test
-suite's property-based checks drive them over random instances and the
-solvers call :func:`check_strategy` before returning.
+Eq. (1) is :func:`~repro.radio.sinr.check_eq1` (behind
+``AllocationProfile.validate`` and every engine load), Eq. (6) is
+``DeliveryProfile.validate``, Eq. (8) is :func:`check_latency_constraint`;
+:func:`check_strategy` runs all three.
 """
 
 from __future__ import annotations
@@ -14,39 +15,23 @@ from .instance import IDDEInstance
 from .objectives import per_user_latencies
 from .profiles import AllocationProfile, DeliveryProfile
 
-__all__ = [
-    "check_allocation",
-    "check_storage",
-    "check_latency_constraint",
-    "check_strategy",
-]
-
-
-def check_allocation(instance: IDDEInstance, alloc: AllocationProfile) -> None:
-    """Eq. (1): allocations only to covering servers and real channels."""
-    alloc.validate(instance.scenario)
-
-
-def check_storage(instance: IDDEInstance, delivery: DeliveryProfile) -> None:
-    """Eq. (6): no server stores more than its reserved capacity."""
-    delivery.validate(instance.scenario)
+__all__ = ["check_latency_constraint", "check_strategy"]
 
 
 def check_latency_constraint(
     instance: IDDEInstance,
-    alloc: AllocationProfile,
-    delivery: DeliveryProfile,
+    lat: np.ndarray,
     *,
     atol: float = 1e-9,
 ) -> None:
-    """Eq. (8): no retrieval is slower than fetching from the cloud.
+    """Eq. (8) on a strategy's ``(M, K)`` ``per_user_latencies`` table: no
+    retrieval is slower than fetching from the cloud.
 
     Raises
     ------
     DeliveryError
         If any requested (user, item) pair pays more than the cloud fetch.
     """
-    lat = per_user_latencies(instance, alloc, delivery)
     sizes = instance.scenario.sizes
     cloud = instance.latency_model.cloud_cost
     bound = sizes[None, :] * cloud + atol
@@ -66,6 +51,6 @@ def check_strategy(
     delivery: DeliveryProfile,
 ) -> None:
     """All feasibility constraints of the IDDE formulation at once."""
-    check_allocation(instance, alloc)
-    check_storage(instance, delivery)
-    check_latency_constraint(instance, alloc, delivery)
+    alloc.validate(instance.scenario)
+    delivery.validate(instance.scenario)
+    check_latency_constraint(instance, per_user_latencies(instance, alloc, delivery))

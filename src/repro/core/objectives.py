@@ -27,6 +27,7 @@ __all__ = [
     "average_data_rate",
     "Evaluation",
     "evaluate",
+    "evaluate_with_latencies",
 ]
 
 #: Peak size in bytes of one ``(N, N, B)`` tile of the retrieval-cost min.
@@ -73,17 +74,9 @@ def per_user_latencies(
     latency for everything.
     """
     table = retrieval_cost_table(instance, delivery)
-    sizes = instance.scenario.sizes
-    cloud = instance.latency_model.cloud_cost
-    m = instance.n_users
-    out = np.empty((m, instance.n_data))
-    attached = alloc.server
-    is_alloc = attached != UNALLOCATED
-    if is_alloc.any():
-        out[is_alloc] = table[attached[is_alloc]]
-    if (~is_alloc).any():
-        out[~is_alloc] = sizes * cloud
-    return out
+    cloud = instance.scenario.sizes * instance.latency_model.cloud_cost
+    # An unallocated user's −1 gathers the last row, which the mask discards.
+    return np.where((alloc.server != UNALLOCATED)[:, None], table[alloc.server], cloud)
 
 
 def average_delivery_latency_ms(
@@ -92,12 +85,14 @@ def average_delivery_latency_ms(
     delivery: DeliveryProfile,
 ) -> float:
     """Eq. (9): request-weighted mean delivery latency, in milliseconds."""
-    zeta = instance.scenario.requests
-    total = zeta.sum()
-    if total == 0:
-        return 0.0
     lat = per_user_latencies(instance, alloc, delivery)
-    return seconds_to_ms(float((lat * zeta).sum() / total))
+    return _request_weighted_ms(lat, instance.scenario.requests)
+
+
+def _request_weighted_ms(lat: np.ndarray, zeta: np.ndarray) -> float:
+    """Eq. (9) on a :func:`per_user_latencies` table, in milliseconds."""
+    total = zeta.sum()
+    return seconds_to_ms(float((lat * zeta).sum() / total)) if total else 0.0
 
 
 def average_data_rate(instance: IDDEInstance, alloc: AllocationProfile) -> float:
@@ -130,14 +125,25 @@ def evaluate(
     alloc: AllocationProfile,
     delivery: DeliveryProfile,
 ) -> Evaluation:
-    """Evaluate a full strategy: both objectives plus per-user detail."""
+    """Evaluate a full strategy: both objectives plus per-user detail.
+
+    Loading ``alloc`` into a fresh engine checks Eq. (1); storage (Eq. 6)
+    is not checked, so an over-full delivery is still scored.
+    """
+    return evaluate_with_latencies(instance, alloc, delivery)[0]
+
+
+def evaluate_with_latencies(
+    instance: IDDEInstance,
+    alloc: AllocationProfile,
+    delivery: DeliveryProfile,
+) -> tuple[Evaluation, np.ndarray]:
+    """:func:`evaluate` plus the :func:`per_user_latencies` table it scored."""
     engine = instance.new_engine()
     engine.load_profile(alloc.server, alloc.channel)
     rates = engine.rates()
     zeta = instance.scenario.requests
     lat = per_user_latencies(instance, alloc, delivery)
-    total = zeta.sum()
-    l_avg = seconds_to_ms(float((lat * zeta).sum() / total)) if total else 0.0
     per_user_ms = np.where(
         zeta.any(axis=1),
         seconds_to_ms((lat * zeta).sum(axis=1) / np.maximum(zeta.sum(axis=1), 1)),
@@ -145,9 +151,9 @@ def evaluate(
     )
     return Evaluation(
         r_avg=float(rates.mean()) if len(rates) else 0.0,
-        l_avg_ms=l_avg,
+        l_avg_ms=_request_weighted_ms(lat, zeta),
         rates=rates,
         latencies_ms=per_user_ms,
         allocated_users=alloc.n_allocated,
         replicas=delivery.n_replicas,
-    )
+    ), lat

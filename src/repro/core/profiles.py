@@ -10,20 +10,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import AllocationError, CoverageError, DeliveryError, StorageViolation
-from ..radio.sinr import index_arrays
+from ..errors import AllocationError, DeliveryError, StorageViolation
+from ..radio.sinr import UNALLOCATED, check_eq1, index_arrays
 from ..types import Scenario
 
 __all__ = ["AllocationProfile", "DeliveryProfile", "UNALLOCATED"]
-
-UNALLOCATED = -1
 
 
 class AllocationProfile:
     """Definition 1: per-user (server, channel) decisions.
 
     ``server[j] == channel[j] == -1`` encodes the paper's ``α_j = (0, 0)``
-    (unallocated).  A float or bool index array is refused, not truncated.
+    (unallocated).  A float or bool index array, or an index below −1, is
+    refused, not truncated or wrapped.
     """
 
     __slots__ = ("server", "channel")
@@ -34,6 +33,8 @@ class AllocationProfile:
             raise AllocationError(
                 f"server/channel shapes mismatch: {self.server.shape} vs {self.channel.shape}"
             )
+        if (self.server < UNALLOCATED).any() or (self.channel < UNALLOCATED).any():
+            raise AllocationError(f"profile indices must be >= {UNALLOCATED} (unallocated)")
         both = (self.server == UNALLOCATED) == (self.channel == UNALLOCATED)
         if not both.all():
             raise AllocationError("server and channel must be unallocated together")
@@ -69,34 +70,9 @@ class AllocationProfile:
         return np.flatnonzero((self.server == i) & (self.channel == x))
 
     def validate(self, scenario: Scenario) -> None:
-        """Check Eq. (1): every allocation targets a covering server and an
-        existing channel.
-
-        Raises
-        ------
-        CoverageError / AllocationError on the first violation found.
-        """
-        if self.n_users != scenario.n_users:
-            raise AllocationError(
-                f"profile covers {self.n_users} users, scenario has {scenario.n_users}"
-            )
-        alloc = np.flatnonzero(self.allocated)
-        if len(alloc) == 0:
-            return
-        servers = self.server[alloc]
-        channels = self.channel[alloc]
-        if servers.min() < 0 or servers.max() >= scenario.n_servers:
-            raise AllocationError("allocated server index out of range")
-        if not scenario.coverage[servers, alloc].all():
-            bad = alloc[~scenario.coverage[servers, alloc]][0]
-            raise CoverageError(
-                f"user {bad} allocated to server {self.server[bad]} outside coverage"
-            )
-        if np.any(channels < 0) or np.any(channels >= scenario.channels[servers]):
-            bad = alloc[(channels < 0) | (channels >= scenario.channels[servers])][0]
-            raise AllocationError(
-                f"user {bad} allocated to non-existent channel {self.channel[bad]}"
-            )
+        """Check Eq. (1) (:func:`~repro.radio.sinr.check_eq1`): every
+        allocation targets a covering server and an existing channel."""
+        check_eq1(scenario, self.server, self.channel)
 
     def copy(self) -> "AllocationProfile":
         return AllocationProfile(self.server, self.channel)

@@ -8,15 +8,16 @@ Eq. (1) (a covering server, an existing channel) and inactive users must
 sit at the paper's ``α_j = (0,0)`` state.
 
 :func:`repair_allocation` is the per-epoch hot path of the streaming
-engine, so it is fully vectorised: one gather over the coverage matrix and
-one boolean mask, no per-user Python loop.  ``tests/core/test_repair.py``
-pins it against the straightforward loop formulation.
+engine: it detaches what :func:`~repro.radio.sinr.check_eq1`, the vectorised
+Eq. (1) rule every engine load raises from, reports.
+``tests/core/test_repair.py`` pins it against the per-user loop.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..radio.sinr import check_eq1
 from .instance import IDDEInstance
 from .profiles import UNALLOCATED, AllocationProfile
 
@@ -44,18 +45,17 @@ def repair_allocation(
     Returns
     -------
     The repaired profile (a copy) and the number of detached users.
+
+    Raises
+    ------
+    AllocationError
+        For arrays not of shape ``(M,)`` or a server index outside
+        ``[0, N)``: a malformed prior, which no instance delta explains.
     """
-    repaired = alloc.copy()
-    idx = np.flatnonzero(repaired.allocated)
-    if idx.size == 0:
-        return repaired, 0
-    scenario = instance.scenario
-    servers = repaired.server[idx]
-    bad = ~scenario.coverage[servers, idx]
-    bad |= repaired.channel[idx] >= scenario.channels[servers]
+    users, broken = check_eq1(instance.scenario, alloc.server, alloc.channel, detach=True)
     if active is not None:
-        bad |= ~np.asarray(active, dtype=bool)[idx]
-    drop = idx[bad]
-    repaired.server[drop] = UNALLOCATED
-    repaired.channel[drop] = UNALLOCATED
-    return repaired, int(drop.size)
+        broken |= ~np.asarray(active, dtype=bool)[users]
+    drop = users[broken]
+    server, channel = alloc.server.copy(), alloc.channel.copy()
+    server[drop] = channel[drop] = UNALLOCATED
+    return AllocationProfile(server, channel), int(drop.size)

@@ -20,11 +20,11 @@ import numpy as np
 from ..obs.tracer import Tracer, ensure_tracer
 from ..request import SolveRequest, json_scalarish
 from ..rng import ensure_rng
-from .constraints import check_strategy
+from .constraints import check_latency_constraint
 from .delivery import DeliveryResult
 from .game import GameResult
 from .instance import IDDEInstance
-from .objectives import Evaluation, evaluate
+from .objectives import Evaluation, evaluate_with_latencies
 from .profiles import AllocationProfile, DeliveryProfile
 
 __all__ = ["SOLUTION_SCHEMA", "Solution", "Solver"]
@@ -175,8 +175,8 @@ class Solver(abc.ABC):
         constraints, and evaluate objectives.
 
         ``tracer`` scopes the spans this wrapper records; the timed
-        ``wall_time_s`` region is :meth:`_solve` alone (validation and
-        evaluation are outside it, in their own spans).
+        ``wall_time_s`` region is :meth:`_solve` alone (the constraint
+        checks and the evaluation are outside it, in one span).
         """
         rng = ensure_rng(rng)
         tracer = ensure_tracer(tracer)
@@ -188,10 +188,12 @@ class Solver(abc.ABC):
         delivered, delivery = (
             (second, second.profile) if isinstance(second, DeliveryResult) else (None, second)
         )
-        with tracer.span("solver.validate"):
-            check_strategy(instance, alloc, delivery)
+        # One pass checks and scores: Eq. (6) on the delivery, Eq. (1) in
+        # the evaluation's engine load, Eq. (8) on the table it scored.
         with tracer.span("solver.evaluate"):
-            ev = evaluate(instance, alloc, delivery)
+            delivery.validate(instance.scenario)
+            ev, lat = evaluate_with_latencies(instance, alloc, delivery)
+            check_latency_constraint(instance, lat)
         return Solution(
             solver=self.name,
             allocation=alloc,

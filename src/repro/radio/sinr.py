@@ -56,7 +56,8 @@ Python floats read from the user's :class:`UserRow` (built once per
 :class:`RadioTables`, on the first fused call).  Python and numpy round
 ``+``, ``-`` and ``/`` identically, and a first-occurrence scan picks the
 candidate ``np.argmax`` picks, so the result is the same bits.  The
-mutation methods likewise check Eq. (1) on scalars.
+mutation methods likewise check Eq. (1) on scalars; whole profiles go
+through :func:`check_eq1`.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ __all__ = [
     "UserRow",
     "CandidateView",
     "BatchBestResponse",
+    "check_eq1",
 ]
 
 UNALLOCATED = -1
@@ -368,35 +370,15 @@ class SinrEngine:
         """Replace the full allocation state from profile arrays.
 
         All or nothing: the whole profile is checked against Eq. (1) first
-        (raising the :class:`CoverageError` / :class:`AllocationError` that
-        :meth:`assign` would raise for the lowest offending user), so a bad
-        profile leaves the engine untouched.  The load itself accumulates
-        the channel powers in ascending user order, the float additions of
-        an :meth:`assign` loop, so the state is bitwise the same.  A float
-        or bool index array is refused, not truncated.
+        (:func:`check_eq1`), so a bad profile leaves the engine untouched.
+        The load itself accumulates the channel powers in ascending user
+        order, the float additions of an :meth:`assign` loop, so the state
+        is bitwise the same.  A float or bool index array is refused, not
+        truncated.
         """
         server, channel = index_arrays(server, channel)
-        if server.shape != (self.scenario.n_users,) or channel.shape != server.shape:
-            raise AllocationError("profile arrays must both have shape (M,)")
-        users = np.flatnonzero(server != UNALLOCATED)
+        users, _ = check_eq1(self.scenario, server, channel)
         srv, ch = server[users], channel[users]
-        in_range = (srv >= 0) & (srv < self.scenario.n_servers)
-        safe = np.where(in_range, srv, 0)
-        uncovered = in_range & ~self.coverage[safe, users]
-        n_ch = self.scenario.channels[safe]
-        bad_channel = in_range & ((ch < 0) | (ch >= n_ch))
-        bad = ~in_range | uncovered | bad_channel
-        if bad.any():
-            pos = int(np.argmax(bad))
-            j, i, x = int(users[pos]), int(srv[pos]), int(ch[pos])
-            if not in_range[pos]:
-                raise AllocationError(f"server {i} out of range for user {j}")
-            if uncovered[pos]:
-                raise CoverageError(f"server {i} does not cover user {j}")
-            raise AllocationError(
-                f"channel {x} out of range for server {i} ({int(n_ch[pos])} "
-                f"channels) for user {j}"
-            )
         self.reset()
         self.alloc_server[users] = srv
         self.alloc_channel[users] = ch
@@ -667,6 +649,49 @@ def index_arrays(server: np.ndarray, channel: np.ndarray) -> tuple[np.ndarray, n
             f"profile indices must have an integer dtype, got {server.dtype}/{channel.dtype}"
         )
     return server.astype(np.int64), channel.astype(np.int64)
+
+
+def check_eq1(
+    scenario: Scenario,
+    server: np.ndarray,
+    channel: np.ndarray,
+    *,
+    detach: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eq. (1) over a whole profile, the rule's one vectorised statement.
+
+    Both arrays must have shape ``(M,)``; an allocated user needs a server
+    in ``[0, N)`` that covers it and a channel in ``[0, |C_i|)``.  The
+    lowest offending user raises what :meth:`SinrEngine.assign` would.
+    With ``detach`` only a bad shape or server index raises: an uncovered
+    user or a missing channel, what a changed scenario does to a standing
+    profile, is returned for detaching instead.
+
+    Returns the allocated users, ascending, and the mask of those to detach.
+    """
+    m = scenario.n_users
+    if server.shape != (m,) or channel.shape != (m,):
+        raise AllocationError(f"profile arrays must both have shape (M,) = ({m},)")
+    users = np.flatnonzero(server != UNALLOCATED)
+    srv, ch = server[users], channel[users]
+    in_range = (srv >= 0) & (srv < scenario.n_servers)
+    safe = np.where(in_range, srv, 0)
+    uncovered = ~scenario.coverage[safe, users]
+    n_ch = scenario.channels[safe]
+    broken = uncovered | (ch < 0) | (ch >= n_ch)
+    bad = ~in_range if detach else ~in_range | broken
+    if bad.any():
+        pos = int(np.argmax(bad))
+        j, i, x = int(users[pos]), int(srv[pos]), int(ch[pos])
+        if not in_range[pos]:
+            raise AllocationError(f"server {i} out of range for user {j}")
+        if uncovered[pos]:
+            raise CoverageError(f"server {i} does not cover user {j}")
+        raise AllocationError(
+            f"channel {x} out of range for server {i} ({int(n_ch[pos])} "
+            f"channels) for user {j}"
+        )
+    return users, broken
 
 
 def _check_index(value: int, bound: int, what: str) -> None:

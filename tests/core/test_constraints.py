@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.constraints import (
-    check_allocation,
-    check_latency_constraint,
-    check_storage,
-    check_strategy,
-)
+from repro.core.constraints import check_latency_constraint, check_strategy
+from repro.core.objectives import per_user_latencies
 from repro.core.profiles import AllocationProfile, DeliveryProfile
 from repro.errors import CoverageError, StorageViolation
 
@@ -28,13 +24,13 @@ class TestCheckers:
         alloc.server[0] = 3  # user 0 sits at server 0; radius 150 << 3000
         alloc.channel[0] = 0
         with pytest.raises(CoverageError):
-            check_allocation(line_instance, alloc)
+            alloc.validate(line_instance.scenario)
 
     def test_storage_violation(self, line_instance):
         d = DeliveryProfile.empty(4, 3)
         d.placed[0, :] = True  # 30+60+90 = 180 > 100 MB
         with pytest.raises(StorageViolation):
-            check_storage(line_instance, d)
+            d.validate(line_instance.scenario)
 
     def test_latency_constraint_holds_for_any_profile(self, line_instance):
         # With the cloud-capped path costs, the constraint holds by
@@ -48,4 +44,4 @@ class TestCheckers:
                 alloc.channel[j] = int(rng.integers(0, 2))
         d = DeliveryProfile.empty(4, 3)
         d.placed[1, 0] = True
-        check_latency_constraint(line_instance, alloc, d)
+        check_latency_constraint(line_instance, per_user_latencies(line_instance, alloc, d))

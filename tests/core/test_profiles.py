@@ -28,6 +28,14 @@ class TestAllocationProfile:
         with pytest.raises(AllocationError):
             AllocationProfile(np.array([0]), np.array([UNALLOCATED]))
 
+    @pytest.mark.parametrize(
+        "server, channel", [([-3, -1], [-3, -1]), ([0, -1], [-2, -1]), ([-2, 0], [0, 0])]
+    )
+    def test_index_below_unallocated_rejected(self, server, channel):
+        """−3 would otherwise gather server N−3's coverage column."""
+        with pytest.raises(AllocationError, match=">= -1"):
+            AllocationProfile(np.array(server), np.array(channel))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(AllocationError):
             AllocationProfile(np.array([0, 1]), np.array([0]))

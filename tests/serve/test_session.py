@@ -512,3 +512,41 @@ class TestBoundedTrace:
         escalations = [e for e in tracer.events if e.etype == "game.epsilon_escalation"]
         assert len(escalations) == counters["game.escalations"]
         assert all(e.fields["moves"] >= 0 for e in escalations)
+
+
+class TestWorkPerAnswer:
+    """A served answer is checked and scored in one pass: one latency table,
+    Eq. (1) once per engine load (the certificate's and the evaluation's),
+    and no signature inspection once the solver builds."""
+
+    def test_one_pass_per_served_epoch(self, instance, monkeypatch):
+        import inspect
+
+        from repro.core import constraints, objectives, profiles, repair
+        from repro.radio import sinr
+
+        calls: dict[str, int] = {}
+
+        def counted(module, name, key):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] = calls.get(key, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (objectives, constraints):
+            counted(module, "per_user_latencies", "latency table")
+        for module in (sinr, profiles, repair):
+            counted(module, "check_eq1", "eq1")
+        counted(inspect, "signature", "signature")
+
+        tracer = RecordingTracer()
+        session = SolverSession(instance, _warm_request(), tracer=tracer)
+        session.solve()
+        assert calls == {"latency table": 1, "eq1": 2}
+        names = [s.name for s in tracer.spans]
+        assert names.count("game.certify") == 1
+        assert names.count("solver.evaluate") == 1
+        assert "solver.validate" not in names

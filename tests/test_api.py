@@ -11,7 +11,8 @@ from repro.baselines import CANONICAL_SOLVERS, _FACTORIES, build_solver, resolve
 from repro.config import DeliveryConfig, GameConfig
 from repro.core.idde_g import IddeG
 from repro.core.instance import IDDEInstance
-from repro.errors import ConfigurationError, SolverLookupError
+from repro.core.profiles import AllocationProfile
+from repro.errors import AllocationError, ConfigurationError, SolverLookupError
 from repro.obs import RecordingTracer
 
 
@@ -122,6 +123,16 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="tracer"):
             solve(instance, "idde-g", solver_options={"tracer": None}, rng=3)
 
+    def test_refusals_are_worded_from_the_signature(self):
+        with pytest.raises(
+            ConfigurationError, match=r"'cdp' does not accept \['bogus_kw'\]; it takes"
+        ):
+            build_solver("cdp", bogus_kw=1)
+        with pytest.raises(
+            ConfigurationError, match=r"'idde-ip' rejects options \{'time_budget_s': -1.0\}"
+        ):
+            build_solver("idde-ip", time_budget_s=-1.0)
+
     def test_sharding_keyword_rejected(self, instance):
         """Sharding is gone: the global game is the only IDDE-U path."""
         from repro.request import REQUEST_SCHEMA, SolveRequest
@@ -212,6 +223,18 @@ class TestWarmStart:
         assert len(spans) == 1
         assert spans[0].attrs["detached"] == 0
         assert spans[0].attrs["carried"] == cold.allocation.n_allocated
+
+    def test_out_of_range_prior_server_is_an_allocation_error(self):
+        """A prior naming a server the instance lacks is malformed input,
+        not an instance delta: a structured error, not an IndexError."""
+        import numpy as np
+
+        inst = IDDEInstance.generate(n=6, m=10, k=3, seed=0)
+        server = np.full(inst.n_users, -1)
+        channel = np.full(inst.n_users, -1)
+        server[0], channel[0] = 99, 0
+        with pytest.raises(AllocationError, match="server 99 out of range for user 0"):
+            solve(inst, "idde-g", warm_start=AllocationProfile(server, channel), rng=0)
 
     def test_rejected_for_baselines(self, instance):
         cold = solve(instance, "idde-g", rng=0)
