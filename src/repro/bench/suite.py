@@ -37,8 +37,8 @@ The hot paths, mapped to the paper:
   twin solves every epoch from scratch, so their ratio is the
   incremental re-solve speed-up with certificates intact.  Run at ``M``
   (10k events) for the trajectory point; ``S`` is the CI smoke size;
-* ``topology.all-pairs-dijkstra.scipy`` — the all-pairs path costs behind
-  every delivery latency, on the compiled csgraph kernel;
+* ``topology.all-pairs-path-cost`` — the all-pairs path costs behind
+  every delivery latency, on the numpy relaxation kernel;
 * ``datasets.eua-sample`` — EUA-style per-trial scenario generation;
 * ``analysis.selflint.*`` — the IDDE-Lint self-lint of ``src/repro`` as a
   cold/warm cache pair: ``cold`` times the full semantic analysis,
@@ -70,7 +70,7 @@ _BEST_RESPONSE_SWEEPS = 10
 _WINNER_ROUNDS = 20
 _RATES_CALLS = 100
 _GREEDY_CALLS = 3
-_DIJKSTRA_SCIPY_CALLS = 50
+_PATH_COST_CALLS = 50
 
 
 def _loaded_engine(scale: str, seed: int) -> SinrEngine:
@@ -350,16 +350,16 @@ benchmark(
 
 
 @benchmark(
-    "topology.all-pairs-dijkstra.scipy",
-    "all-pairs shortest path costs over the edge graph on the compiled "
-    f"scipy kernel, {_DIJKSTRA_SCIPY_CALLS} calls",
+    "topology.all-pairs-path-cost",
+    "all-pairs shortest path costs over the edge graph on the numpy "
+    f"relaxation kernel, {_PATH_COST_CALLS} calls",
 )
-def _bench_all_pairs_dijkstra_scipy(scale: str, seed: int) -> Callable[[], object]:
+def _bench_all_pairs_path_cost(scale: str, seed: int) -> Callable[[], object]:
     cost = instance_for(scale, seed).topology.adjacency_cost
 
     def run() -> object:
         out = None
-        for _ in range(_DIJKSTRA_SCIPY_CALLS):
+        for _ in range(_PATH_COST_CALLS):
             out = all_pairs_path_cost(cost)
         assert out is not None
         return float(out[0, -1])

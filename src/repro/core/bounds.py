@@ -19,7 +19,9 @@ measured quantities respect each bound).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -48,26 +50,45 @@ def user_signal_strengths(instance: IDDEInstance) -> np.ndarray:
 def theorem4_iteration_bound(instance: IDDEInstance) -> float:
     """Theorem 4: ``Y ≤ M (Q_max² − Q_min²) / (2 Q_min)``.
 
-    The paper's proof assumes the signal strengths ``Q_j`` are integers
-    (each improving move raises the potential by at least ``Q_min``).  Our
-    gains are fractional, so we apply the theorem in its normalised units:
-    ``Q' = Q / Q_min`` (making ``Q'_min = 1``), giving
-    ``Y ≤ M ((Q_max/Q_min)² − 1) / 2``, plus the ``M`` initial moves that
-    bring every user in from the unallocated state (the paper's accounting
-    starts from a fully allocated profile; ours starts empty, per
-    Algorithm 1 line 2).
+    The paper's proof assumes the signal strengths ``Q_j`` are integers:
+    every interference sum is then a whole number, so each improving move
+    raises the potential by at least ``Q_min``.  Our strengths are floats,
+    so we apply the theorem in units of their common measure ``u``, the
+    largest value of which every ``Q_j`` is a whole multiple (exact on the
+    float values).  In those units the strengths are integers and the
+    bound reads ``Y ≤ M (a² − b²) / (2 b)`` with ``a = Q_max/u`` and
+    ``b = Q_min/u``, plus the ``M`` initial moves that bring every user in
+    from the unallocated state (the paper's accounting starts from a fully
+    allocated profile; ours starts empty, per Algorithm 1 line 2).
 
-    Returns ``inf`` when some user is uncovered (``Q_min = 0``); the bound
-    is vacuous there, matching the theorem's premise that every user can be
-    allocated.
+    When every ``Q_j`` is a whole multiple of ``Q_min`` this is the
+    normalised ``M ((Q_max/Q_min)² − 1) / 2 + M``.  Dividing by ``Q_min``
+    alone would not bound fractional ratios: one server, one common gain
+    and powers 4, 4 and 5 W take 4 moves, more than that form's 3.84.
+    Strengths with no coarse common measure (physical gains, continuous
+    powers) give a valid but astronomically large bound.
+
+    The theorem rests on Theorem 3's exact potential, which holds on one
+    server or under homogeneous gains; elsewhere the game is only
+    approximately potential and the number is a reference, not a
+    guarantee.  Returns ``inf`` when some user is uncovered
+    (``Q_min = 0``); the bound is vacuous there, matching the theorem's
+    premise that every user can be allocated.
     """
     q = user_signal_strengths(instance)
     q = q[q > 0] if (q > 0).any() else q
     if len(q) == 0 or q.min() <= 0:
         return float("inf")
+    strengths = [Fraction(float(x)) for x in q]
+    unit = Fraction(
+        math.gcd(*(f.numerator for f in strengths)),
+        math.lcm(*(f.denominator for f in strengths)),
+    )
+    a = max(strengths) / unit
+    b = min(strengths) / unit
     m = instance.n_users
-    ratio = float(q.max() / q.min())
-    return m * (ratio**2 - 1.0) / 2.0 + m
+    bound = m * (a * a - b * b) / (2 * b) + m
+    return float(bound) if bound <= sys.float_info.max else float("inf")
 
 
 def theorem5_poa_interval(

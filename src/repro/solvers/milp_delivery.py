@@ -34,8 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import coo_matrix
 
 from ..core.delivery import attached_request_counts
 from ..core.instance import IDDEInstance
@@ -85,6 +83,12 @@ def optimal_delivery_milp(
         for this model — ``σ = 0`` is always feasible — except on solver
         failure).
     """
+    # scipy is imported here, not at module level: this oracle is the only
+    # user of scipy in the package, and importing ``repro`` must not pay
+    # for it.
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_matrix
+
     n, k = instance.n_servers, instance.n_data
     sizes = instance.scenario.sizes
     storage = instance.scenario.storage

@@ -20,6 +20,7 @@ EXPECTED = {
     "game.round.random-winner.x20",
     "game.converge",
     "delivery.greedy",
+    "topology.all-pairs-path-cost",
     "workload.replay.warm",
     "workload.replay.cold",
     "datasets.eua-sample",

@@ -14,8 +14,30 @@ from repro.core.bounds import (
     theory_report,
     user_signal_strengths,
 )
+from repro.config import GameConfig, RadioConfig, TopologyConfig
 from repro.core.game import IddeUGame
 from repro.core.idde_g import IddeG
+from repro.core.instance import IDDEInstance
+from repro.topology.graph import build_topology
+from repro.types import Scenario
+
+
+def _one_cell(power, channels):
+    """One server, one common gain: Theorem 3's exact-potential game."""
+    m = len(power)
+    scenario = Scenario(
+        server_xy=np.zeros((1, 2)),
+        radius=np.full(1, 500.0),
+        storage=np.full(1, 100.0),
+        channels=np.full(1, channels, dtype=np.int64),
+        user_xy=np.column_stack([np.arange(m) * 10.0, np.zeros(m)]),
+        power=np.asarray(power, dtype=float),
+        rmax=np.full(m, 200.0),
+        sizes=np.array([30.0]),
+        requests=np.ones((m, 1), dtype=bool),
+    )
+    topo = build_topology(1, 0.0, 0, TopologyConfig())
+    return IDDEInstance(scenario, topo, RadioConfig(), gain_override=np.ones((1, m)))
 
 
 class TestTheorem4:
@@ -26,6 +48,21 @@ class TestTheorem4:
     def test_bound_dominates_observed_moves(self, small_instance):
         result = IddeUGame(small_instance).run(rng=0)
         assert result.moves <= theorem4_iteration_bound(small_instance)
+
+    @pytest.mark.parametrize("schedule", ["round-robin", "best-gain-winner"])
+    def test_fractional_ratio_bounded(self, schedule):
+        # Q = 4, 4, 5 on two channels: 4 moves.  Normalising by Q_min alone
+        # would give 3 (1.25² − 1) / 2 + 3 = 3.84; the common measure is 1,
+        # so the bound is 3 (25 − 16) / 8 + 3 = 6.375.
+        instance = _one_cell([4.0, 4.0, 5.0], channels=2)
+        result = IddeUGame(instance, GameConfig(schedule=schedule)).run(rng=0)
+        assert result.moves == 4
+        assert theorem4_iteration_bound(instance) == 6.375
+
+    def test_whole_ratio_is_normalised_form(self):
+        # Every Q_j a whole multiple of Q_min: M ((Q_max/Q_min)² − 1) / 2 + M.
+        instance = _one_cell([1.5, 3.0, 4.5], channels=2)
+        assert theorem4_iteration_bound(instance) == 3 * (9 - 1) / 2 + 3
 
     def test_signal_strengths_positive(self, small_instance):
         q = user_signal_strengths(small_instance)

@@ -1,9 +1,12 @@
 """Path-cost oracle: a self-contained binary-heap Dijkstra.
 
 The production :func:`~repro.topology.shortest_path.all_pairs_path_cost`
-delegates to the compiled :func:`scipy.sparse.csgraph.shortest_path`;
-this pure-Python search shares no code with it, so agreement on random
-edge graphs cross-validates the compiled path.
+is an all-sources Bellman–Ford relaxation in numpy; this pure-Python
+search shares no code with it.  Both return, for every pair, the minimum
+over paths of the same left-to-right float sum of edge costs (the search
+adds ``dist[u] + w(u, v)``, the relaxation ``d[s, u] + w(u, v)``), and
+float addition rounds monotonically, so the tests compare them for exact
+equality, not to a tolerance.
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import GameConfig
+from repro.core.bounds import theorem4_iteration_bound
 from repro.core.game import IddeUGame
 
-from .strategies import instances
+from .strategies import instances, potential_game_instances
 
 FAST = settings(max_examples=25, deadline=None)
 
@@ -61,19 +62,23 @@ class TestGameProperties:
             assert best <= current * (1 + tol) + tol * 1e-30 + 1e-30
 
     @FAST
-    @given(instances())
-    def test_moves_bounded_by_theorem4(self, instance):
-        """Theorem 4's move bound, on instances where its premise holds.
+    @given(
+        potential_game_instances(),
+        st.sampled_from(["round-robin", "best-gain-winner"]),
+    )
+    def test_moves_bounded_by_theorem4(self, instance, schedule):
+        """Theorem 4's move bound, on the instances its premise covers.
 
-        The bound assumes the exact-potential regime.  On the rare
-        instances where heterogeneous gains make the dynamics cycle, the
-        run escalates epsilon (``effective_epsilon`` rises above the
-        configured threshold) and the theorem's hypothesis — every move
-        raises the potential by at least ``Q_min`` — no longer applies, so
-        only the non-escalated runs are held to the bound."""
-        from repro.core.bounds import theorem4_iteration_bound
-
-        cfg = GameConfig()
+        The bound rests on Theorem 3's exact potential, which holds on one
+        server or under one common gain.  Outside that premise the game is
+        only approximately potential and a run may take more moves than the
+        bound (a drawn N=5, M=4 instance with physical gains took 7 against
+        6.43), so those draws are held to convergence and the certificate
+        alone, by the tests above.  Inside it, every run converges without
+        escalating epsilon and stays within the bound.
+        """
+        cfg = GameConfig(schedule=schedule)
         result = IddeUGame(instance, cfg).run(rng=0)
-        if result.effective_epsilon == cfg.epsilon:
-            assert result.moves <= theorem4_iteration_bound(instance)
+        assert result.converged and result.is_nash
+        assert result.effective_epsilon == cfg.epsilon
+        assert result.moves <= theorem4_iteration_bound(instance)
