@@ -49,9 +49,18 @@ numpy for the vectorised parts (the batched refresh, the improvement
 mask, the dirty marking) and does the per-turn rest on Python scalars:
 it reads the allocation and the dirty bit with ``.item``, and decides
 and applies on the fused kernel's plain tuple.  The certificate
-(:meth:`IddeUGame.is_nash`, in the run's ``game.certify`` span) never
-reads the table: it evaluates every player afresh on its own engine, and
-its verdict is the only certificate a served answer carries
+(:meth:`IddeUGame._certify`, in the run's ``game.certify`` span) runs on
+the run's own engine and table.  It reloads the final profile through the
+checked :meth:`~repro.radio.sinr.SinrEngine.load_profile`, which gives the
+canonical ascending-user power sums a fresh load gives (the moves' add
+and subtract bookkeeping can differ in the last ulp), marks dirty the
+users covered by a server whose channel powers changed bits on that
+reload, and re-evaluates only the dirty rows before deciding from the
+table.  The engine then equals a fresh load of the profile bit for bit,
+so the verdict is the fresh full batch's and the run reads the profile's
+Eq. (4) rates off it (``GameResult.rates``).  :meth:`IddeUGame.is_nash`
+is the same certificate on a fresh engine with every row dirty.  Its
+verdict is the only certificate a served answer carries
 (``GameResult.is_nash``).  The potential along a run is replayed from
 its move log (:func:`~repro.core.potential.potential_along`), so the loop
 carries no diagnostics: the trace gets an ε escalation as an event, and
@@ -111,6 +120,10 @@ class GameResult:
     #: when the dynamics stopped — the players a quiescent sweep had to
     #: re-check before certifying (empty on a clean convergence).
     capped_users: list[int] = field(default_factory=list)
+    #: ``(M,)`` Eq. (4) rates of ``profile`` (MB/s), read off the run's
+    #: engine after the certificate's reload, so bitwise a fresh engine's.
+    #: ``None`` only for results built outside :meth:`IddeUGame.run`.
+    rates: np.ndarray | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -193,8 +206,10 @@ class IddeUGame:
             they behave exactly like the paper's ``α_j = (0,0)`` users.
             A warm-start profile may not allocate inactive users.
 
-        A traced run counts ``game.moves`` and its ``sinr.*`` engine
-        evaluations once, at its end.
+        A traced run counts ``game.moves``, its ``sinr.*`` engine
+        evaluations and the certificate's re-evaluated rows
+        (``game.certify_rows``) once, at its end.  The run builds one
+        engine; it plays, certifies and reads the rates on it.
         """
         active, players = self._participants(active)
         engine = self.instance.new_engine()
@@ -207,6 +222,7 @@ class IddeUGame:
         t0 = time.perf_counter()
         log: list[tuple[int, int, int]] = []
         tally: Counter[str] = Counter()
+        table, dirty = self._new_table(self.instance.n_users)
         with self.tracer.span(
             "game.run",
             schedule=self.cfg.schedule,
@@ -214,16 +230,22 @@ class IddeUGame:
             warm_start=initial is not None,
         ) as span:
             rounds, converged, eps, moves_of = self._dynamics(
-                engine, players, rng, log, tally
+                engine, table, dirty, players, rng, log, tally
             )
             profile = AllocationProfile(engine.alloc_server, engine.alloc_channel)
             # If the dynamics truncated (max_rounds), the profile is
             # returned without a certificate: callers doing sweeps prefer
-            # degraded output over an exception.
+            # degraded output over an exception.  It is still reloaded,
+            # so its rates are a fresh load's.
             nash = False
             if converged:
                 with self.tracer.span("game.certify"):
-                    nash = self.is_nash(profile, tol=eps, active=active)
+                    nash, tally["game.certify_rows"] = self._certify(
+                        engine, profile, table, dirty, players, eps
+                    )
+            else:
+                engine.load_profile(profile.server, profile.channel)
+            rates = engine.rates()
             capped = [
                 int(j) for j in np.flatnonzero(moves_of >= self.cfg.max_moves_per_user)
             ]
@@ -249,11 +271,14 @@ class IddeUGame:
             effective_epsilon=eps,
             move_log=log,
             capped_users=capped,
+            rates=rates,
         )
 
     def _dynamics(
         self,
         engine: SinrEngine,
+        table: BatchBestResponse,
+        dirty: np.ndarray,
         players: np.ndarray,
         rng: np.random.Generator,
         log: list[tuple[int, int, int]],
@@ -262,8 +287,9 @@ class IddeUGame:
         """Rounds of best responses until one finds no improving player.
 
         Each round refreshes the eligible players' rows of the resident
-        table, marks who improves at the round's epsilon, and lets the
-        schedule's turns (:meth:`_turns`) apply their moves.  A refreshed
+        ``table`` (``dirty`` marks the stale ones), marks who improves at
+        the round's epsilon, and lets the schedule's turns
+        (:meth:`_turns`) apply their moves.  A refreshed
         row is clean, so within a round ``dirty[j]`` marks exactly the
         players that an earlier move of the same round made stale (it is
         read only once the round has moved).  A stale turn re-evaluates
@@ -282,7 +308,6 @@ class IddeUGame:
         """
         m = self.instance.n_users
         coverage = self.instance.scenario.coverage
-        table, dirty = self._new_table(m)
         eps = self.cfg.epsilon
         patience = self.cfg.patience_for(m)
         since_escalation = 0
@@ -290,7 +315,10 @@ class IddeUGame:
         cap = self.cfg.max_moves_per_user
         for rounds in range(1, self.cfg.max_rounds + 1):
             eligible = players[moves_of[players] < cap]
-            batch = self._refresh(engine, table, dirty, eligible, tally)
+            batch, evaluated = self._refresh(engine, table, dirty, eligible)
+            if evaluated:
+                tally["sinr.batch_rounds"] += 1
+                tally["sinr.batch_rows"] += evaluated
             improving = self._improving_mask(engine, batch, eps)
             idx = np.flatnonzero(improving)
             if idx.size == 0:
@@ -454,9 +482,9 @@ class IddeUGame:
         table: BatchBestResponse,
         dirty: np.ndarray,
         eligible: np.ndarray,
-        tally: Counter[str],
-    ) -> BatchBestResponse:
-        """The round's batch view of ``eligible``, read off the resident table.
+    ) -> tuple[BatchBestResponse, int]:
+        """The batch view of ``eligible`` read off the resident table, and
+        the number of rows re-evaluated to bring it up to date.
 
         Only the dirty eligible rows are re-evaluated, in one
         ``batch_best_responses`` pass.  A row depends only on the channel
@@ -469,8 +497,6 @@ class IddeUGame:
         rows = eligible[dirty[eligible]]
         if rows.size:
             fresh = engine.batch_best_responses(rows)
-            tally["sinr.batch_rounds"] += 1
-            tally["sinr.batch_rows"] += int(rows.size)
             table.server[rows] = fresh.server
             table.channel[rows] = fresh.channel
             table.benefit[rows] = fresh.benefit
@@ -482,7 +508,7 @@ class IddeUGame:
             channel=table.channel[eligible],
             benefit=table.benefit[eligible],
             current_benefit=table.current_benefit[eligible],
-        )
+        ), int(rows.size)
 
     def _improving_mask(
         self, engine: SinrEngine, batch: BatchBestResponse, eps: float
@@ -517,14 +543,48 @@ class IddeUGame:
         the current benefit by more than ``tol`` (relative) to disprove
         equilibrium.  ``active`` restricts the player set (the churn
         extension): inactive users are not players, so their lack of an
-        allocation never disproves equilibrium.
+        allocation never disproves equilibrium.  This is :meth:`_certify`
+        on a fresh engine with every row dirty.
         """
         tol = self.cfg.epsilon if tol is None else tol
         _, players = self._participants(active)
-        engine = self.instance.new_engine()
+        table, dirty = self._new_table(self.instance.n_users)
+        nash, _ = self._certify(
+            self.instance.new_engine(), profile, table, dirty, players, tol
+        )
+        return nash
+
+    def _certify(
+        self,
+        engine: SinrEngine,
+        profile: AllocationProfile,
+        table: BatchBestResponse,
+        dirty: np.ndarray,
+        players: np.ndarray,
+        tol: float,
+    ) -> tuple[bool, int]:
+        """Load ``profile`` into ``engine`` and certify it from ``table``.
+
+        Returns the verdict and the number of rows re-evaluated.  Either
+        ``profile`` is the allocation ``engine`` already holds and
+        ``dirty`` marks every row of ``table`` that is not that
+        allocation's best response (the run's final state), or the engine
+        is fresh and every row is dirty (:meth:`is_nash`).  The load goes
+        through the checked
+        :meth:`~repro.radio.sinr.SinrEngine.load_profile`, so the channel
+        powers become the canonical ascending-user sums a fresh load
+        gives.  A server whose channel powers changed bits on the load
+        makes every user it covers dirty.  Only the dirty players' rows
+        are then re-evaluated, and every clean row is bitwise what a fresh
+        full batch computes (rows are independent reductions).
+        """
+        before = engine.channel_power.copy()
         engine.load_profile(profile.server, profile.channel)
-        batch = engine.batch_best_responses(players)
+        changed = (before.view(np.int64) != engine.channel_power.view(np.int64)).any(axis=1)
+        if changed.any():
+            dirty |= self.instance.scenario.coverage[changed].any(axis=0)
+        batch, evaluated = self._refresh(engine, table, dirty, players)
         # A best response at the current slot has exactly the current
         # benefit, which never beats the threshold for ``tol >= 0``, so the
         # dynamics' improvement mask is the certificate's deviation test.
-        return not bool(self._improving_mask(engine, batch, tol).any())
+        return not bool(self._improving_mask(engine, batch, tol).any()), evaluated

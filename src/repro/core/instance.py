@@ -9,7 +9,8 @@ latency model, and the request aggregation used by the latency objective.
 
 :meth:`IDDEInstance.project` derives the next epoch's instance.  It builds
 only what the epoch's events changed: the path cost lives on the frozen
-topology, and the coverage and radio tables carry over unless a user moved.
+topology, and the coverage and radio tables carry over, with only the
+moved users' columns and rows recomputed.
 """
 
 from __future__ import annotations
@@ -95,10 +96,15 @@ class IDDEInstance:
     def project(self, state: WorkloadState) -> "IDDEInstance":
         """This instance with the users' positions, activity and requests of ``state``.
 
-        The topology, and with it the path cost, is shared.  When no user
-        moved, the coverage structure and :attr:`radio_tables` carry over
-        too: they depend only on the fixed servers, powers and radio and on
-        the users' positions.  A state that moved anyone rebuilds both.
+        The topology, and with it the path cost, is shared.  The coverage
+        structure and :attr:`radio_tables` this instance has built carry
+        over too: they depend only on the fixed servers, powers and radio
+        and on the users' positions, one user per column or row.  When no
+        user moved they are shared as they are; otherwise only the moved
+        users' parts are recomputed
+        (:meth:`~repro.types.Scenario.adopt_geometry`,
+        :meth:`~repro.radio.sinr.RadioTables.patched`), bitwise what a
+        fresh build computes.
 
         ``gain_override`` carries over.  It fixes every link's gain, so a state
         that moved a user raises :class:`~repro.errors.ScenarioError` naming them.
@@ -112,9 +118,12 @@ class IDDEInstance:
         projected = IDDEInstance(
             scenario, self.topology, self.radio, gain_override=self.gain_override
         )
-        if not moved.size:
-            scenario.adopt_geometry(self.scenario)
-            projected.__dict__["radio_tables"] = self.radio_tables
+        scenario.adopt_geometry(self.scenario, moved)
+        tables = self.__dict__.get("radio_tables")
+        if tables is not None:
+            projected.__dict__["radio_tables"] = (
+                tables.patched(scenario, self.radio, moved) if moved.size else tables
+            )
         return projected
 
     # ------------------------------------------------------------------

@@ -129,6 +129,9 @@ def evaluate(
 
     Loading ``alloc`` into a fresh engine checks Eq. (1); storage (Eq. 6)
     is not checked, so an over-full delivery is still scored.
+    :meth:`~repro.core.strategy.Solver.solve` scores an IDDE-G answer
+    with the rates its game already read (:func:`evaluate_with_latencies`
+    with ``rates``), which are these bit for bit.
     """
     return evaluate_with_latencies(instance, alloc, delivery)[0]
 
@@ -137,11 +140,21 @@ def evaluate_with_latencies(
     instance: IDDEInstance,
     alloc: AllocationProfile,
     delivery: DeliveryProfile,
+    *,
+    rates: np.ndarray | None = None,
 ) -> tuple[Evaluation, np.ndarray]:
-    """:func:`evaluate` plus the :func:`per_user_latencies` table it scored."""
-    engine = instance.new_engine()
-    engine.load_profile(alloc.server, alloc.channel)
-    rates = engine.rates()
+    """:func:`evaluate` plus the :func:`per_user_latencies` table it scored.
+
+    ``rates`` are ``alloc``'s Eq. (4) rates when the caller already holds
+    them from an engine that loaded ``alloc`` through the checked
+    :meth:`~repro.radio.sinr.SinrEngine.load_profile` (a game's
+    ``GameResult.rates``); the evaluation then builds no engine and
+    checks no Eq. (1) of its own.
+    """
+    if rates is None:
+        engine = instance.new_engine()
+        engine.load_profile(alloc.server, alloc.channel)
+        rates = engine.rates()
     zeta = instance.scenario.requests
     lat = per_user_latencies(instance, alloc, delivery)
     per_user_ms = np.where(

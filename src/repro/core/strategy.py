@@ -188,11 +188,15 @@ class Solver(abc.ABC):
         delivered, delivery = (
             (second, second.profile) if isinstance(second, DeliveryResult) else (None, second)
         )
-        # One pass checks and scores: Eq. (6) on the delivery, Eq. (1) in
-        # the evaluation's engine load, Eq. (8) on the table it scored.
+        # One pass checks and scores: Eq. (6) on the delivery, Eq. (8) on
+        # the table it scored.  Eq. (1) was checked where the rates come
+        # from: the game's certificate reload, or the evaluation's engine
+        # load for a solver without a game.
         with tracer.span("solver.evaluate"):
             delivery.validate(instance.scenario)
-            ev, lat = evaluate_with_latencies(instance, alloc, delivery)
+            ev, lat = evaluate_with_latencies(
+                instance, alloc, delivery, rates=None if game is None else game.rates
+            )
             check_latency_constraint(instance, lat)
         return Solution(
             solver=self.name,

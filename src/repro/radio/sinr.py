@@ -195,30 +195,55 @@ class RadioTables:
             if np.any(gain <= 0):
                 raise AllocationError("gain override must be strictly positive")
             gain = gain.copy()
-        cover = scenario.coverage
-        count = cover.sum(axis=0, dtype=np.int64)
+        count = scenario.coverage.sum(axis=0, dtype=np.int64)
         smax = max(int(count.max(initial=0)), 1)
-        mask = np.arange(smax)[None, :] < count[:, None]
-        cov = np.zeros((m, smax), dtype=np.int64)
-        # Row-major nonzeros of the (M, N) transpose: users ascending, each
-        # user's servers ascending — exactly the fill order of ``mask``.
-        cov[mask] = np.nonzero(cover.T)[1]
-        cov_gain = np.where(mask, gain[cov, np.arange(m)[:, None]], 0.0)
-        signal = cov_gain * scenario.power[:, None]
-        x = max(scenario.max_channels, 1)
-        valid = scenario.channel_mask[cov, :x] & mask[:, :, None]
-        tables = cls(
-            gain=gain,
-            count=count,
-            cov=cov,
-            mask=mask,
-            cov_gain=cov_gain,
-            signal=signal,
-            valid=valid,
+        return cls._frozen(
+            gain, count, *_padded_rows(scenario, gain, slice(None), count, smax)
         )
-        for array in (gain, count, cov, mask, cov_gain, signal, valid):
-            array.setflags(write=False)
+
+    def patched(self, scenario: Scenario, cfg: RadioConfig, moved: np.ndarray) -> "RadioTables":
+        """These tables for ``scenario``, in which only the users ``moved`` moved.
+
+        Only the moved users' parts are recomputed: their gain columns,
+        ``count`` entries and padded rows, and their :attr:`rows` entries
+        when these tables have built them.  When the widest covering set
+        ``Smax`` changes, the padded tables are re-padded with 0/``False``
+        or sliced (every other row's slots past the new ``Smax`` are
+        padding).  Every step is elementwise, so the result is bitwise
+        :meth:`build` on ``scenario`` (the power-law gain; a gain override
+        fixes every link and moves no user).
+        """
+        gain = self.gain.copy()
+        gain[:, moved] = gain_matrix(scenario.server_xy, scenario.user_xy[moved], cfg)
+        count = self.count.copy()
+        count[moved] = scenario.coverage[:, moved].sum(axis=0, dtype=np.int64)
+        smax = max(int(count.max(initial=0)), 1)
+        fresh = _padded_rows(scenario, gain, moved, count[moved], smax)
+        padded = []
+        for old, new in zip((self.cov, self.mask, self.cov_gain, self.signal, self.valid), fresh):
+            width = old.shape[1]
+            if smax <= width:
+                out = old[:, :smax].copy()
+            else:
+                pad = np.zeros((old.shape[0], smax - width, *old.shape[2:]), dtype=old.dtype)
+                out = np.concatenate((old, pad), axis=1)
+            out[moved] = new
+            padded.append(out)
+        tables = self._frozen(gain, count, *padded)
+        if "rows" in self.__dict__:
+            cov, mask, _, signal, valid = fresh
+            rows = list(self.rows)
+            for j, row in zip(moved.tolist(), _user_rows(cov, mask, signal, valid, count[moved])):
+                rows[j] = row
+            tables.__dict__["rows"] = tuple(rows)
         return tables
+
+    @classmethod
+    def _frozen(cls, *arrays: np.ndarray) -> "RadioTables":
+        """The tables over ``arrays`` (in field order), each made read-only."""
+        for array in arrays:
+            array.setflags(write=False)
+        return cls(*arrays)
 
     @cached_property
     def rows(self) -> tuple[UserRow, ...]:
@@ -227,28 +252,67 @@ class RadioTables:
         Only the fused :meth:`SinrEngine.best_response` reads them, so a
         scenario whose game never re-evaluates a single user (the batched
         refresh, :meth:`~repro.core.game.IddeUGame.is_nash`) never pays
-        for them; they ride along wherever these tables are carried.
+        for them; they ride along wherever these tables are carried, and
+        :meth:`patched` rebuilds only the moved users' entries.
         """
-        cov = self.cov.tolist()
-        signal = self.signal.tolist()
-        # ``build`` gives every real slot its server's channel mask, so one
-        # tuple per server serves every row that server covers.
-        servers, first = np.unique(self.cov[self.mask], return_index=True)
-        masks = self.valid[self.mask][first].tolist()
-        channels = {
-            i: tuple([x for x, ok in enumerate(mask) if ok])
-            for i, mask in zip(servers.tolist(), masks)
-        }
-        count = self.count.tolist()
-        covering = [tuple(row[:c]) for row, c in zip(cov, count)]
-        return tuple(
-            map(
-                UserRow,
-                covering,
-                [tuple(row[:c]) for row, c in zip(signal, count)],
-                [tuple([channels[i] for i in row]) for row in covering],
-            )
+        return tuple(_user_rows(self.cov, self.mask, self.signal, self.valid, self.count))
+
+
+def _padded_rows(
+    scenario: Scenario,
+    gain: np.ndarray,
+    users: np.ndarray | slice,
+    count: np.ndarray,
+    smax: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``cov``, ``mask``, ``cov_gain``, ``signal`` and ``valid`` rows of ``users``.
+
+    ``count`` holds the users' ``|V_j|`` and ``smax`` the padded width.
+    Every entry is a gather or an elementwise product, so a user's row is
+    the same bits whichever users are built beside it.
+    """
+    cover = scenario.coverage[:, users]
+    gain = gain[:, users]
+    mask = np.arange(smax)[None, :] < count[:, None]
+    cov = np.zeros((count.shape[0], smax), dtype=np.int64)
+    # Row-major nonzeros of the (U, N) transpose: users ascending, each
+    # user's servers ascending — exactly the fill order of ``mask``.
+    cov[mask] = np.nonzero(cover.T)[1]
+    cov_gain = np.where(mask, gain[cov, np.arange(count.shape[0])[:, None]], 0.0)
+    signal = cov_gain * scenario.power[users][:, None]
+    x = max(scenario.max_channels, 1)
+    valid = scenario.channel_mask[cov, :x] & mask[:, :, None]
+    return cov, mask, cov_gain, signal, valid
+
+
+def _user_rows(
+    cov: np.ndarray,
+    mask: np.ndarray,
+    signal: np.ndarray,
+    valid: np.ndarray,
+    count: np.ndarray,
+) -> list[UserRow]:
+    """The :class:`UserRow` of each of these padded rows."""
+    cov_list = cov.tolist()
+    signal_list = signal.tolist()
+    # Every real slot carries its server's channel mask, so one tuple per
+    # server serves every row that server covers.
+    servers, first = np.unique(cov[mask], return_index=True)
+    masks = valid[mask][first].tolist()
+    channels = {
+        i: tuple([x for x, ok in enumerate(row) if ok])
+        for i, row in zip(servers.tolist(), masks)
+    }
+    counts = count.tolist()
+    covering = [tuple(row[:c]) for row, c in zip(cov_list, counts)]
+    return list(
+        map(
+            UserRow,
+            covering,
+            [tuple(row[:c]) for row, c in zip(signal_list, counts)],
+            [tuple([channels[i] for i in row]) for row in covering],
         )
+    )
 
 
 class SinrEngine:

@@ -2,9 +2,9 @@
 
 A session owns everything a sequence of related solves can reuse — the
 base :class:`~repro.core.instance.IDDEInstance`, the instance of the last
-committed epoch (each epoch projects from it, so the topology's path cost
-stays resident, and coverage and the radio tables stay resident until a
-user moves), the mutable
+committed epoch (each epoch projects from it, so the topology's path cost,
+coverage and the radio tables stay resident, the last two patched only
+for the users who moved), the mutable
 :class:`~repro.workload.WorkloadState` that ``idde-events/1`` deltas fold
 into, the latest certified :class:`~repro.api.Solution`, and one tracer
 (a :class:`~repro.obs.tracer.RecordingTracer` by default) whose snapshots
@@ -30,7 +30,8 @@ The same chain backs ``idde serve`` and
 
 Every IDDE-G response carries one certificate: the game's own verdict
 (``sol.game.is_nash``), which :meth:`~repro.core.game.IddeUGame.run`
-decides on a fresh engine at the tolerance the solve reports
+decides on its own engine, after reloading the final profile into it,
+at the tolerance the solve reports
 (``sol.game.effective_epsilon``) in its ``game.certify`` span.  A truncated
 run (``converged=False``) is never certified.  The session serves no
 allocation whose verdict is not ``True``: a failed certificate raises

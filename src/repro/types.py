@@ -201,16 +201,38 @@ class Scenario:
     #: The cached structure that depends only on the servers and the users' positions.
     _GEOMETRY = ("coverage", "covering_servers", "covered_users")
 
-    def adopt_geometry(self, source: "Scenario") -> None:
+    def adopt_geometry(self, source: "Scenario", moved: np.ndarray) -> None:
         """Take over the coverage structure ``source`` has already computed.
 
         The caller guarantees that ``source`` has this scenario's servers and
-        users at the same positions, so its coverage, covering sets and
-        covered mask are exactly what this scenario would compute.
+        its users at the same positions, except the users in ``moved``.
+        Their coverage columns, covering sets and covered flags are
+        recomputed; every other user's are ``source``'s, which is exactly
+        what this scenario would compute (each column depends only on the
+        servers and that user's position).
         """
-        for name in self._GEOMETRY:
-            if name in source.__dict__:
-                self.__dict__.setdefault(name, source.__dict__[name])
+        cached = source.__dict__
+        if not moved.size:
+            for name in self._GEOMETRY:
+                if name in cached:
+                    self.__dict__.setdefault(name, cached[name])
+            return
+        if "coverage" not in cached:
+            return
+        cov = cached["coverage"].copy()
+        cov[:, moved] = coverage_matrix(self.server_xy, self.radius, self.user_xy[moved])
+        cov.setflags(write=False)
+        self.__dict__.setdefault("coverage", cov)
+        if "covered_users" in cached:
+            covered = cached["covered_users"].copy()
+            covered[moved] = cov[:, moved].any(axis=0)
+            covered.setflags(write=False)
+            self.__dict__.setdefault("covered_users", covered)
+        if "covering_servers" in cached:
+            sets = list(cached["covering_servers"])
+            for j in moved.tolist():
+                sets[j] = np.flatnonzero(cov[:, j])
+            self.__dict__.setdefault("covering_servers", sets)
 
     @cached_property
     def total_storage(self) -> float:

@@ -82,14 +82,14 @@ class TestReplayEntries:
         from repro.core.game import IddeUGame
 
         verdicts: list[bool] = []
-        is_nash = IddeUGame.is_nash
+        certify = IddeUGame._certify
 
-        def counting_is_nash(self, *args, **kwargs):
-            verdict = is_nash(self, *args, **kwargs)
+        def counting_certify(self, *args, **kwargs):
+            verdict, rows = certify(self, *args, **kwargs)
             verdicts.append(verdict)
-            return verdict
+            return verdict, rows
 
-        monkeypatch.setattr(IddeUGame, "is_nash", counting_is_nash)
+        monkeypatch.setattr(IddeUGame, "_certify", counting_certify)
         records = get_benchmark(f"workload.replay.{policy}").make("S", 0)()
         assert len(records) > 1
         assert verdicts == [True] * len(records)

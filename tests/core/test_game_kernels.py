@@ -266,7 +266,8 @@ class TestFusedBestResponse:
 
 class TestResidentTable:
     """The runners' best-response table is refreshed only where moves
-    dirtied it, yet every round reads exactly what a full batch gives."""
+    dirtied it, yet every round, and the certificate after the final
+    profile's reload, reads exactly what a full batch gives."""
 
     @pytest.mark.parametrize("cap", [25, 1])
     @pytest.mark.parametrize("masked", [False, True])
@@ -277,13 +278,13 @@ class TestResidentTable:
         refresh = IddeUGame._refresh
         rounds = []
 
-        def checked(self, engine, table, dirty, eligible, tally):
-            view = refresh(self, engine, table, dirty, eligible, tally)
+        def checked(self, engine, table, dirty, eligible):
+            view, evaluated = refresh(self, engine, table, dirty, eligible)
             full = engine.batch_best_responses(eligible)
             for name in ("users", "server", "channel", "benefit", "current_benefit"):
                 assert getattr(view, name).tobytes() == getattr(full, name).tobytes()
             rounds.append(int(eligible.size))
-            return view
+            return view, evaluated
 
         monkeypatch.setattr(IddeUGame, "_refresh", checked)
         instance = instance_for("S", 1)
@@ -292,7 +293,9 @@ class TestResidentTable:
             active = np.random.default_rng(1).random(instance.n_users) < 0.7
         cfg = GameConfig(schedule=schedule, max_moves_per_user=cap)
         result = IddeUGame(instance, cfg).run(rng=1, active=active)
-        assert result.is_nash and len(rounds) == result.rounds
+        # One refresh per round, then the certificate's over every player.
+        assert result.is_nash and len(rounds) == result.rounds + 1
+        assert rounds[-1] == (instance.n_users if active is None else int(active.sum()))
 
     def test_winner_evaluates_only_dirty_rows(self):
         """At M a move dirties a small neighbourhood, so the winner schedule
@@ -311,7 +314,8 @@ class TestResidentTable:
     def test_batch_rows_counts_evaluated_rows(self, small_instance, monkeypatch):
         """``sinr.batch_rounds`` / ``sinr.batch_rows`` count the dynamics'
         refresh passes and their rows, once per run; the certificate's
-        batch (on its own engine) is not counted."""
+        pass re-evaluates only the rows its reload left dirty and counts
+        them as ``game.certify_rows`` instead."""
         from repro.obs.tracer import RecordingTracer
         from repro.radio.sinr import SinrEngine
 
@@ -329,9 +333,11 @@ class TestResidentTable:
             game = IddeUGame(small_instance, GameConfig(schedule=schedule), tracer=tracer)
             result = game.run(rng=0)
             assert result.is_nash
-            # The last batch is the certificate's, over every player.
-            *refreshes, certificate = calls
-            assert certificate == small_instance.n_users
+            # The certificate's pass, if it had dirty rows, is the last.
+            certified = tracer.counters.get("game.certify_rows", 0)
+            refreshes = calls[:-1] if certified else calls
+            assert certified == (calls[-1] if certified else 0)
+            assert certified < small_instance.n_users
             assert tracer.counters["sinr.batch_rounds"] == len(refreshes) > 0
             assert tracer.counters["sinr.batch_rows"] == sum(refreshes)
 

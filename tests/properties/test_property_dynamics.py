@@ -3,7 +3,7 @@
 import dataclasses
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.instance import IDDEInstance
@@ -12,6 +12,7 @@ from repro.datasets.melbourne import CBD_REGION
 from repro.dynamics.churn import PoissonChurn
 from repro.dynamics.migration import plan_migration
 from repro.dynamics.mobility import ConfinedRandomWalk, RandomWaypoint
+from repro.geometry import coverage_matrix
 from repro.radio.fading import lognormal_shadowing
 from repro.topology.graph import EdgeTopology
 from repro.workload import Move, PopularityShift, UserJoin, UserLeave, WorkloadState
@@ -179,16 +180,23 @@ class TestMobilityProperties:
 
 
 @st.composite
-def event_days(draw):
+def event_days(draw, resize: bool = False):
     """An instance (shadowed by a gain override one time in three) and a
     few epochs of random ``idde-events/1`` events over it.
 
     Under an override a real move is refused, so its moves only re-state a
     user's current position; otherwise a move goes anywhere in or around
     the server field, covered or not.
+
+    With ``resize`` there is no override and the days move users only to
+    grow and shrink the widest covering set ``Smax``: the first and third
+    epochs move one user onto the most-covered of the server and starting
+    user positions (``Smax`` becomes that point's count ``H``, at least 2),
+    the second moves every user covered ``H`` times out of all coverage.
+    Joins, leaves and shifts ride along.
     """
     instance = draw(instances())
-    if draw(st.integers(0, 2)) == 0:
+    if not resize and draw(st.integers(0, 2)) == 0:
         scenario = instance.scenario
         gain = lognormal_shadowing(
             scenario.server_xy, scenario.user_xy, rng=draw(st.integers(0, 2**16)), sigma_db=8
@@ -196,14 +204,29 @@ def event_days(draw):
         instance = IDDEInstance(
             scenario, instance.topology, instance.radio, gain_override=gain
         )
+    scenario = instance.scenario
     m, k = instance.n_users, instance.n_data
-    positions = instance.scenario.user_xy.copy()
+    positions = scenario.user_xy.copy()
     users = st.integers(0, m - 1)
+    kinds = ("join", "leave", "shift") if resize else ("move", "join", "leave", "shift")
+    if resize:
+        spots = np.concatenate((scenario.server_xy, scenario.user_xy))
+        spot_counts = coverage_matrix(scenario.server_xy, scenario.radius, spots).sum(axis=0)
+        assume(spot_counts.max() >= 2)
     days = []
-    for _ in range(draw(st.integers(1, 4))):
+    for epoch in range(3 if resize else draw(st.integers(1, 4))):
         events = []
+        if resize and epoch == 1:
+            counts = coverage_matrix(scenario.server_xy, scenario.radius, positions).sum(axis=0)
+            for j in np.flatnonzero(counts == spot_counts.max()).tolist():
+                positions[j] = (-1e5, -1e5)
+                events.append(Move(0.0, j, -1e5, -1e5))
+        elif resize:
+            j = draw(users)
+            positions[j] = spots[int(np.argmax(spot_counts))]
+            events.append(Move(0.0, j, float(positions[j, 0]), float(positions[j, 1])))
         for _ in range(draw(st.integers(0, 5))):
-            kind = draw(st.sampled_from(("move", "join", "leave", "shift")))
+            kind = draw(st.sampled_from(kinds))
             if kind == "move":
                 j = draw(users)
                 if instance.gain_override is None and draw(st.booleans()):
@@ -225,15 +248,33 @@ def _bits(array):
 
 
 class TestChainedProjection:
-    """Projecting each epoch from the last one equals a fresh build."""
+    """Projecting each epoch from the last one equals a fresh build, and so
+    do the radio tables it patches for the users who moved."""
 
     @FAST
     @given(event_days())
     def test_chain_equals_fresh_instance(self, day):
-        base, epochs = day
+        self._check_chain(*day)
+
+    @FAST
+    @given(event_days(resize=True))
+    def test_chain_grows_and_shrinks_smax(self, day):
+        widths = self._check_chain(*day)
+        assert widths[2] < widths[1] and widths[3] > widths[2]
+
+    @staticmethod
+    def _check_chain(base, epochs):
+        """Walk the chain, every parent with its ``rows`` built, comparing
+        each link with a fresh build; returns the padded widths."""
         state = WorkloadState.from_scenario(base.scenario)
         chained = base
+        widths = [chained.radio_tables.cov.shape[1]]
         for events in epochs:
+            # The parent's derived structure, rows included, is what the
+            # projection carries over or patches.
+            chained.radio_tables.rows
+            chained.scenario.covering_servers
+            chained.scenario.covered_users
             state.apply(events)
             chained = chained.project(state)
             # A fresh topology recomputes the path cost on its own.
@@ -256,3 +297,13 @@ class TestChainedProjection:
                 assert _bits(getattr(chained.radio_tables, field.name)) == _bits(
                     getattr(fresh.radio_tables, field.name)
                 ), field.name
+            assert _row_bits(chained.radio_tables.rows) == _row_bits(fresh.radio_tables.rows)
+            widths.append(chained.radio_tables.cov.shape[1])
+        return widths
+
+
+def _row_bits(rows):
+    """``UserRow``s with every float as its exact hex form."""
+    return [
+        (row.servers, tuple(float.hex(v) for v in row.signal), row.channels) for row in rows
+    ]

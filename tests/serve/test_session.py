@@ -144,7 +144,7 @@ class TestCertification:
         first = session.solve()
         from repro.core.game import IddeUGame
 
-        monkeypatch.setattr(IddeUGame, "is_nash", lambda self, *a, **kw: False)
+        monkeypatch.setattr(IddeUGame, "_certify", lambda self, *a, **kw: (False, 0))
         with pytest.raises(SolverError, match="certificate failed"):
             session.apply_events([UserLeave(t=1.0, user=2)])
         assert session.solution is first  # resident survives
@@ -437,7 +437,7 @@ class TestBatchAtomicity:
 
         session, first, positions, active = self._open(instance)
         with monkeypatch.context() as patch:
-            patch.setattr(IddeUGame, "is_nash", lambda self, *a, **kw: False)
+            patch.setattr(IddeUGame, "_certify", lambda self, *a, **kw: (False, 0))
             with pytest.raises(SolverError, match="certificate failed"):
                 session.apply_events(
                     [UserLeave(t=5.0, user=3), Move(t=5.5, user=2, x=0.0, y=0.0)]
@@ -516,8 +516,9 @@ class TestBoundedTrace:
 
 class TestWorkPerAnswer:
     """A served answer is checked and scored in one pass: one latency table,
-    Eq. (1) once per engine load (the certificate's and the evaluation's),
-    and no signature inspection once the solver builds."""
+    one engine (the game plays, certifies and reads the rates on it),
+    Eq. (1) once per engine load, and no signature inspection once the
+    solver builds."""
 
     def test_one_pass_per_served_epoch(self, instance, monkeypatch):
         import inspect
@@ -545,8 +546,60 @@ class TestWorkPerAnswer:
         tracer = RecordingTracer()
         session = SolverSession(instance, _warm_request(), tracer=tracer)
         session.solve()
-        assert calls == {"latency table": 1, "eq1": 2}
+        # Eq. (1) once, in the certificate's reload of the final profile.
+        assert calls == {"latency table": 1, "eq1": 1}
         names = [s.name for s in tracer.spans]
         assert names.count("game.certify") == 1
         assert names.count("solver.evaluate") == 1
         assert "solver.validate" not in names
+
+    def test_one_engine_per_epoch_and_patched_tables(self, monkeypatch):
+        """Over a cold epoch and warm mobility epochs at N=30, M=200: one
+        engine per answer, no radio-table build on a projected epoch, and
+        Eq. (1) checked once cold and at most three times warm (repair,
+        warm load, certificate)."""
+        from repro.core import profiles, repair
+        from repro.radio import sinr
+        from repro.workload import StreamConfig, batch_by_count, poisson_zipf_stream
+
+        calls: dict[str, int] = {}
+
+        def counted(owner, name, key, wrap=lambda f: f):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] = calls.get(key, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrap(wrapper))
+
+        for module in (sinr, profiles, repair):
+            counted(module, "check_eq1", "eq1")
+        counted(sinr.RadioTables, "build", "build", staticmethod)
+        new_engine = IDDEInstance.new_engine
+
+        def counting_engine(self):
+            calls["engine"] = calls.get("engine", 0) + 1
+            return new_engine(self)
+
+        monkeypatch.setattr(IDDEInstance, "new_engine", counting_engine)
+
+        base = IDDEInstance.generate(n=30, m=200, k=5, seed=3)
+        session = SolverSession(base, _warm_request(3))
+        session.solve()
+        assert calls == {"engine": 1, "eq1": 1, "build": 1}
+        stream = poisson_zipf_stream(
+            base.scenario, spawn_rng(3, "t"), StreamConfig(), n_events=6 * 25
+        )
+        moved_epochs = 0
+        for batch in batch_by_count(stream, 25):
+            calls.clear()
+            before = session.served.scenario.user_xy
+            session.apply_events(batch.events)
+            moved = (session.served.scenario.user_xy != before).any(axis=1).sum()
+            moved_epochs += moved > 0
+            assert calls["engine"] == 1
+            assert "build" not in calls
+            assert calls["eq1"] <= 3
+            assert session.certified is True
+        assert moved_epochs >= 4
